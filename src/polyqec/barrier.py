@@ -164,7 +164,7 @@ def classical_code_barrier(
     n = H.ncols
     if n > cap_n:
         raise BarrierCapError(f"{n} bits exceed the barrier cap {cap_n}")
-    if not H.nullspace():
+    if H.rank() == H.ncols:
         raise BarrierError("kernel is trivial; there are no codewords to reach")
     syn_cols = H.transpose().rows
     bott, state, explored, path = _dijkstra(

@@ -14,6 +14,15 @@ Coefficients add mod 2, so monomials that collide on the finite group cancel.
 Matrices are stored bit-packed: each row is a Python int whose bit j is the
 entry in column j.  This keeps rank / kernel / row-space reduction allocation
 free and fast enough for exhaustive distance and barrier searches.
+
+Rank, residues and kernels all come from one cached reduced row-echelon
+form, with pivots taken at each row's top bit.  It is computed in two
+phases: a forward pass reduces each row only against the pivot bits it
+holds, and a single back-substitution in ascending pivot order then clears
+every pivot column from every other row, one XOR per cleared bit.  The
+reduced row-echelon form of a row space is unique, so the pivot rows, and
+the kernel basis read off them, do not depend on how the elimination is
+scheduled.
 """
 
 from __future__ import annotations
@@ -47,7 +56,7 @@ def parity_dot(a: int, b: int) -> int:
 class BinaryMatrix:
     """An immutable GF(2) matrix with bit-packed integer rows."""
 
-    __slots__ = ("rows", "ncols", "_piv")
+    __slots__ = ("rows", "ncols", "_piv", "_null")
 
     def __init__(self, rows: Iterable[int], ncols: int):
         rows = tuple(int(r) for r in rows)
@@ -59,6 +68,7 @@ class BinaryMatrix:
         self.rows = rows
         self.ncols = ncols
         self._piv: dict[int, int] | None = None
+        self._null: tuple[int, ...] | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -109,9 +119,6 @@ class BinaryMatrix:
     def is_zero(self) -> bool:
         return not any(self.rows)
 
-    def row_weights(self) -> list[int]:
-        return [r.bit_count() for r in self.rows]
-
     def transpose(self) -> BinaryMatrix:
         cols = [0] * self.ncols
         for i, r in enumerate(self.rows):
@@ -135,31 +142,41 @@ class BinaryMatrix:
     # -- linear algebra ----------------------------------------------------
 
     def _pivots(self) -> dict[int, int]:
-        """Fully reduced pivot rows keyed by pivot column (cached).
+        """Reduced row-echelon form: pivot rows keyed by pivot column (cached).
 
         Invariant: each row's top bit is its pivot column and no row contains
         any other row's pivot column.
+
+        Two phases.  The forward phase reduces each incoming row against only
+        the pivot bits it holds (``cur & pivmask``), always clearing the
+        highest one, until none is left; a nonzero remainder joins the
+        echelon basis under its top bit.  Back-substitution then walks the
+        pivot columns in ascending order: the lower pivot rows are already
+        reduced, so each XOR clears exactly one pivot bit and sets no other.
+        The reduced row-echelon form of a row space is unique, so the result
+        does not depend on the row order or on how the phases are scheduled.
         """
         if self._piv is None:
-            piv: dict[int, int] = {}
-            for r in self.rows:
-                cur = r
-                kept = 0  # non-pivot bits already scanned (always above the cursor)
-                while True:
-                    rest = cur & ~kept
-                    if not rest:
-                        break
-                    top = rest.bit_length() - 1
-                    if top in piv:
-                        cur ^= piv[top]  # clears top; only perturbs lower bits
-                    else:
-                        kept |= 1 << top
+            echelon: dict[int, int] = {}
+            pivmask = 0
+            for cur in self.rows:
+                hit = cur & pivmask
+                while hit:
+                    cur ^= echelon[hit.bit_length() - 1]
+                    hit = cur & pivmask
                 if cur:
                     c = cur.bit_length() - 1
-                    for c2, r2 in piv.items():
-                        if (r2 >> c) & 1:
-                            piv[c2] = r2 ^ cur
-                    piv[c] = cur
+                    echelon[c] = cur
+                    pivmask |= 1 << c
+            piv: dict[int, int] = {}
+            for c in sorted(echelon):
+                row = echelon[c]
+                hit = (row & pivmask) ^ (1 << c)
+                while hit:
+                    t = hit.bit_length() - 1
+                    row ^= piv[t]
+                    hit ^= 1 << t
+                piv[c] = row
             self._piv = piv
         return self._piv
 
@@ -181,18 +198,24 @@ class BinaryMatrix:
         return self.residue(vec) == 0
 
     def nullspace(self) -> list[int]:
-        """Basis of {x : every row r has parity(r & x) = 0}, bit-packed."""
-        piv = self._pivots()
-        basis = []
-        for j in range(self.ncols):
-            if j in piv:
-                continue
-            x = 1 << j
+        """Basis of {x : every row r has parity(r & x) = 0}, bit-packed (cached).
+
+        One vector per free (non-pivot) column j, in ascending j: bit j plus
+        the pivot column of every reduced row that holds bit j.
+        """
+        if self._null is None:
+            piv = self._pivots()
+            pivot_cols = [0] * self.ncols
             for c, r in piv.items():
-                if (r >> j) & 1:
-                    x |= 1 << c
-            basis.append(x)
-        return basis
+                rest = r ^ (1 << c)
+                while rest:
+                    j = rest.bit_length() - 1
+                    pivot_cols[j] |= 1 << c
+                    rest ^= 1 << j
+            self._null = tuple(
+                pivot_cols[j] | (1 << j) for j in range(self.ncols) if j not in piv
+            )
+        return list(self._null)
 
     def times_vector(self, vec: int) -> int:
         """Matrix-vector product; bit i of the result is parity(row_i & vec)."""
@@ -307,15 +330,16 @@ def _verify_commutation(inst: CodeInstance) -> None:
     """
     group = inst.group
     code = inst.code
-    candidates = set()
+    candidates = {}
     for m in code.f.terms:
         for n in code.g.terms:
             prod = tuple(a + b for a, b in zip(m, n))
-            candidates.add(group.reduce(prod))
+            candidates.setdefault(group.reduce(prod), prod)
+    tables = [group.translation(prod) for prod in candidates.values()]
     for h in range(group.order):
         xrow = inst.hx.rows[h]
-        for delta in candidates:
-            h2 = group.add(h, delta)
+        for table in tables:
+            h2 = table[h]
             if parity_dot(xrow, inst.hz.rows[h2]):
                 raise CodeError(
                     f"X check {h} and Z check {h2} overlap oddly; "

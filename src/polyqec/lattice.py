@@ -365,9 +365,16 @@ class QuotientGroup:
         return range(self.order)
 
     def translation(self, mono: Monomial) -> list[int]:
-        """Permutation table: element index -> index of (element * mono)."""
-        shift = self.reduce(mono)
-        return [self.add(h, shift) for h in self.elements()]
+        """Permutation table: element index -> index of (element * mono).
+
+        Built axis by axis: row-major indices of the first axes, extended by
+        each next radix, with that axis's coordinate shifted cyclically.
+        """
+        table = [0]
+        for s, m in zip(self.coords(mono), self._radices):
+            shifted = [*range(s, m), *range(s)]
+            table = [t * m + x for t in table for x in shifted]
+        return table
 
 
 def quotient(pres: GroupPresentation) -> QuotientGroup:

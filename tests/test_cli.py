@@ -7,7 +7,7 @@ import jsonschema
 import pytest
 
 from polyqec.cli import main
-from polyqec.fixtures import data_dir
+from polyqec.fixtures import data_dir, fixture_names
 
 SCHEMA = json.loads((data_dir() / "report.schema.json").read_text(encoding="utf-8"))
 
@@ -121,6 +121,52 @@ def test_params_gross(capsys):
     assert res["k"] == 12
     assert res["rank_hx"] == 66
     assert res["rank_hz"] == 66
+
+
+# (n, k, rank_hx, rank_hz, tanner_components) of every bundled two-block code
+# at its own boundary; a new bundled code needs its row here.
+PINNED_PARAMS = {
+    "checkerboard": (16, 8, 4, 4, 1),
+    "decomposable_example": (16, 0, 8, 8, 2),
+    "fibonacci_fsl": (128, 8, 60, 60, 1),
+    "fsl_odd_even": (128, 0, 64, 64, 1),
+    "fsl_odd_odd": (128, 0, 64, 64, 1),
+    "gross": (144, 12, 66, 66, 1),
+    "haah": (16, 6, 5, 5, 1),
+    "hhb_a": (16, 14, 1, 1, 2),
+    "honeycomb_color": (72, 4, 34, 34, 1),
+    "sierpinski_prism": (128, 0, 64, 64, 1),
+    "toric": (32, 2, 15, 15, 1),
+}
+
+
+def test_pinned_params_and_seeded_witness(capsys):
+    got = {}
+    for name in fixture_names():
+        code, doc = run_json(capsys, "params", name)
+        assert code == 0
+        res = doc["result"]
+        if res["kind"] == "two-block":
+            keys = ("n", "k", "rank_hx", "rank_hz", "tanner_components")
+            got[name] = tuple(res[key] for key in keys)
+    assert got == PINNED_PARAMS
+    # exact enumeration keeps the first lightest logical in Gray-code order
+    # over the kernel basis, so a reordered basis changes this witness
+    code, doc = run_json(capsys, "distance", "checkerboard", "--method", "exact")
+    assert code == 0
+    assert doc["result"]["witness"] == {"sector": "X", "support": [4, 12], "weight": 2}
+    # the randomized stream re-eliminates the kernel each round; its witness
+    # pins the seeded candidate order
+    code, doc = run_json(
+        capsys, "distance", "gross", "--method", "random", "--trials", "2000", "--seed", "1"
+    )
+    assert code == 0
+    assert doc["result"]["d_upper"] == 12
+    assert doc["result"]["witness"] == {
+        "sector": "X",
+        "support": [5, 6, 31, 73, 80, 81, 88, 95, 97, 112, 113, 129],
+        "weight": 12,
+    }
 
 
 def test_instantiate_classical(capsys):

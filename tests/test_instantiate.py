@@ -26,21 +26,70 @@ def torus(ctx: VarContext, *sizes: int) -> GroupPresentation:
     return GroupPresentation(ctx, rels)
 
 
-def _dense_rank_oracle(dense):
-    """Naive list-of-lists Gaussian elimination, independent of bit packing."""
+def _dense_rref(dense, ncols):
+    """Naive list-of-lists Gauss-Jordan elimination, independent of bit packing.
+
+    Bit j of a packed row is column j and a packed pivot is a row's top bit,
+    so columns are scanned from ncols - 1 down to 0.  Returns the reduced
+    rows keyed by pivot column.
+    """
     mat = [row[:] for row in dense]
-    rank = 0
-    cols = len(mat[0]) if mat else 0
-    for c in range(cols):
-        pivot = next((r for r in range(rank, len(mat)) if mat[r][c]), None)
+    pivots = {}
+    for c in reversed(range(ncols)):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pivot is None:
             continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                mat[r] = [(a + b) % 2 for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        for i in range(len(mat)):
+            if i != r and mat[i][c]:
+                mat[i] = [(a + b) % 2 for a, b in zip(mat[i], mat[r])]
+        pivots[c] = r
+    return {c: mat[r] for c, r in pivots.items()}
+
+
+def _dense_nullspace(rref, ncols):
+    """Kernel basis from a reduced form: one vector per free column, ascending."""
+    basis = []
+    for j in range(ncols):
+        if j in rref:
+            continue
+        vec = [0] * ncols
+        vec[j] = 1
+        for c, row in rref.items():
+            vec[c] = row[j]
+        basis.append(vec)
+    return basis
+
+
+def _pack(dense_row):
+    return sum(1 << j for j, e in enumerate(dense_row) if e)
+
+
+def _rref_cases():
+    """Seeded tall, wide, rank-deficient, zero-row, duplicate-row and empty matrices."""
+    rng = random.Random(4242)
+    cases = [BinaryMatrix([], 0), BinaryMatrix([0, 0], 0), BinaryMatrix([], 5)]
+    for _ in range(40):
+        cols = rng.randint(1, 7)
+        cases.append(BinaryMatrix([rng.getrandbits(cols) for _ in range(cols + 5)], cols))
+        cols = rng.randint(6, 14)
+        cases.append(BinaryMatrix([rng.getrandbits(cols) for _ in range(cols // 3)], cols))
+        cols = rng.randint(4, 12)
+        base = [rng.getrandbits(cols) for _ in range(rng.randint(1, 3))]
+        rows = []
+        for _ in range(rng.randint(3, 9)):
+            combo = 0
+            for b in base:
+                if rng.random() < 0.5:
+                    combo ^= b
+            rows.append(combo)
+        cases.append(BinaryMatrix(rows, cols))
+        rows = [rng.getrandbits(cols) for _ in range(rng.randint(2, 6))]
+        rows += [0, rows[0], 0, rows[-1]]
+        rng.shuffle(rows)
+        cases.append(BinaryMatrix(rows, cols))
+    return cases
 
 
 # -- BinaryMatrix ----------------------------------------------------------
@@ -73,7 +122,26 @@ def test_rank_against_dense_oracle():
         rows, cols = rng.randint(1, 8), rng.randint(1, 8)
         dense = [[rng.randint(0, 1) for _ in range(cols)] for _ in range(rows)]
         m = BinaryMatrix.from_dense(dense)
-        assert m.rank() == _dense_rank_oracle(dense)
+        assert m.rank() == len(_dense_rref(dense, cols))
+
+
+def test_pivots_equal_dense_rref():
+    for m in _rref_cases():
+        piv = m._pivots()
+        expected = _dense_rref(m.to_dense(), m.ncols)
+        assert piv == {c: _pack(row) for c, row in expected.items()}
+        for c, r in piv.items():
+            assert r.bit_length() - 1 == c
+            assert all(not (r >> other) & 1 for other in piv if other != c)
+
+
+def test_nullspace_equals_dense_rref_basis():
+    for m in _rref_cases():
+        expected = _dense_nullspace(_dense_rref(m.to_dense(), m.ncols), m.ncols)
+        basis = m.nullspace()
+        assert basis == [_pack(v) for v in expected]
+        basis.append(1)  # each call hands out a fresh list
+        assert m.nullspace() == [_pack(v) for v in expected]
 
 
 def test_nullspace_spans_kernel():

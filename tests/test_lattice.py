@@ -306,3 +306,21 @@ def test_translation_is_permutation():
     assert sorted(t) == list(g.elements())
     t2 = g.translation((2, 0))
     assert [t[t[i]] for i in g.elements()] == t2
+
+
+@pytest.mark.parametrize(
+    "ctx, rels",
+    [
+        (VarContext(("x",)), ((7,),)),
+        (XY, ((3, 0), (0, 4))),
+        (XYZ, ((2, 0, 0), (0, 3, 0), (0, 0, 4))),
+        (XY, ((3, -1), (0, 6))),  # x^3 = y, y^6 = 1: the Smith normal form path
+        (XY, ((2, -2), (0, 4))),  # x^2 = y^2, y^4 = 1: two Smith factors, 2 and 4
+        (XY, ((1, 0), (0, 1))),  # trivial group
+        (XY, ((1, 1), (0, 1))),  # trivial group on the Smith path: no radices
+    ],
+)
+def test_translation_matches_elementwise_add(ctx, rels):
+    g = quotient(GroupPresentation(ctx, rels))
+    for mono in product(range(-3, 4), repeat=ctx.dim):
+        assert g.translation(mono) == [g.add(h, g.reduce(mono)) for h in g.elements()]
