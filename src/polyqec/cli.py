@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import math
 import sys
@@ -439,25 +440,42 @@ def _emit(args, doc: dict[str, Any]) -> None:
         sys.stdout.write(render_document(doc))
 
 
+def _document(
+    args,
+    command: str,
+    spec_text: str | None,
+    spec_info: dict[str, Any] | None,
+    params: dict[str, Any],
+    build,
+) -> dict[str, Any]:
+    """The command's document: from the cache if stored there, else built,
+    timed and stored.  With ``--no-cache`` the cache is not touched at all."""
+    cache = None if args.no_cache else ReportCache(args.cache_dir)
+    if cache is not None:
+        key = cache.key(command, spec_text, params)
+        doc = cache.load(key, command, spec_info["sha256"] if spec_info else None)
+        if doc is not None:
+            return doc
+    t0 = time.perf_counter()
+    result = build()
+    seconds = time.perf_counter() - t0
+    doc = make_document(
+        command, spec_info, result, seed=params.get("seed"), seconds=seconds
+    )
+    if cache is not None:
+        cache.store(key, doc)
+    return doc
+
+
 def _run_spec_command(args, command: str, build, params: dict[str, Any]) -> int:
-    """Shared flow: load spec, consult the cache, build, store, print."""
+    """Shared flow: load spec, apply overrides, get the document, print."""
     text, source = _load_spec_text(args.spec)
     spec = specfile.parse_spec_text(text, source=source)
     spec = _apply_boundary_override(spec, getattr(args, "boundary", None))
-    params = dict(params)
-    params["boundary_override"] = [list(v) for v in spec.boundary]
-    cache = ReportCache(args.cache_dir, enabled=not args.no_cache)
-    key = cache.key(command, text, params)
-    doc = cache.load(key)
-    if doc is None:
-        t0 = time.perf_counter()
-        result = build(spec)
-        seconds = time.perf_counter() - t0
-        seed = params.get("seed")
-        doc = make_document(
-            command, _spec_block(spec, text), result, seed=seed, seconds=seconds
-        )
-        cache.store(key, doc)
+    params = {**params, "boundary_override": [list(v) for v in spec.boundary]}
+    doc = _document(
+        args, command, text, _spec_block(spec, text), params, lambda: build(spec)
+    )
     _emit(args, doc)
     return 0
 
@@ -518,18 +536,10 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_reproduce_appendix(args) -> int:
-    table_text = "\n".join(
-        fixture_path(name).read_text(encoding="utf-8") for name in FAMILY_TABLE_ROWS
+    # the bundled table files are in the cache key's source digest
+    doc = _document(
+        args, "reproduce-appendix", None, None, {}, _result_reproduce_appendix
     )
-    cache = ReportCache(args.cache_dir, enabled=not args.no_cache)
-    key = cache.key("reproduce-appendix", table_text, {})
-    doc = cache.load(key)
-    if doc is None:
-        t0 = time.perf_counter()
-        result = _result_reproduce_appendix()
-        seconds = time.perf_counter() - t0
-        doc = make_document("reproduce-appendix", None, result, seconds=seconds)
-        cache.store(key, doc)
     _emit(args, doc)
     return 0 if doc["result"]["all_pass"] else 1
 
@@ -573,6 +583,7 @@ def _cmd_export_matrix(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A fresh parser for the command line; ``main`` reuses one per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON document")
     common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
@@ -691,9 +702,15 @@ def build_parser() -> argparse.ArgumentParser:
 _DOMAIN_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError)
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    # parse_args leaves no state on the parser (``--boundary`` appends to a
+    # fresh list each call), so one instance serves every call in a process
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _shared_parser().parse_args(argv)
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:

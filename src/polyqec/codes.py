@@ -34,6 +34,7 @@ from .lattice import (
     hermite_basis,
     lattice_saturates,
     quotient_shape,
+    smith_normal_form,
     solve_in_lattice,
 )
 from .poly import (
@@ -391,11 +392,12 @@ def lift_to_parent(code: TwoBlockCode) -> ParentLift:
                 rj = restricted(vectors[j])
                 if not any(rj):
                     continue
+                snf = smith_normal_form([ri, rj])
                 for ell in range(d):
                     if ell in witness:
                         continue
                     target = tuple(int(k == ell) for k in range(d))
-                    sol = solve_in_lattice([ri, rj], target)
+                    sol = snf.solve(target)
                     if sol is not None:
                         comb = [0] * K
                         comb[i], comb[j] = sol

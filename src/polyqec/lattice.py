@@ -51,6 +51,26 @@ class SmithForm:
     def rank(self) -> int:
         return sum(1 for s in self.diagonal if s)
 
+    def solve(self, target: Sequence[int]) -> list[int] | None:
+        """Integer coefficients c with c @ M == target, if any (M the input rows)."""
+        k, d = len(self.U), len(self.V)
+        tgt = list(map(int, target))
+        if len(tgt) != d:
+            raise ValueError("target arity mismatch")
+        # c @ M = t  <=>  (c @ Uinv) @ S = t @ V ; write s = c @ Uinv
+        tV = [sum(tgt[i] * self.V[i][j] for i in range(d)) for j in range(d)]
+        s = [0] * k
+        for j in range(d):
+            sj = self.S[j][j] if j < k else 0
+            if sj:
+                if tV[j] % sj:
+                    return None
+                s[j] = tV[j] // sj
+            elif tV[j]:
+                return None
+        # c = s @ U
+        return [sum(s[i] * self.U[i][j] for i in range(k)) for j in range(k)]
+
 
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> SmithForm:
     """Smith normal form with transform tracking.
@@ -217,24 +237,7 @@ def solve_in_lattice(
     tgt = list(map(int, target))
     if not rows:
         return None if any(tgt) else []
-    d = len(rows[0])
-    if len(tgt) != d:
-        raise ValueError("target arity mismatch")
-    snf = smith_normal_form(rows)
-    k = len(rows)
-    # c @ M = t  <=>  (c @ Uinv) @ S = t @ V ; write s = c @ Uinv
-    tV = [sum(tgt[i] * snf.V[i][j] for i in range(d)) for j in range(d)]
-    s = [0] * k
-    for j in range(d):
-        sj = snf.S[j][j] if j < k else 0
-        if sj:
-            if tV[j] % sj:
-                return None
-            s[j] = tV[j] // sj
-        elif tV[j]:
-            return None
-    # c = s @ U
-    return [sum(s[i] * snf.U[i][j] for i in range(k)) for j in range(k)]
+    return smith_normal_form(rows).solve(tgt)
 
 
 # -- abelian quotient groups ----------------------------------------------

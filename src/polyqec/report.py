@@ -7,14 +7,18 @@ Every command produces one document with a fixed top-level shape::
 ``timing`` is the only volatile block; two runs of the same command on the
 same input and seed produce byte-identical canonical JSON once it is
 removed.  Documents are cached on disk keyed by a content hash of the
-command, the code-file text, and all result-affecting parameters.
+command, the code-file text, all result-affecting parameters, and the
+package's own sources, so a changed algorithm never serves an old document.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import json
 import os
+import tempfile
 from importlib import metadata
 from pathlib import Path
 from typing import Any, Mapping
@@ -34,11 +38,31 @@ CACHE_ENV_VAR = "POLYQEC_CACHE_DIR"
 _TOOL = "polyqec"
 
 
+@functools.cache
 def tool_version() -> str:
     try:
         return metadata.version(_TOOL)
     except metadata.PackageNotFoundError:  # running from a source tree
         return "0.0.0"
+
+
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the package's ``.py`` sources and ``data/`` files.
+
+    The version string is ``0.0.0`` in every source tree, so the cache keys
+    on this digest to drop documents written by any other build of the code.
+    """
+    root = Path(__file__).resolve().parent
+    files = sorted(root.glob("*.py")) + sorted(
+        p for p in (root / "data").iterdir() if p.is_file()
+    )
+    h = hashlib.sha256()
+    for path in files:
+        data = path.read_bytes()
+        h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
 
 
 def support_bits(mask: int) -> list[int]:
@@ -90,17 +114,17 @@ class ReportCache:
     ``POLYQEC_CACHE_DIR`` environment variable, else ``~/.cache/polyqec``.
     """
 
-    def __init__(self, directory: str | Path | None = None, *, enabled: bool = True):
+    def __init__(self, directory: str | Path | None = None):
         if directory is None:
             directory = os.environ.get(CACHE_ENV_VAR) or Path.home() / ".cache" / _TOOL
         self.directory = Path(directory)
-        self.enabled = enabled
 
     def key(self, command: str, spec_text: str | None, params: Mapping[str, Any]) -> str:
         payload = canonical_json(
             {
                 "command": command,
                 "params": dict(params),
+                "sources": _source_digest(),
                 "spec_text": spec_text,
                 "version": tool_version(),
             }
@@ -110,22 +134,38 @@ class ReportCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def load(self, key: str) -> dict[str, Any] | None:
-        if not self.enabled:
-            return None
-        path = self._path(key)
+    def load(
+        self, key: str, command: str, spec_sha256: str | None
+    ) -> dict[str, Any] | None:
+        """The stored document, or None on a miss.
+
+        An unreadable or truncated file is a miss, and so is a document
+        whose command or code-file hash differs from the request's.
+        """
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
+            doc = json.loads(self._path(key).read_text(encoding="utf-8"))
         except (OSError, ValueError):
+            return None
+        if not isinstance(doc, dict) or doc.get("command") != command:
+            return None
+        spec = doc.get("spec")
+        if (spec.get("sha256") if isinstance(spec, dict) else None) != spec_sha256:
             return None
         doc["timing"] = {"seconds": 0.0, "cached": True}
         return doc
 
     def store(self, key: str, doc: Mapping[str, Any]) -> None:
-        if not self.enabled:
-            return
+        """Write through a temporary file, so a reader never sees half a document."""
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._path(key).write_text(canonical_json(strip_timing(doc)), encoding="utf-8")
+        fd, tmp = tempfile.mkstemp(prefix=f".{key}.", suffix=".tmp", dir=self.directory)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(canonical_json(strip_timing(doc)))
+            os.replace(tmp, self._path(key))
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
 
 
 # -- human rendering -------------------------------------------------------

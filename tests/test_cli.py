@@ -6,8 +6,10 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from polyqec.cli import main
+from polyqec import report
+from polyqec.cli import build_parser, main
 from polyqec.fixtures import data_dir, fixture_names
+from polyqec.report import ReportCache, make_document, strip_timing
 
 SCHEMA = json.loads((data_dir() / "report.schema.json").read_text(encoding="utf-8"))
 
@@ -381,6 +383,41 @@ def test_cache_key_distinguishes_parameters(capsys, tmp_path):
     assert doc2["timing"]["cached"] is False
 
 
+def test_cache_misses_after_source_change(capsys, tmp_path, monkeypatch):
+    args = ("params", "toric", "--cache-dir", str(tmp_path / "c4"))
+    run_json(capsys, *args)
+    _, doc = run_json(capsys, *args)
+    assert doc["timing"]["cached"] is True
+    monkeypatch.setattr(report, "_source_digest", lambda: "0" * 64)
+    _, doc = run_json(capsys, *args)
+    assert doc["timing"]["cached"] is False
+
+
+def test_cache_load_checks_command_and_spec_hash(tmp_path):
+    cache = ReportCache(tmp_path)
+    key = cache.key("params", "spec text", {})
+    doc = make_document("params", {"sha256": "a" * 64}, {"n": 1}, seconds=1.0)
+    cache.store(key, doc)
+    assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
+    assert cache.load(key, "params", "a" * 64)["result"] == {"n": 1}
+    assert cache.load(key, "check", "a" * 64) is None
+    assert cache.load(key, "params", "b" * 64) is None
+
+
+def test_truncated_cache_file_is_a_miss(capsys, tmp_path):
+    cache = tmp_path / "c5"
+    args = ("params", "toric", "--cache-dir", str(cache))
+    run_json(capsys, *args)
+    [path] = cache.iterdir()
+    assert path.suffix == ".json"
+    path.write_text(path.read_text(encoding="utf-8")[:40], encoding="utf-8")
+    code, doc = run_json(capsys, *args)
+    assert code == 0
+    assert doc["timing"]["cached"] is False
+    assert [p.name for p in cache.iterdir()] == [path.name]
+    assert json.loads(path.read_text(encoding="utf-8")) == strip_timing(doc)
+
+
 def test_randomized_report_deterministic(capsys):
     args = (
         "distance", "toric", "--method", "random", "--trials", "300",
@@ -390,6 +427,32 @@ def test_randomized_report_deterministic(capsys):
     _, doc2 = run_json(capsys, *args)
     strip = lambda d: {k: v for k, v in d.items() if k != "timing"}
     assert strip(doc1) == strip(doc2)
+
+
+def test_reused_parser_matches_fresh_parser(capsys):
+    # main() parses with one parser per process; no call may leak into the next
+    calls = [
+        ["params", "toric", "--boundary", "x^2 = 1", "--boundary", "y^2 = 1"],
+        ["params", "toric"],
+        ["params", "toric", "--no-such-flag"],
+        ["check", "gross"],
+        ["distance", "toric", "--seed", "5", "--threads", "3"],
+        ["distance", "toric"],
+    ]
+    for argv in calls:
+        argv = argv + ["--json", "--no-cache"]
+        if "--no-such-flag" in argv:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            capsys.readouterr()
+            continue
+        code, doc = run_json(capsys, *argv)
+        fresh = build_parser().parse_args(argv)
+        assert fresh.func(fresh) == code == 0
+        assert strip_timing(json.loads(capsys.readouterr().out)) == strip_timing(doc)
+    assert doc["result"]["search_seed"] == 0
+    assert doc["result"]["workers"] == 1
 
 
 # -- exit codes ------------------------------------------------------------

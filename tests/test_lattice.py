@@ -195,6 +195,33 @@ def test_solve_in_lattice_randomized():
         assert got == target
 
 
+def test_smith_form_solve_matches_solve_in_lattice():
+    # membership oracle independent of the Smith form: t lies in the lattice
+    # iff adding it leaves the Hermite basis unchanged
+    rng = random.Random(47)
+    solved = unsolvable = 0
+    for _ in range(80):
+        d = rng.randint(2, 4)
+        rows = rand_matrix(rng, rng.choice((2, 3)), d, span=5)
+        snf = smith_normal_form(rows)
+        coeffs = [rng.randint(-3, 3) for _ in rows]
+        targets = [tuple(int(k == ell) for k in range(d)) for ell in range(d)]
+        targets += [tuple(rng.randint(-6, 6) for _ in range(d)) for _ in range(2)]
+        targets.append(tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(d)))
+        for t in targets:
+            sol = snf.solve(t)
+            assert sol == solve_in_lattice(rows, t)
+            member = hermite_basis(rows + [t], d) == hermite_basis(rows, d)
+            if sol is None:
+                assert not member
+                unsolvable += 1
+            else:
+                got = [sum(c * r[j] for c, r in zip(sol, rows)) for j in range(d)]
+                assert got == list(t)
+                solved += 1
+    assert solved and unsolvable
+
+
 # -- quotient groups -------------------------------------------------------
 
 
