@@ -7,10 +7,15 @@ barrier of a target is the minimum cost over paths from 0 to the target, and
 the code barrier is the minimum over all logical targets of a sector.
 
 Search is bottleneck Dijkstra over the implicit 2^n flip graph with
-bit-packed states and incremental syndromes.  States pop in nondecreasing
-bottleneck order, so the first logical state popped settles the sector
-barrier without enumerating targets.  CSS sectors decouple (X flips only
-trigger Z checks and vice versa), so each sector is a classical search.
+bit-packed states and incremental syndromes, run one bottleneck level at a
+time.  States pop in nondecreasing bottleneck order, and in increasing state
+order within a level, so the first logical state popped settles the sector
+barrier without enumerating targets.  A neighbour whose energy is above the
+current level is not stored: memory holds the settled states and the
+pending states of one level, and each new level starts with a rescan of the
+settled states for their lowest-energy unsettled neighbours.  CSS sectors
+decouple (X flips only trigger Z checks and vice versa), so each sector is a
+classical search.
 """
 
 from __future__ import annotations
@@ -101,37 +106,68 @@ def _dijkstra(
     sig_cols: list[int] | None = None,
     want_path: bool = False,
 ):
-    """Bottleneck-shortest-path from 0; returns at the first goal pop."""
-    dist: dict[int, int] = {0: 0}
-    heap: list[tuple[int, int, int, int]] = [(0, 0, 0, 0)]
+    """Bottleneck-shortest-path from 0; returns at the first goal pop.
+
+    Settles states one bottleneck level at a time.  Within a level the
+    smallest pending state pops next and its neighbours with energy at most
+    the level join the level; a neighbour above the level is not stored.
+    When the level empties, a rescan of the settled states in pop order finds
+    the next level, the lowest energy among their unsettled neighbours, and
+    starts it with those neighbours.  A state's predecessor is its first
+    settled neighbour in pop order.
+    """
+    if sig_cols is None:
+        sig_cols = [0] * n
+    settled: list[tuple[int, int, int]] = []  # (state, syn, sig) in pop order
+    pending: dict[int, tuple[int, int]] = {0: (0, 0)}  # state -> (syn, sig)
+    known = {0}  # settled or pending
     prev: dict[int, tuple[int, int] | None] | None = {0: None} if want_path else None
-    explored = 0
-    while heap:
-        bott, state, syn, sig = heapq.heappop(heap)
-        if bott > dist.get(state, bott):
-            continue  # stale entry
-        explored += 1
-        if goal(state, syn, sig):
-            path = None
-            if want_path:
-                flips = []
-                cur = state
-                while prev[cur] is not None:
-                    cur, j = prev[cur]
-                    flips.append(j)
-                path = tuple(reversed(flips))
-            return bott, state, explored, path
-        for j in range(n):
-            nstate = state ^ (1 << j)
-            nsyn = syn ^ syn_cols[j]
-            nbott = max(bott, nsyn.bit_count())
-            if nbott < dist.get(nstate, 1 << 60):
-                dist[nstate] = nbott
+    level = 0
+
+    def unsettled_neighbours():
+        for state, syn, sig in settled:
+            for j, scol in enumerate(syn_cols):
+                nstate = state ^ (1 << j)
+                if nstate not in known:
+                    yield state, j, nstate, syn ^ scol, sig ^ sig_cols[j]
+
+    while True:
+        heap = sorted(pending)
+        while heap:
+            state = heapq.heappop(heap)
+            syn, sig = pending.pop(state)
+            settled.append((state, syn, sig))
+            if goal(state, syn, sig):
+                path = None
+                if want_path:
+                    flips = []
+                    cur = state
+                    while prev[cur] is not None:
+                        cur, j = prev[cur]
+                        flips.append(j)
+                    path = tuple(reversed(flips))
+                return level, state, len(settled), path
+            for j in [
+                j for j, scol in enumerate(syn_cols) if (syn ^ scol).bit_count() <= level
+            ]:
+                nstate = state ^ (1 << j)
+                if nstate not in known:
+                    known.add(nstate)
+                    pending[nstate] = (syn ^ syn_cols[j], sig ^ sig_cols[j])
+                    heapq.heappush(heap, nstate)
+                    if want_path:
+                        prev[nstate] = (state, j)
+        level = min(
+            (nsyn.bit_count() for *_, nsyn, _nsig in unsettled_neighbours()), default=None
+        )
+        if level is None:
+            raise BarrierError("search exhausted without reaching a goal state")
+        for state, j, nstate, nsyn, nsig in unsettled_neighbours():
+            if nsyn.bit_count() == level and nstate not in pending:
+                pending[nstate] = (nsyn, nsig)
                 if want_path:
                     prev[nstate] = (state, j)
-                nsig = sig ^ sig_cols[j] if sig_cols is not None else 0
-                heapq.heappush(heap, (nbott, nstate, nsyn, nsig))
-    raise BarrierError("search exhausted without reaching a goal state")
+        known.update(pending)
 
 
 def barrier(

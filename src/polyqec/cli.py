@@ -134,7 +134,7 @@ def _result_check(spec: specfile.CodeSpec) -> dict[str, Any]:
         vectors = _classical_vectors(gen)
         d = gen.context.dim
         free, torsion = quotient_shape(vectors, d)
-        indec = lattice_saturates(vectors, d)
+        indec = free == 0 and not torsion
         index = None if free else (math.prod(torsion) if torsion else 1)
         result: dict[str, Any] = {
             "kind": "classical",
@@ -152,7 +152,7 @@ def _result_check(spec: specfile.CodeSpec) -> dict[str, Any]:
         return result
     code = spec.two_block()
     free, torsion, index = codes.decomposition_profile(code)
-    indec = codes.is_indecomposable(code)
+    indec = free == 0 and not torsion
     result = {
         "kind": "two-block",
         "css_commutes": codes.css_commutes_symbolically(code),
@@ -699,7 +699,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, IsADirectoryError)
+_DOMAIN_ERRORS = (
+    ValueError,
+    FileNotFoundError,
+    FileExistsError,
+    NotADirectoryError,
+    IsADirectoryError,
+)
 
 
 @functools.cache

@@ -1,10 +1,14 @@
 """Minimum-distance search for instantiated CSS codes.
 
 Exact distances come from a full Gray-code sweep of the relevant kernel,
-feasible only at small block length.  At practical sizes a seeded
-information-set search gives upper bounds: repeatedly re-eliminate the kernel
-basis along a random column order and inspect the resulting sparse-ish rows
-(and sums of light row pairs) for low-weight logical operators.
+feasible only at small block length.  The sweep runs in blocks: the
+combinations of the low kernel vectors are tabulated once, and each step of
+the high part weighs a whole block with one list comprehension, visiting the
+states in the same order as a one-state-at-a-time Gray sweep.  At practical
+sizes a seeded information-set search gives upper bounds: repeatedly
+re-eliminate the kernel basis along a random column order and inspect the
+resulting sparse-ish rows (and sums of light row pairs) for low-weight
+logical operators.
 
 Sector conventions: an X-type logical is v with HZ*v = 0 and v outside the
 row space of HX; symmetrically for Z.  The reported code distance is the
@@ -33,6 +37,7 @@ __all__ = [
 
 EXACT_CAP_DEFAULT = 28
 _KERNEL_EXP_CAP = 26  # hard cap on 2^dim enumeration states
+_GRAY_BLOCK = 12  # low kernel vectors tabulated once by the Gray-code sweep
 
 
 class DistanceError(ValueError):
@@ -133,6 +138,40 @@ def _signatures(kernel: list[int], reps: list[int]) -> list[int]:
     return sigs
 
 
+def _gray_minimum(kernel: list[int], sigs: list[int], n: int) -> tuple[int, int | None]:
+    """(weight, state) of the first lightest kernel combination with a nonzero
+    signature, over the combinations i = 1 .. 2^m - 1 in Gray-code order.
+
+    The low ``_GRAY_BLOCK`` basis vectors are tabulated once in Gray order;
+    the high part steps in Gray order and, by the reflected-code property,
+    every odd high step walks the low table backwards, so the states come in
+    the order of a per-state Gray sweep.  Combinations with a zero signature
+    weigh n + 1.  Returns (n + 1, None) when no combination qualifies.
+    """
+    b = min(len(kernel), _GRAY_BLOCK)
+    low, low_sigs = [0], [0]
+    for v, s in zip(kernel[:b], sigs[:b]):
+        low += [x ^ v for x in reversed(low)]
+        low_sigs += [x ^ s for x in reversed(low_sigs)]
+    tables = ((low, low_sigs), (low[::-1], low_sigs[::-1]))
+    best_w, best = n + 1, None
+    high = high_sig = 0
+    for h in range(1 << (len(kernel) - b)):
+        if h:
+            j = b + (h & -h).bit_length() - 1
+            high ^= kernel[j]
+            high_sig ^= sigs[j]
+        states, state_sigs = tables[h & 1]
+        weights = [
+            (high ^ x).bit_count() if s != high_sig else n + 1
+            for x, s in zip(states, state_sigs)
+        ]
+        w = min(weights)
+        if w < best_w:
+            best_w, best = w, high ^ states[weights.index(w)]
+    return best_w, best
+
+
 def exact_sector_distance(
     inst: CodeInstance, sector: str, *, cap_n: int = EXACT_CAP_DEFAULT
 ) -> tuple[int, int]:
@@ -145,19 +184,7 @@ def exact_sector_distance(
     m = len(kernel)
     if m > _KERNEL_EXP_CAP:
         raise DistanceCapError(f"kernel dimension {m} exceeds 2^{_KERNEL_EXP_CAP} states")
-    sigs = _signatures(kernel, reps)
-    best_w = inst.n + 1
-    best = None
-    state = 0
-    sig = 0
-    for i in range(1, 1 << m):
-        j = (i & -i).bit_length() - 1
-        state ^= kernel[j]
-        sig ^= sigs[j]
-        if sig:
-            w = state.bit_count()
-            if w < best_w:
-                best_w, best = w, state
+    best_w, best = _gray_minimum(kernel, _signatures(kernel, reps), inst.n)
     assert best is not None  # reps nonempty guarantees a logical element exists
     validate_logical_witness(inst, best, sector)
     return best_w, best
@@ -287,13 +314,5 @@ def exact_classical_distance(
         return ClassicalDistance(value=None, witness=None)
     if m > cap_dim:
         raise DistanceCapError(f"kernel dimension {m} exceeds 2^{cap_dim} states")
-    best_w = mat.ncols + 1
-    best = None
-    state = 0
-    for i in range(1, 1 << m):
-        j = (i & -i).bit_length() - 1
-        state ^= kernel[j]
-        w = state.bit_count()
-        if 0 < w < best_w:
-            best_w, best = w, state
-    return ClassicalDistance(value=best_w, witness=best)
+    value, witness = _gray_minimum(kernel, [1 << j for j in range(m)], mat.ncols)
+    return ClassicalDistance(value=value, witness=witness)

@@ -47,6 +47,8 @@ __all__ = [
     "write_matrix_market",
 ]
 
+GROUP_ORDER_CAP = 1 << 20  # largest group order for which matrices are built
+
 
 def parity_dot(a: int, b: int) -> int:
     """GF(2) inner product of two bit-packed vectors."""
@@ -246,6 +248,20 @@ class BinaryMatrix:
 # -- instantiation ---------------------------------------------------------
 
 
+def _finite_group(pres: GroupPresentation) -> QuotientGroup:
+    """The quotient group of a presentation, refused above the order cap.
+
+    Checked before any translation table is built: each table has one
+    entry per group element.
+    """
+    group = quotient(pres)
+    if group.order > GROUP_ORDER_CAP:
+        raise CodeError(
+            f"group order {group.order} exceeds the instantiation cap {GROUP_ORDER_CAP}"
+        )
+    return group
+
+
 def _poly_row_masks(poly: LaurentPoly, group: QuotientGroup, shift: int) -> list[int]:
     """Bit mask per group element h for the support of h * poly (XOR on collisions)."""
     order = group.order
@@ -297,7 +313,7 @@ def instantiate(
     """
     if pres.context != code.context:
         raise CodeError("presentation context differs from the code context")
-    group = quotient(pres)
+    group = _finite_group(pres)
     order = group.order
     f, g = code.f, code.g
     if f.is_zero or g.is_zero:
@@ -356,7 +372,7 @@ def classical_parity_matrix(
         raise CodeError("presentation context differs from the generator context")
     if poly.is_zero:
         raise CodeError("cannot instantiate a zero generator")
-    group = quotient(pres)
+    group = _finite_group(pres)
     return BinaryMatrix(_poly_row_masks(poly, group, 0), group.order)
 
 

@@ -1,10 +1,14 @@
 """Tests for exact bottleneck energy-barrier search."""
 
+import heapq
 import random
 
 import pytest
 
+import polyqec.barrier as barrier_mod
+from polyqec import specfile
 from polyqec.barrier import (
+    BARRIER_CAP_DEFAULT,
     BarrierCapError,
     BarrierError,
     barrier,
@@ -15,6 +19,7 @@ from polyqec.barrier import (
 )
 from polyqec.codes import classical, two_block
 from polyqec.distance import exact_distance
+from polyqec.fixtures import fixture_names, fixture_path
 from polyqec.instantiate import BinaryMatrix, classical_parity_matrix, instantiate
 from polyqec.lattice import GroupPresentation
 from polyqec.poly import VarContext
@@ -259,3 +264,116 @@ def test_code_barrier_consistent_with_exact_distance_witness():
     d = exact_distance(inst)
     b = code_barrier(inst)
     assert d.d_upper >= 1 and b.barrier >= 1
+
+
+# -- level-by-level search against the heap Dijkstra -----------------------
+
+
+def _heap_dijkstra(syn_cols, n, goal, sig_cols=None, want_path=False):
+    """Reference: bottleneck Dijkstra with one heap entry per improvement.
+
+    Pops (bottleneck, state) pairs in increasing order, skips stale entries,
+    and records a predecessor on every strict improvement.
+    """
+    dist = {0: 0}
+    heap = [(0, 0, 0, 0)]
+    prev = {0: None} if want_path else None
+    explored = 0
+    while heap:
+        bott, state, syn, sig = heapq.heappop(heap)
+        if bott > dist.get(state, bott):
+            continue
+        explored += 1
+        if goal(state, syn, sig):
+            path = None
+            if want_path:
+                flips = []
+                cur = state
+                while prev[cur] is not None:
+                    cur, j = prev[cur]
+                    flips.append(j)
+                path = tuple(reversed(flips))
+            return bott, state, explored, path
+        for j in range(n):
+            nstate = state ^ (1 << j)
+            nsyn = syn ^ syn_cols[j]
+            nbott = max(bott, nsyn.bit_count())
+            if nbott < dist.get(nstate, 1 << 60):
+                dist[nstate] = nbott
+                if want_path:
+                    prev[nstate] = (state, j)
+                nsig = sig ^ sig_cols[j] if sig_cols is not None else 0
+                heapq.heappush(heap, (nbott, nstate, nsyn, nsig))
+    raise BarrierError("search exhausted without reaching a goal state")
+
+
+def _outcome(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs)
+    except BarrierError as exc:
+        return ("error", str(exc))
+
+
+def test_level_search_matches_heap_reference():
+    rng = random.Random(4242)
+    exhausted = 0
+    for case in range(400):
+        n = rng.randint(1, 10)
+        rows = [rng.getrandbits(n) for _ in range(rng.randint(0, 7))]
+        syn_cols = BinaryMatrix(rows, n).transpose().rows if rows else [0] * n
+        sig_cols = None
+        kind = case % 3
+        if kind == 0:
+            target = rng.randrange(1, 1 << n)
+            goal = lambda s, _syn, _sig: s == target
+        elif kind == 1:
+            goal = lambda s, syn, _sig: s != 0 and syn == 0
+        else:
+            sig_cols = [rng.getrandbits(2) for _ in range(n)]
+            goal = lambda _s, syn, sig: syn == 0 and sig != 0
+        for want_path in (False, True):
+            expect = _outcome(_heap_dijkstra, syn_cols, n, goal, sig_cols, want_path)
+            got = _outcome(barrier_mod._dijkstra, syn_cols, n, goal, sig_cols, want_path)
+            assert got == expect
+            exhausted += expect[0] == "error"
+    assert exhausted > 0
+
+
+def _bundled_instances():
+    """Every bundled code within the default cap, at its own boundary and at
+    small plain and twisted ones."""
+    small = {
+        1: [((4,),), ((6,),)],
+        2: [((2, 0), (0, 2)), ((2, 0), (0, 3)), ((3, 0), (1, 2)), ((3, 0), (0, 3))],
+        3: [((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((2, 0, 0), (0, 2, 0), (1, 1, 2))],
+    }
+    for name in fixture_names():
+        spec = specfile.parse_spec_file(fixture_path(name))
+        for rels in dict.fromkeys([spec.boundary, *small[spec.context.dim]]):
+            pres = GroupPresentation(spec.context, tuple(rels))
+            if spec.is_classical:
+                mat = classical_parity_matrix(spec.classical_generator(), pres)
+                if mat.ncols <= BARRIER_CAP_DEFAULT:
+                    yield name, rels, mat
+            else:
+                inst = instantiate(spec.two_block(), pres)
+                if inst.n <= BARRIER_CAP_DEFAULT:
+                    yield name, rels, inst
+
+
+def test_bundled_barriers_match_heap_reference(monkeypatch):
+    def searches():
+        for name, rels, obj in _bundled_instances():
+            if isinstance(obj, BinaryMatrix):
+                yield (name, rels), _outcome(classical_code_barrier, obj, want_path=True)
+            else:
+                yield (name, rels), _outcome(
+                    code_barrier, obj, want_path=True, with_four_way=True
+                )
+
+    got = list(searches())
+    monkeypatch.setattr(barrier_mod, "_dijkstra", _heap_dijkstra)
+    expect = list(searches())
+    assert got == expect
+    names = {name for (name, _), _ in got}
+    assert names == set(fixture_names())

@@ -483,3 +483,24 @@ def test_bad_boundary_override_exits_one(capsys):
     code, out, err = run(capsys, "params", "toric", "--boundary", "x + y = 1")
     assert code == 1
     assert "not a single monomial" in err
+
+
+def test_cache_dir_that_is_a_file_exits_one(capsys, tmp_path):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "params", "toric", "--cache-dir", str(blocker))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(blocker) in err
+
+
+def test_group_order_over_cap_exits_one(capsys):
+    # 10^10 group elements: refused before any translation table is built
+    code, out, err = run(
+        capsys, "params", "toric", "--boundary", "x^100000 = 1",
+        "--boundary", "y^100000 = 1", "--no-cache",
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: group order 10000000000 exceeds the instantiation cap {1 << 20}\n"

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import polyqec.distance as distance_mod
 from polyqec.codes import TwoBlockCode, classical, two_block
 from polyqec.distance import (
     ClassicalDistance,
@@ -12,9 +13,11 @@ from polyqec.distance import (
     exact_classical_distance,
     exact_distance,
     exact_sector_distance,
+    logical_space,
     random_upper_bound,
     validate_logical_witness,
 )
+from polyqec.instantiate import BinaryMatrix
 from polyqec.instantiate import classical_parity_matrix, instantiate
 from polyqec.lattice import GroupPresentation
 from polyqec.poly import LaurentPoly, VarContext
@@ -262,3 +265,79 @@ def test_classical_cap():
 
     with pytest.raises(DistanceCapError):
         exact_classical_distance(BinaryMatrix.zeros(1, 30))
+
+
+# -- blocked Gray sweep against the per-state sweep ------------------------
+
+
+def _per_state_gray(kernel, sigs, n):
+    """Reference: the one-state-at-a-time Gray sweep over i = 1 .. 2^m - 1.
+
+    Returns the first lightest state whose signature is nonzero, as
+    (weight, state), or (n + 1, None) when none is.
+    """
+    best_w, best = n + 1, None
+    state = sig = 0
+    for i in range(1, 1 << len(kernel)):
+        j = (i & -i).bit_length() - 1
+        state ^= kernel[j]
+        sig ^= sigs[j]
+        if sig:
+            w = state.bit_count()
+            if w < best_w:
+                best_w, best = w, state
+    return best_w, best
+
+
+def _matrix_with_kernel_dim(rng, m):
+    """A random check matrix whose kernel has dimension exactly m."""
+    r = rng.randint(0, 6)
+    rows = [(1 << (m + i)) | rng.getrandbits(m + i) for i in range(r)]
+    return BinaryMatrix(rows, m + r)
+
+
+@pytest.mark.parametrize("width", [1, 3, None])
+def test_blocked_gray_sweep_matches_per_state_sweep(monkeypatch, width):
+    # widths 1 and 3 give many blocks, so odd and even high steps both occur;
+    # None keeps the real block width, which only splits kernels with m > 12
+    if width is not None:
+        monkeypatch.setattr(distance_mod, "_GRAY_BLOCK", width)
+    dims = range(1, 17) if width is not None else range(13, 17)
+    rng = random.Random(2718 + (width or 0))
+    for m in dims:
+        for _ in range(2):
+            mat = _matrix_with_kernel_dim(rng, m)
+            kernel = mat.nullspace()
+            assert len(kernel) == m
+            unit = [1 << j for j in range(m)]
+            value, witness = _per_state_gray(kernel, unit, mat.ncols)
+            assert exact_classical_distance(mat) == ClassicalDistance(value, witness)
+            sigs = [rng.getrandbits(2) if rng.random() < 0.6 else 0 for _ in range(m)]
+            got = distance_mod._gray_minimum(kernel, sigs, mat.ncols)
+            assert got == _per_state_gray(kernel, sigs, mat.ncols)
+
+
+@pytest.mark.parametrize("width", [1, 3, None])
+def test_exact_sector_distance_matches_per_state_sweep(monkeypatch, width):
+    if width is not None:
+        monkeypatch.setattr(distance_mod, "_GRAY_BLOCK", width)
+    toric = two_block("x y", "1 + x", "1 + y")
+    gross = two_block("x y", "x^3 + y + y^2", "y^3 + x + x^2")
+    insts = [
+        instantiate(toric, torus(toric.context, a, b)) for a, b in ((2, 2), (2, 3), (3, 4))
+    ]
+    insts.append(instantiate(toric, GroupPresentation(toric.context, ((3, 0), (1, 2)))))
+    insts.append(instantiate(gross, torus(gross.context, 3, 3)))
+    rng = random.Random(99)
+    while len(insts) < 14:
+        inst = _random_small_instance(rng)
+        if inst is not None:
+            insts.append(inst)
+    dims = set()
+    for inst in insts:
+        for sector in ("X", "Z"):
+            kernel, reps = logical_space(inst, sector)
+            dims.add(len(kernel))
+            expect = _per_state_gray(kernel, distance_mod._signatures(kernel, reps), inst.n)
+            assert exact_sector_distance(inst, sector, cap_n=64) == expect
+    assert max(dims) > 12

@@ -1,5 +1,6 @@
 """Tests for GF(2) matrices and finite instantiation of two-block codes."""
 
+import importlib
 import io
 import random
 
@@ -18,6 +19,9 @@ from polyqec.instantiate import (
 )
 from polyqec.lattice import GroupPresentation, InfiniteQuotientError
 from polyqec.poly import VarContext
+
+# the package re-exports the function ``instantiate`` under the module's name
+instantiate_mod = importlib.import_module("polyqec.instantiate")
 
 
 def torus(ctx: VarContext, *sizes: int) -> GroupPresentation:
@@ -345,6 +349,20 @@ def test_instantiate_rejects_bad_inputs():
     bad = two_block("x y", "x + x", "1 + y")
     with pytest.raises(CodeError, match="zero generator"):
         instantiate(bad, torus(code.context, 2, 2))
+
+
+def test_group_order_cap(monkeypatch):
+    code = two_block("x y", "1 + x", "1 + y")
+    gen = classical("x y", "1 + x + y")
+    monkeypatch.setattr(instantiate_mod, "GROUP_ORDER_CAP", 9)
+    assert instantiate(code, torus(code.context, 3, 3)).group_order == 9
+    assert classical_parity_matrix(gen, torus(gen.poly.context, 3, 3)).ncols == 9
+    with pytest.raises(CodeError, match="group order 12 exceeds the instantiation cap 9"):
+        instantiate(code, torus(code.context, 3, 4))
+    with pytest.raises(CodeError, match="group order 12 exceeds the instantiation cap 9"):
+        classical_parity_matrix(gen, torus(gen.poly.context, 4, 3))
+    with pytest.raises(CodeError, match="group order 12 "):
+        instantiate(code, torus(code.context, 3, 4), check=False)
 
 
 def test_qubit_labels_name_block_and_coords():
