@@ -27,6 +27,7 @@ from . import codes, distance, specfile
 from .fixtures import FAMILY_TABLE_ROWS, fixture_names, fixture_path
 from .instantiate import (
     classical_parity_matrix,
+    _code_group,
     instantiate as build_instance,
     tanner_component_count,
     write_coordinate_text,
@@ -369,9 +370,8 @@ def _result_bounds(spec: specfile.CodeSpec, args) -> dict[str, Any]:
             raise codes.CodeError(
                 "bounds need a block length; add a [boundary] section or pass --n"
             )
-        inst = build_instance(code, pres, check=False)
         # degrees of freedom across both sectors: columns of HX plus HZ
-        n_eval = inst.hx.ncols + inst.hz.ncols
+        n_eval = 4 * _code_group(code, pres).order
     rep = codes.bound_report(code, n_eval)
     return {
         "check_weight": rep.check_weight,
@@ -452,6 +452,8 @@ def _document(
     timed and stored.  With ``--no-cache`` the cache is not touched at all."""
     cache = None if args.no_cache else ReportCache(args.cache_dir)
     if cache is not None:
+        # a directory that cannot hold the document fails before the work
+        cache.directory.mkdir(parents=True, exist_ok=True)
         key = cache.key(command, spec_text, params)
         doc = cache.load(key, command, spec_info["sha256"] if spec_info else None)
         if doc is not None:
@@ -596,7 +598,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="cache directory (default: $POLYQEC_CACHE_DIR or ~/.cache/polyqec)",
     )
     common.add_argument(
-        "--threads", type=int, default=1, help="worker streams for randomized searches"
+        "--threads",
+        type=int,
+        default=1,
+        help="worker streams for randomized searches, run in parallel processes",
     )
 
     spec_arg = argparse.ArgumentParser(add_help=False)

@@ -8,7 +8,9 @@ states in the same order as a one-state-at-a-time Gray sweep.  At practical
 sizes a seeded information-set search gives upper bounds: repeatedly
 re-eliminate the kernel basis along a random column order and inspect the
 resulting sparse-ish rows (and sums of light row pairs) for low-weight
-logical operators.
+logical operators.  Its worker streams run in parallel processes once the
+job is large enough to pay for the round trip; they are merged in worker
+order, so the result is the one a sequential run of the streams gives.
 
 Sector conventions: an X-type logical is v with HZ*v = 0 and v outside the
 row space of HX; symmetrically for Z.  The reported code distance is the
@@ -17,6 +19,7 @@ minimum over the two sectors.
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 
@@ -38,6 +41,9 @@ __all__ = [
 EXACT_CAP_DEFAULT = 28
 _KERNEL_EXP_CAP = 26  # hard cap on 2^dim enumeration states
 _GRAY_BLOCK = 12  # low kernel vectors tabulated once by the Gray-code sweep
+# trials x kernel dimension below which search streams stay in-process: a few
+# tens of ms of search, where a pool round trip (a few ms) stops paying off
+_POOL_MIN_WORK = 1 << 18
 
 
 class DistanceError(ValueError):
@@ -102,7 +108,10 @@ def logical_space(inst: CodeInstance, sector: str) -> tuple[list[int], list[int]
         if res:
             piv[res.bit_length() - 1] = res
     reps = []
+    k = inst.k()
     for v in opp_checks.nullspace():
+        if len(reps) == k:  # the quotient has dimension k: nothing more to add
+            break
         res = reduce_top(v)
         if res:
             reps.append(v)
@@ -240,6 +249,68 @@ def _information_set_round(
             yield rows[ta] ^ rows[tb], row_sigs[ta] ^ row_sigs[tb]
 
 
+def _stream(
+    spaces: dict[str, tuple[list[int], list[int]]],
+    n: int,
+    seed: int,
+    widx: int,
+    budget: int,
+    pair_pool: int,
+) -> tuple[int, int | None, str | None]:
+    """(best_w, best, best_sector) of one worker stream of ``budget`` trials.
+
+    The first candidate of the lowest weight wins; weights of n and above
+    never count, so a stream that finds nothing returns (n, None, None).
+    """
+    rng = random.Random(seed * 0x9E3779B1 + widx)
+    best_w, best, best_sector = n, None, None
+    examined = 0
+    round_idx = 0
+    while examined < budget:
+        sector = "X" if round_idx % 2 == 0 else "Z"
+        kernel, sigs = spaces[sector]
+        for mask, sig in _information_set_round(rng, kernel, sigs, n, pair_pool):
+            examined += 1
+            if sig and mask:
+                w = mask.bit_count()
+                if w < best_w:
+                    best_w, best, best_sector = w, mask, sector
+            if examined >= budget:
+                break
+        round_idx += 1
+    return best_w, best, best_sector
+
+
+_pool = None  # (pid, processes, pool): one lazily forked pool per process
+
+
+def _run_streams(jobs: list[tuple], processes: int) -> list[tuple]:
+    """``_stream`` over ``jobs`` on a fork-context pool, results in job order.
+
+    Forked workers start without re-importing anything.  The pool lives for
+    the process; a call that needs more processes replaces it, after joining
+    the old pool's threads, so the fork happens without them.
+    """
+    global _pool
+    pid = os.getpid()
+    if _pool is None or _pool[0] != pid or _pool[1] < processes:
+        import atexit
+        import multiprocessing
+
+        if _pool is not None and _pool[0] == pid:
+            _pool[2].terminate()
+        else:
+            atexit.register(_close_pool)
+        _pool = (pid, processes, multiprocessing.get_context("fork").Pool(processes))
+    return _pool[2].starmap(_stream, jobs, chunksize=1)
+
+
+def _close_pool() -> None:
+    # before interpreter teardown, where the pool's own finalizer would fail
+    if _pool is not None and _pool[0] == os.getpid():
+        _pool[2].terminate()
+
+
 def random_upper_bound(
     inst: CodeInstance,
     trials: int,
@@ -255,6 +326,12 @@ def random_upper_bound(
     derived from the seed, examining its share of the trial budget in a fixed
     order, so enlarging the budget only extends each stream.  The X and Z
     sectors alternate round by round within a stream.
+
+    Above ``_POOL_MIN_WORK`` (trials times the larger kernel dimension) the
+    streams run in parallel processes, at most one per core.  They are merged
+    in worker order and a later stream replaces the best only when strictly
+    lighter, so the result is that of running the streams one after another:
+    lowest weight, then lowest worker index, then earliest in the stream.
     """
     if trials < 0:
         raise DistanceError("trials must be nonnegative")
@@ -266,30 +343,21 @@ def random_upper_bound(
         if not reps:
             raise DistanceError("code has no logical operators (k = 0)")
         spaces[sector] = (kernel, _signatures(kernel, reps))
-    best_w = inst.n
-    best = None
-    best_sector = None
-    share = trials // workers
-    remainder = trials % workers
-    for widx in range(workers):
-        budget = share + (1 if widx < remainder else 0)
-        if budget == 0:
-            continue
-        rng = random.Random(seed * 0x9E3779B1 + widx)
-        examined = 0
-        round_idx = 0
-        while examined < budget:
-            sector = "X" if round_idx % 2 == 0 else "Z"
-            kernel, sigs = spaces[sector]
-            for mask, sig in _information_set_round(rng, kernel, sigs, inst.n, pair_pool):
-                examined += 1
-                if sig and mask:
-                    w = mask.bit_count()
-                    if w < best_w:
-                        best_w, best, best_sector = w, mask, sector
-                if examined >= budget:
-                    break
-            round_idx += 1
+    share, remainder = divmod(trials, workers)
+    jobs = [
+        (spaces, inst.n, seed, widx, share + (1 if widx < remainder else 0), pair_pool)
+        for widx in range(min(workers, trials))
+    ]
+    processes = min(len(jobs), os.cpu_count() or 1)
+    work = trials * max(len(kernel) for kernel, _ in spaces.values())
+    if processes < 2 or work < _POOL_MIN_WORK or not hasattr(os, "fork"):
+        streams = [_stream(*job) for job in jobs]
+    else:
+        streams = _run_streams(jobs, processes)
+    best_w, best, best_sector = inst.n, None, None
+    for w, mask, sector in streams:
+        if w < best_w:
+            best_w, best, best_sector = w, mask, sector
     if best is not None:
         validate_logical_witness(inst, best, best_sector)
     return DistanceResult(

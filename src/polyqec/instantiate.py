@@ -302,6 +302,18 @@ class CodeInstance:
         return f"{side}{coords}"
 
 
+def _code_group(code: TwoBlockCode, pres: GroupPresentation) -> QuotientGroup:
+    """The group a code is instantiated on, with every check ``instantiate``
+    makes before it builds a matrix: same context, order cap, no zero generator.
+    """
+    if pres.context != code.context:
+        raise CodeError("presentation context differs from the code context")
+    group = _finite_group(pres)
+    if code.f.is_zero or code.g.is_zero:
+        raise CodeError("cannot instantiate a code with a zero generator")
+    return group
+
+
 def instantiate(
     code: TwoBlockCode, pres: GroupPresentation, *, check: bool = True
 ) -> CodeInstance:
@@ -311,13 +323,9 @@ def instantiate(
     to a different variable context.  With ``check`` the X/Z commutation is
     verified pairwise on overlapping checks, costing O(|G| * w^2).
     """
-    if pres.context != code.context:
-        raise CodeError("presentation context differs from the code context")
-    group = _finite_group(pres)
+    group = _code_group(code, pres)
     order = group.order
     f, g = code.f, code.g
-    if f.is_zero or g.is_zero:
-        raise CodeError("cannot instantiate a code with a zero generator")
     fbar, gbar = f.antipode(), g.antipode()
     hx = BinaryMatrix(
         [a ^ b for a, b in zip(_poly_row_masks(f, group, 0), _poly_row_masks(g, group, order))],

@@ -9,6 +9,7 @@ same input and seed produce byte-identical canonical JSON once it is
 removed.  Documents are cached on disk keyed by a content hash of the
 command, the code-file text, all result-affecting parameters, and the
 package's own sources, so a changed algorithm never serves an old document.
+A cached document keeps the seconds of the run that computed it.
 """
 
 from __future__ import annotations
@@ -108,7 +109,10 @@ def strip_timing(doc: Mapping[str, Any]) -> dict[str, Any]:
 
 
 class ReportCache:
-    """Content-addressed store of finished documents (timing excluded).
+    """Content-addressed store of finished documents.
+
+    A stored document keeps the seconds its computation took, and a load
+    returns them with ``cached: true``.
 
     The directory is taken from the explicit argument, else the
     ``POLYQEC_CACHE_DIR`` environment variable, else ``~/.cache/polyqec``.
@@ -151,7 +155,11 @@ class ReportCache:
         spec = doc.get("spec")
         if (spec.get("sha256") if isinstance(spec, dict) else None) != spec_sha256:
             return None
-        doc["timing"] = {"seconds": 0.0, "cached": True}
+        timing = doc.get("timing")
+        seconds = timing.get("seconds") if isinstance(timing, dict) else None
+        if not isinstance(seconds, (int, float)):
+            seconds = 0.0  # written by a build that did not keep the compute time
+        doc["timing"] = {"seconds": seconds, "cached": True}
         return doc
 
     def store(self, key: str, doc: Mapping[str, Any]) -> None:
@@ -160,7 +168,7 @@ class ReportCache:
         fd, tmp = tempfile.mkstemp(prefix=f".{key}.", suffix=".tmp", dir=self.directory)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(strip_timing(doc)))
+                fh.write(canonical_json(doc))
             os.replace(tmp, self._path(key))
         except BaseException:
             with contextlib.suppress(OSError):

@@ -6,9 +6,12 @@ from pathlib import Path
 import jsonschema
 import pytest
 
+from polyqec import cli as cli_mod
 from polyqec import report
 from polyqec.cli import build_parser, main
-from polyqec.fixtures import data_dir, fixture_names
+from polyqec.fixtures import data_dir, fixture_names, fixture_path
+from polyqec.instantiate import instantiate
+from polyqec.specfile import parse_spec_file
 from polyqec.report import ReportCache, make_document, strip_timing
 
 SCHEMA = json.loads((data_dir() / "report.schema.json").read_text(encoding="utf-8"))
@@ -415,7 +418,7 @@ def test_truncated_cache_file_is_a_miss(capsys, tmp_path):
     assert code == 0
     assert doc["timing"]["cached"] is False
     assert [p.name for p in cache.iterdir()] == [path.name]
-    assert json.loads(path.read_text(encoding="utf-8")) == strip_timing(doc)
+    assert json.loads(path.read_text(encoding="utf-8")) == doc
 
 
 def test_randomized_report_deterministic(capsys):
@@ -493,6 +496,71 @@ def test_cache_dir_that_is_a_file_exits_one(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert str(blocker) in err
+
+
+def test_cache_dir_that_is_a_file_fails_before_building(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli_mod, "_result_params", lambda spec: calls.append(spec) or {})
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("", encoding="utf-8")
+    for cache_dir in (blocker, blocker / "below"):
+        code, out, err = run(capsys, "params", "toric", "--cache-dir", str(cache_dir))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+    assert calls == []
+
+
+def test_cached_document_keeps_its_seconds(tmp_path):
+    cache = ReportCache(tmp_path)
+    key = cache.key("params", "spec text", {})
+    doc = make_document("params", {"sha256": "a" * 64}, {"n": 1}, seconds=1.25)
+    cache.store(key, doc)
+    loaded = cache.load(key, "params", "a" * 64)
+    assert loaded == {**doc, "timing": {"seconds": 1.25, "cached": True}}
+    # a file written without the stored seconds is still a hit
+    (tmp_path / f"{key}.json").write_text(
+        json.dumps(strip_timing(doc)), encoding="utf-8"
+    )
+    loaded = cache.load(key, "params", "a" * 64)
+    assert loaded == {**doc, "timing": {"seconds": 0.0, "cached": True}}
+
+
+def test_bounds_n_is_four_times_the_group_order(capsys):
+    # n is the column count of HX plus HZ, at each fixture's own boundary and
+    # at a small twisted one
+    twisted = {2: ["x^3 = 1", "x*y^2 = 1"], 3: ["x^2 = 1", "y^2 = 1", "x*y*z^2 = 1"]}
+    checked = 0
+    for name in fixture_names():
+        spec = parse_spec_file(fixture_path(name))
+        if spec.is_classical:
+            continue
+        for eqs in ([], twisted[spec.context.dim]):
+            pres = cli_mod._apply_boundary_override(spec, eqs).presentation()
+            inst = instantiate(spec.two_block(), pres, check=False)
+            boundary = [a for eq in eqs for a in ("--boundary", eq)]
+            code, doc = run_json(capsys, "bounds", name, *boundary, "--no-cache")
+            assert code == 0
+            assert doc["result"]["n"] == inst.hx.ncols + inst.hz.ncols
+            checked += 1
+    assert checked >= 20
+
+
+def test_bounds_refuses_what_instantiate_refuses(capsys, tmp_path):
+    zero = tmp_path / "zero.code"
+    zero.write_text(
+        "[code]\nvariables = x y\nf = 0\ng = 1 + x + y\n\n[boundary]\nx^3 = 1\ny^3 = 1\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "bounds", str(zero), "--no-cache")
+    assert (code, out) == (1, "")
+    assert err == "error: cannot instantiate a code with a zero generator\n"
+    code, out, err = run(
+        capsys, "bounds", "toric", "--boundary", "x^100000 = 1",
+        "--boundary", "y^100000 = 1", "--no-cache",
+    )
+    assert (code, out) == (1, "")
+    assert err == f"error: group order 10000000000 exceeds the instantiation cap {1 << 20}\n"
 
 
 def test_group_order_over_cap_exits_one(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 import polyqec.distance as distance_mod
 from polyqec.codes import TwoBlockCode, classical, two_block
+from polyqec import specfile
 from polyqec.distance import (
     ClassicalDistance,
     DistanceCapError,
@@ -17,6 +18,7 @@ from polyqec.distance import (
     random_upper_bound,
     validate_logical_witness,
 )
+from polyqec.fixtures import fixture_names, fixture_path
 from polyqec.instantiate import BinaryMatrix
 from polyqec.instantiate import classical_parity_matrix, instantiate
 from polyqec.lattice import GroupPresentation
@@ -341,3 +343,120 @@ def test_exact_sector_distance_matches_per_state_sweep(monkeypatch, width):
             expect = _per_state_gray(kernel, distance_mod._signatures(kernel, reps), inst.n)
             assert exact_sector_distance(inst, sector, cap_n=64) == expect
     assert max(dims) > 12
+
+
+# -- parallel search streams against the sequential loop --------------------
+
+
+def _sequential_upper_bound(inst, trials, seed, workers, pair_pool=16):
+    """Reference: the worker streams run one after another in one loop, with
+    the best weight carried from each stream into the next."""
+    spaces = {}
+    for sector in ("X", "Z"):
+        kernel, reps = logical_space(inst, sector)
+        spaces[sector] = (kernel, distance_mod._signatures(kernel, reps))
+    best_w, best, best_sector = inst.n, None, None
+    share, remainder = divmod(trials, workers)
+    for widx in range(workers):
+        budget = share + (1 if widx < remainder else 0)
+        if budget == 0:
+            continue
+        rng = random.Random(seed * 0x9E3779B1 + widx)
+        examined = round_idx = 0
+        while examined < budget:
+            sector = "X" if round_idx % 2 == 0 else "Z"
+            kernel, sigs = spaces[sector]
+            for mask, sig in distance_mod._information_set_round(
+                rng, kernel, sigs, inst.n, pair_pool
+            ):
+                examined += 1
+                if sig and mask and mask.bit_count() < best_w:
+                    best_w, best, best_sector = mask.bit_count(), mask, sector
+                if examined >= budget:
+                    break
+            round_idx += 1
+    return distance_mod.DistanceResult(
+        d_upper=best_w, d_lower=None, witness=best, witness_sector=best_sector,
+        method="random-information-set", trials=trials, seed=seed, workers=workers,
+    )
+
+
+def _search_instances():
+    out = []
+    for name in ("gross", "toric", "haah"):
+        spec = specfile.parse_spec_file(fixture_path(name))
+        out.append(instantiate(spec.two_block(), spec.presentation()))
+    toric = two_block("x y", "1 + x", "1 + y")
+    out.append(instantiate(toric, GroupPresentation(toric.context, ((3, 0), (1, 2)))))
+    return out
+
+
+@pytest.mark.parametrize("in_pool", [True, False])
+def test_parallel_streams_match_sequential_loop(monkeypatch, in_pool):
+    pooled = []
+    run_streams = distance_mod._run_streams
+    monkeypatch.setattr(
+        distance_mod, "_run_streams", lambda *a: pooled.append(1) or run_streams(*a)
+    )
+    if in_pool:
+        # a pool even for tiny jobs, and on a one-core host
+        monkeypatch.setattr(distance_mod, "_POOL_MIN_WORK", 0)
+        monkeypatch.setattr(distance_mod.os, "cpu_count", lambda: 4)
+    else:
+        monkeypatch.setattr(distance_mod, "_POOL_MIN_WORK", 1 << 62)
+    cases = [(trials, workers) for workers in (1, 2, 3, 4, 8) for trials in (700, 1501)]
+    cases += [(2, 8), (3, 4), (0, 2)]
+    instances = _search_instances()
+    for inst in instances:
+        for trials, workers in cases:
+            seed = trials + workers
+            expect = _sequential_upper_bound(inst, trials, seed, workers)
+            assert random_upper_bound(inst, trials, seed, workers=workers) == expect
+    # a lone stream or an empty budget never needs a pool
+    multi = sum(min(trials, workers) > 1 for trials, workers in cases)
+    assert len(pooled) == (len(instances) * multi if in_pool else 0)
+
+
+def _full_logical_space(inst, sector):
+    """Reference: reduce every vector of the opposite kernel."""
+    own_kernel, opp_checks, opp_rows = (
+        (inst.hz, inst.hx, inst.hz) if sector == "X" else (inst.hx, inst.hz, inst.hx)
+    )
+    piv = {}
+
+    def reduce_top(v):
+        while v and v.bit_length() - 1 in piv:
+            v ^= piv[v.bit_length() - 1]
+        return v
+
+    for row in opp_rows.rows:
+        res = reduce_top(row)
+        if res:
+            piv[res.bit_length() - 1] = res
+    reps = []
+    for v in opp_checks.nullspace():
+        res = reduce_top(v)
+        if res:
+            reps.append(v)
+            piv[res.bit_length() - 1] = res
+    return own_kernel.nullspace(), reps
+
+
+def test_logical_space_stops_at_k_with_the_same_answer():
+    small = {
+        2: [((2, 0), (0, 2)), ((3, 0), (0, 3)), ((3, 0), (1, 2)), ((4, 0), (2, 3))],
+        3: [((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((2, 0, 0), (0, 2, 0), (1, 1, 2))],
+    }
+    seen = set()
+    for name in fixture_names():
+        spec = specfile.parse_spec_file(fixture_path(name))
+        if spec.is_classical:
+            continue
+        for rels in dict.fromkeys([spec.boundary, *small[spec.context.dim]]):
+            inst = instantiate(spec.two_block(), GroupPresentation(spec.context, rels))
+            for sector in ("X", "Z"):
+                kernel, reps = logical_space(inst, sector)
+                assert (kernel, reps) == _full_logical_space(inst, sector)
+                assert len(reps) == inst.k()
+        seen.add(name)
+    assert len(seen) >= 10
