@@ -48,22 +48,6 @@ __all__ = ["main", "build_parser"]
 # -- spec loading ----------------------------------------------------------
 
 
-def _load_spec_text(ref: str) -> tuple[str, str]:
-    """(text, source name) for a path or the name of a bundled code."""
-    path = Path(ref)
-    if path.is_file():
-        return path.read_text(encoding="utf-8"), path.name
-    if "/" not in ref and "\\" not in ref and not ref.endswith(".code"):
-        try:
-            bundled = fixture_path(ref)
-        except FileNotFoundError:
-            pass
-        else:
-            return bundled.read_text(encoding="utf-8"), bundled.name
-    known = ", ".join(fixture_names())
-    raise FileNotFoundError(f"no such file or bundled code: {ref!r} (bundled: {known})")
-
-
 def _apply_boundary_override(
     spec: specfile.CodeSpec, equations: list[str] | None
 ) -> specfile.CodeSpec:
@@ -79,6 +63,25 @@ def _apply_boundary_override(
     return dataclasses.replace(spec, boundary=tuple(vectors))
 
 
+def _load_spec(args) -> tuple[specfile.CodeSpec, str]:
+    """The code named on the command line (a path or the name of a bundled
+    code) with any ``--boundary`` override applied, and the text of its file."""
+    ref = args.spec
+    path = Path(ref)
+    bare_name = "/" not in ref and "\\" not in ref and not ref.endswith(".code")
+    if not path.is_file() and bare_name:
+        try:
+            path = fixture_path(ref)
+        except FileNotFoundError:
+            pass
+    if not path.is_file():
+        known = ", ".join(fixture_names())
+        raise FileNotFoundError(f"no such file or bundled code: {ref!r} (bundled: {known})")
+    text = path.read_text(encoding="utf-8")
+    spec = specfile.parse_spec_text(text, source=path.name)
+    return _apply_boundary_override(spec, args.boundary), text
+
+
 def _spec_block(spec: specfile.CodeSpec, text: str) -> dict[str, Any]:
     return {
         "name": spec.name,
@@ -91,23 +94,38 @@ def _spec_block(spec: specfile.CodeSpec, text: str) -> dict[str, Any]:
     }
 
 
-def _require_presentation(spec: specfile.CodeSpec):
+def _on_boundary(spec: specfile.CodeSpec):
+    """The classical parity matrix, or the two-block instance, on the spec's
+    finite translation group."""
     pres = spec.presentation()
     if pres is None:
         raise codes.CodeError(
             "this command needs a finite translation group; add a [boundary] "
             "section or pass --boundary"
         )
-    return pres
+    if spec.is_classical:
+        return classical_parity_matrix(spec.classical_generator(), pres)
+    return build_instance(spec.two_block(), pres)
 
 
-def _classical_vectors(gen: codes.ClassicalGenerator) -> list[tuple[int, ...]]:
-    norm = gen.normalized()
-    one = (0,) * gen.context.dim
-    return sorted(t for t in norm.poly.terms if t != one)
+def _compare_lift(spec: specfile.CodeSpec, missing: str):
+    """Compactify the file's [lift] parent and compare it with the declared
+    pair: (parent, computed child, declared child, match, cancellation).
+    ``missing`` is the error when the file has no [lift] data."""
+    lift = spec.lift
+    if lift is None:
+        raise codes.CodeError(missing)
+    child = codes.compactify(lift.parent, lift.substitution, lift.twist_vectors)
+    declared = spec.two_block()
+    matches = child.normalized() == declared.normalized()
+    cancellation = (
+        lift.parent.f.weight != child.f.weight or lift.parent.g.weight != child.g.weight
+    )
+    return lift.parent, child, declared, matches, cancellation
 
 
 # -- result builders -------------------------------------------------------
+# Each takes (spec, args); reproduce-appendix reads no code file: spec None.
 
 
 def _witness_json(mask: int | None, sector: str | None = None) -> dict[str, Any] | None:
@@ -129,49 +147,42 @@ def _barrier_result_json(res: barrier_mod.BarrierResult) -> dict[str, Any]:
     }
 
 
-def _result_check(spec: specfile.CodeSpec) -> dict[str, Any]:
+def _result_check(spec: specfile.CodeSpec, args) -> dict[str, Any]:
+    d = spec.context.dim
     if spec.is_classical:
         gen = spec.classical_generator()
-        vectors = _classical_vectors(gen)
-        d = gen.context.dim
-        free, torsion = quotient_shape(vectors, d)
-        indec = free == 0 and not torsion
-        index = None if free else (math.prod(torsion) if torsion else 1)
-        result: dict[str, Any] = {
-            "kind": "classical",
-            "css_commutes": None,
-            "check_weight": gen.weight,
-            "indecomposable": indec,
-            "profile": {"free_rank": free, "torsion": list(torsion), "index": index},
-            "family": None,
-            "indecomposable_on_boundary": None,
-        }
-        if spec.boundary:
-            all_vecs = vectors + [list(r) for r in spec.boundary]
-            result["indecomposable_on_boundary"] = lattice_saturates(all_vecs, d)
-        result["verdict"] = "indecomposable" if indec else "decomposable"
-        return result
-    code = spec.two_block()
-    free, torsion, index = codes.decomposition_profile(code)
+        one = (0,) * d
+        vectors = sorted(t for t in gen.normalized().poly.terms if t != one)
+        commutes = family = None
+        weight = gen.weight
+    else:
+        code = spec.two_block()
+        vectors = list(codes.monomial_group_vectors(code))
+        commutes = codes.css_commutes_symbolically(code)
+        weight = code.normalized().check_weight
+        family = str(codes.family_tree(code))
+    free, torsion = quotient_shape(vectors, d)
     indec = free == 0 and not torsion
-    result = {
-        "kind": "two-block",
-        "css_commutes": codes.css_commutes_symbolically(code),
-        "check_weight": code.normalized().check_weight,
+    on_boundary = None
+    if spec.boundary:
+        on_boundary = lattice_saturates(vectors + [list(r) for r in spec.boundary], d)
+    return {
+        "kind": "classical" if spec.is_classical else "two-block",
+        "css_commutes": commutes,
+        "check_weight": weight,
         "indecomposable": indec,
-        "profile": {"free_rank": free, "torsion": list(torsion), "index": index},
-        "family": str(codes.family_tree(code)),
-        "indecomposable_on_boundary": None,
+        "profile": {
+            "free_rank": free,
+            "torsion": list(torsion),
+            "index": None if free else math.prod(torsion),
+        },
+        "family": family,
+        "indecomposable_on_boundary": on_boundary,
         "verdict": "indecomposable" if indec else "decomposable",
     }
-    if spec.boundary:
-        result["indecomposable_on_boundary"] = codes.is_indecomposable_finite(
-            code, spec.presentation()
-        )
-    return result
 
 
-def _result_classify(spec: specfile.CodeSpec) -> dict[str, Any]:
+def _result_classify(spec: specfile.CodeSpec, args) -> dict[str, Any]:
     code = spec.two_block()
     tag = codes.family_tree(code)
     return {
@@ -182,7 +193,7 @@ def _result_classify(spec: specfile.CodeSpec) -> dict[str, Any]:
     }
 
 
-def _result_lift(spec: specfile.CodeSpec) -> dict[str, Any]:
+def _result_lift(spec: specfile.CodeSpec, args) -> dict[str, Any]:
     lift = codes.lift_to_parent(spec.two_block())
     return {
         "labels": list(lift.labels),
@@ -206,81 +217,63 @@ def _result_lift(spec: specfile.CodeSpec) -> dict[str, Any]:
     }
 
 
-def _result_compactify(spec: specfile.CodeSpec) -> dict[str, Any]:
-    if spec.lift is None:
-        raise codes.CodeError("the code file has no [lift] section to apply")
-    lift = spec.lift
-    child = codes.compactify(lift.parent, lift.substitution, lift.twist_vectors)
-    declared = spec.two_block()
-    matches = child.normalized() == declared.normalized()
-    cancellation = (
-        lift.parent.f.weight != child.f.weight or lift.parent.g.weight != child.g.weight
+def _result_compactify(spec: specfile.CodeSpec, args) -> dict[str, Any]:
+    parent, child, declared, matches, cancellation = _compare_lift(
+        spec, "the code file has no [lift] section to apply"
     )
     return {
         "matches": matches,
         "declared_child": {"f": str(declared.f), "g": str(declared.g)},
         "computed_child": {"f": str(child.f), "g": str(child.g)},
-        "parent": {"f": str(lift.parent.f), "g": str(lift.parent.g)},
-        "twist_count": len(lift.twist_vectors),
+        "parent": {"f": str(parent.f), "g": str(parent.g)},
+        "twist_count": len(spec.lift.twist_vectors),
         "cancellation": cancellation,
     }
 
 
-def _result_instantiate(spec: specfile.CodeSpec) -> dict[str, Any]:
-    pres = _require_presentation(spec)
+def _result_instantiate(spec: specfile.CodeSpec, args) -> dict[str, Any]:
+    built = _on_boundary(spec)
     if spec.is_classical:
-        mat = classical_parity_matrix(spec.classical_generator(), pres)
-        rank = mat.rank()
+        rank = built.rank()
         return {
             "kind": "classical",
-            "n": mat.ncols,
-            "group_order": mat.ncols,
-            "shape": [mat.nrows, mat.ncols],
+            "n": built.ncols,
+            "group_order": built.ncols,
+            "shape": [built.nrows, built.ncols],
             "rank": rank,
-            "kernel_dimension": mat.ncols - rank,
+            "kernel_dimension": built.ncols - rank,
         }
-    inst = build_instance(spec.two_block(), pres)
     return {
         "kind": "two-block",
-        "n": inst.n,
-        "group_order": inst.group_order,
-        "hx_shape": list(inst.hx.shape),
-        "hz_shape": list(inst.hz.shape),
-        "rank_hx": inst.hx.rank(),
-        "rank_hz": inst.hz.rank(),
-        "k": inst.k(),
-        "tanner_components": tanner_component_count(inst),
+        "n": built.n,
+        "group_order": built.group_order,
+        "hx_shape": list(built.hx.shape),
+        "hz_shape": list(built.hz.shape),
+        "rank_hx": built.hx.rank(),
+        "rank_hz": built.hz.rank(),
+        "k": built.k(),
+        "tanner_components": tanner_component_count(built),
     }
 
 
-def _result_params(spec: specfile.CodeSpec) -> dict[str, Any]:
-    pres = _require_presentation(spec)
-    if spec.is_classical:
-        mat = classical_parity_matrix(spec.classical_generator(), pres)
-        rank = mat.rank()
-        return {
-            "kind": "classical",
-            "n": mat.ncols,
-            "rank": rank,
-            "kernel_dimension": mat.ncols - rank,
-        }
-    inst = build_instance(spec.two_block(), pres)
-    return {
-        "kind": "two-block",
-        "n": inst.n,
-        "k": inst.k(),
-        "rank_hx": inst.hx.rank(),
-        "rank_hz": inst.hz.rank(),
-        "group_order": inst.group_order,
-        "tanner_components": tanner_component_count(inst),
-    }
+# the keys of `instantiate` that `params` reports, in its order
+_PARAMS_KEYS = {
+    "classical": ("kind", "n", "rank", "kernel_dimension"),
+    "two-block": (
+        "kind", "n", "k", "rank_hx", "rank_hz", "group_order", "tanner_components"
+    ),
+}
+
+
+def _result_params(spec: specfile.CodeSpec, args) -> dict[str, Any]:
+    full = _result_instantiate(spec, args)
+    return {key: full[key] for key in _PARAMS_KEYS[full["kind"]]}
 
 
 def _result_distance(spec: specfile.CodeSpec, args) -> dict[str, Any]:
-    pres = _require_presentation(spec)
+    built = _on_boundary(spec)
     if spec.is_classical:
-        mat = classical_parity_matrix(spec.classical_generator(), pres)
-        res = distance.exact_classical_distance(mat)
+        res = distance.exact_classical_distance(built)
         return {
             "kind": "classical",
             "d_upper": res.value,
@@ -289,15 +282,14 @@ def _result_distance(spec: specfile.CodeSpec, args) -> dict[str, Any]:
             "trials": None,
             "witness": _witness_json(res.witness),
         }
-    inst = build_instance(spec.two_block(), pres)
     method = args.method
     if method == "auto":
-        method = "exact" if inst.n <= args.exact_cap else "random"
+        method = "exact" if built.n <= args.exact_cap else "random"
     if method == "exact":
-        res = distance.exact_distance(inst, cap_n=args.exact_cap)
+        res = distance.exact_distance(built, cap_n=args.exact_cap)
     else:
         res = distance.random_upper_bound(
-            inst, args.trials, args.seed, workers=args.threads
+            built, args.trials, args.seed, workers=args.threads
         )
     return {
         "kind": "two-block",
@@ -312,51 +304,39 @@ def _result_distance(spec: specfile.CodeSpec, args) -> dict[str, Any]:
 
 
 def _result_barrier(spec: specfile.CodeSpec, args) -> dict[str, Any]:
-    pres = _require_presentation(spec)
+    built = _on_boundary(spec)
     if spec.is_classical:
-        mat = classical_parity_matrix(spec.classical_generator(), pres)
         res = barrier_mod.classical_code_barrier(
-            mat, cap_n=args.cap, want_path=args.emit_path
+            built, cap_n=args.cap, want_path=args.emit_path
         )
-        return {
-            "kind": "classical",
-            "barrier": res.barrier,
-            "cap": args.cap,
-            "classical": _barrier_result_json(res),
-        }
-    inst = build_instance(spec.two_block(), pres)
-    if args.sector in ("X", "Z"):
+        by_kind = {"classical": _barrier_result_json(res)}
+    elif args.sector in ("X", "Z"):
         res = barrier_mod.sector_barrier(
-            inst, args.sector, cap_n=args.cap, want_path=args.emit_path
+            built, args.sector, cap_n=args.cap, want_path=args.emit_path
         )
-        return {
-            "kind": "two-block",
-            "barrier": res.barrier,
-            "cap": args.cap,
+        by_kind = {
             "sectors": {args.sector: _barrier_result_json(res)},
             "four_way": None,
         }
-    res = barrier_mod.code_barrier(
-        inst, cap_n=args.cap, want_path=args.emit_path, with_four_way=args.four_way
-    )
-    four = None
-    if res.four_way is not None:
-        four = {
-            "hx": res.four_way.hx,
-            "hz": res.four_way.hz,
-            "hx_t": res.four_way.hx_t,
-            "hz_t": res.four_way.hz_t,
-            "minimum": res.four_way.minimum,
+    else:
+        res = barrier_mod.code_barrier(
+            built, cap_n=args.cap, want_path=args.emit_path, with_four_way=args.four_way
+        )
+        four = None
+        if res.four_way is not None:
+            four = {**dataclasses.asdict(res.four_way), "minimum": res.four_way.minimum}
+        by_kind = {
+            "sectors": {
+                "X": _barrier_result_json(res.x_result),
+                "Z": _barrier_result_json(res.z_result),
+            },
+            "four_way": four,
         }
     return {
-        "kind": "two-block",
+        "kind": "classical" if spec.is_classical else "two-block",
         "barrier": res.barrier,
         "cap": args.cap,
-        "sectors": {
-            "X": _barrier_result_json(res.x_result),
-            "Z": _barrier_result_json(res.z_result),
-        },
-        "four_way": four,
+        **by_kind,
     }
 
 
@@ -386,27 +366,23 @@ def _result_bounds(spec: specfile.CodeSpec, args) -> dict[str, Any]:
     }
 
 
-def _result_reproduce_appendix() -> dict[str, Any]:
+def _result_reproduce_appendix(spec: None, args) -> dict[str, Any]:
     rows = []
     all_pass = True
     for name in FAMILY_TABLE_ROWS:
-        spec = specfile.parse_spec_file(fixture_path(name))
-        lift = spec.lift
-        if lift is None:
-            raise codes.CodeError(f"bundled code {name!r} is missing its [lift] data")
-        child = codes.compactify(lift.parent, lift.substitution, lift.twist_vectors)
-        declared = spec.two_block()
-        ok = child.normalized() == declared.normalized()
+        row_spec = specfile.parse_spec_file(fixture_path(name))
+        parent, _, declared, ok, cancellation = _compare_lift(
+            row_spec, f"bundled code {name!r} is missing its [lift] data"
+        )
         all_pass &= ok
         rows.append(
             {
                 "name": name,
                 "status": "PASS" if ok else "FAIL",
-                "cancellation": lift.parent.f.weight != child.f.weight
-                or lift.parent.g.weight != child.g.weight,
-                "parent_weights": [lift.parent.f.weight, lift.parent.g.weight],
+                "cancellation": cancellation,
+                "parent_weights": [parent.f.weight, parent.g.weight],
                 "child_weights": [declared.f.weight, declared.g.weight],
-                "twist_count": len(lift.twist_vectors),
+                "twist_count": len(row_spec.lift.twist_vectors),
             }
         )
     return {"rows": rows, "all_pass": all_pass}
@@ -431,6 +407,23 @@ def _render_appendix_table(result: dict[str, Any]) -> str:
 # -- command plumbing ------------------------------------------------------
 
 
+# command -> (result builder, argparse dests that enter the cache key)
+_COMMANDS = {
+    "check": (_result_check, ()),
+    "classify": (_result_classify, ()),
+    "lift": (_result_lift, ()),
+    "compactify": (_result_compactify, ()),
+    "instantiate": (_result_instantiate, ()),
+    "params": (_result_params, ()),
+    "distance": (
+        _result_distance, ("method", "exact_cap", "trials", "seed", "threads")
+    ),
+    "barrier": (_result_barrier, ("cap", "sector", "emit_path", "four_way")),
+    "bounds": (_result_bounds, ("n",)),
+    "reproduce-appendix": (_result_reproduce_appendix, ()),
+}
+
+
 def _emit(args, doc: dict[str, Any]) -> None:
     if args.json:
         sys.stdout.write(canonical_json(doc))
@@ -442,7 +435,6 @@ def _emit(args, doc: dict[str, Any]) -> None:
 
 def _document(
     args,
-    command: str,
     spec_text: str | None,
     spec_info: dict[str, Any] | None,
     params: dict[str, Any],
@@ -450,6 +442,7 @@ def _document(
 ) -> dict[str, Any]:
     """The command's document: from the cache if stored there, else built,
     timed and stored.  With ``--no-cache`` the cache is not touched at all."""
+    command = args.command
     cache = None if args.no_cache else ReportCache(args.cache_dir)
     if cache is not None:
         # a directory that cannot hold the document fails before the work
@@ -469,96 +462,33 @@ def _document(
     return doc
 
 
-def _run_spec_command(args, command: str, build, params: dict[str, Any]) -> int:
-    """Shared flow: load spec, apply overrides, get the document, print."""
-    text, source = _load_spec_text(args.spec)
-    spec = specfile.parse_spec_text(text, source=source)
-    spec = _apply_boundary_override(spec, getattr(args, "boundary", None))
-    params = {**params, "boundary_override": [list(v) for v in spec.boundary]}
-    doc = _document(
-        args, command, text, _spec_block(spec, text), params, lambda: build(spec)
-    )
+def _run_command(args) -> int:
+    """Shared flow of every command in ``_COMMANDS``: load the spec, apply
+    ``--boundary``, get the document, print it."""
+    build, dests = _COMMANDS[args.command]
+    params = {dest: getattr(args, dest) for dest in dests}
+    spec = text = info = None
+    # reproduce-appendix names no code file; its bundled table files are in
+    # the cache key's source digest
+    if hasattr(args, "spec"):
+        spec, text = _load_spec(args)
+        info = _spec_block(spec, text)
+        params["boundary_override"] = [list(v) for v in spec.boundary]
+    doc = _document(args, text, info, params, lambda: build(spec, args))
     _emit(args, doc)
-    return 0
+    # reproduce-appendix exits 1 when a table row fails
+    return 0 if doc["result"].get("all_pass", True) else 1
 
 
-def _cmd_check(args) -> int:
-    return _run_spec_command(args, "check", _result_check, {})
-
-
-def _cmd_classify(args) -> int:
-    return _run_spec_command(args, "classify", _result_classify, {})
-
-
-def _cmd_lift(args) -> int:
-    return _run_spec_command(args, "lift", _result_lift, {})
-
-
-def _cmd_compactify(args) -> int:
-    return _run_spec_command(args, "compactify", _result_compactify, {})
-
-
-def _cmd_instantiate(args) -> int:
-    return _run_spec_command(args, "instantiate", _result_instantiate, {})
-
-
-def _cmd_params(args) -> int:
-    return _run_spec_command(args, "params", _result_params, {})
-
-
-def _cmd_distance(args) -> int:
-    params = {
-        "method": args.method,
-        "exact_cap": args.exact_cap,
-        "trials": args.trials,
-        "seed": args.seed,
-        "workers": args.threads,
-    }
-    return _run_spec_command(
-        args, "distance", lambda spec: _result_distance(spec, args), params
-    )
-
-
-def _cmd_barrier(args) -> int:
-    params = {
-        "cap": args.cap,
-        "sector": args.sector,
-        "emit_path": args.emit_path,
-        "four_way": args.four_way,
-    }
-    return _run_spec_command(
-        args, "barrier", lambda spec: _result_barrier(spec, args), params
-    )
-
-
-def _cmd_bounds(args) -> int:
-    return _run_spec_command(
-        args, "bounds", lambda spec: _result_bounds(spec, args), {"n": args.n}
-    )
-
-
-def _cmd_reproduce_appendix(args) -> int:
-    # the bundled table files are in the cache key's source digest
-    doc = _document(
-        args, "reproduce-appendix", None, None, {}, _result_reproduce_appendix
-    )
-    _emit(args, doc)
-    return 0 if doc["result"]["all_pass"] else 1
-
-
-def _cmd_export_matrix(args) -> int:
-    text, source = _load_spec_text(args.spec)
-    spec = specfile.parse_spec_text(text, source=source)
-    spec = _apply_boundary_override(spec, args.boundary)
-    pres = _require_presentation(spec)
+def _export_matrix(args) -> int:
+    spec, text = _load_spec(args)
+    built = _on_boundary(spec)
     which = args.which
     if which == "auto":
         which = "classical" if spec.is_classical else "hx"
-    if which == "classical":
-        mat = classical_parity_matrix(spec.classical_generator(), pres)
-    else:
-        inst = build_instance(spec.two_block(), pres)
-        mat = inst.hx if which == "hx" else inst.hz
+    # a matrix of the other kind fails with the accessor's one-line error
+    (spec.classical_generator if which == "classical" else spec.two_block)()
+    mat = built if which == "classical" else getattr(built, which)
     writer = (
         write_coordinate_text
         if args.format == "coordinate"
@@ -588,7 +518,6 @@ def build_parser() -> argparse.ArgumentParser:
     """A fresh parser for the command line; ``main`` reuses one per process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="emit the JSON document")
-    common.add_argument("--seed", type=int, default=0, help="seed for randomized searches")
     common.add_argument(
         "--no-cache", action="store_true", help="skip reading and writing the disk cache"
     )
@@ -596,12 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-dir",
         default=None,
         help="cache directory (default: $POLYQEC_CACHE_DIR or ~/.cache/polyqec)",
-    )
-    common.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="worker streams for randomized searches, run in parallel processes",
     )
 
     spec_arg = argparse.ArgumentParser(add_help=False)
@@ -619,20 +542,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, func, help_text: str, *, with_spec: bool = True):
+    def add(name: str, help_text: str, *, func=_run_command, with_spec: bool = True):
         parents = [common, spec_arg] if with_spec else [common]
         p = sub.add_parser(name, parents=parents, help=help_text)
         p.set_defaults(func=func)
         return p
 
-    add("check", _cmd_check, "symbolic validity, commutation, and indecomposability")
-    add("classify", _cmd_classify, "family-tree tag (parity pair of generator weights)")
-    add("lift", _cmd_lift, "lift to the hypergraph-product parent")
-    add("compactify", _cmd_compactify, "apply the file's [lift] data and compare")
-    add("instantiate", _cmd_instantiate, "build parity-check matrices on the boundary")
-    add("params", _cmd_params, "code parameters n, k on the boundary")
+    add("check", "symbolic validity, commutation, and indecomposability")
+    add("classify", "family-tree tag (parity pair of generator weights)")
+    add("lift", "lift to the hypergraph-product parent")
+    add("compactify", "apply the file's [lift] data and compare")
+    add("instantiate", "build parity-check matrices on the boundary")
+    add("params", "code parameters n, k on the boundary")
 
-    p = add("distance", _cmd_distance, "exact or randomized distance search")
+    p = add("distance", "exact or randomized distance search")
     p.add_argument(
         "--method",
         choices=("auto", "exact", "random"),
@@ -648,8 +571,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trials", type=int, default=10000, help="randomized-search trial budget"
     )
+    p.add_argument("--seed", type=int, default=0, help="seed for the randomized search")
+    p.add_argument(
+        "--threads",
+        type=int,
+        default=1,
+        help="worker streams for the randomized search, run in parallel processes",
+    )
 
-    p = add("barrier", _cmd_barrier, "exact energy barrier under the state cap")
+    p = add("barrier", "exact energy barrier under the state cap")
     p.add_argument(
         "--cap",
         type=int,
@@ -671,7 +601,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="also report classical barriers of HX, HZ and their transposes",
     )
 
-    p = add("bounds", _cmd_bounds, "locality-driven distance-bound summary")
+    p = add("bounds", "locality-driven distance-bound summary")
     p.add_argument(
         "--n",
         type=int,
@@ -681,12 +611,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     add(
         "reproduce-appendix",
-        _cmd_reproduce_appendix,
         "re-derive every bundled family-tree table row",
         with_spec=False,
     )
 
-    p = add("export-matrix", _cmd_export_matrix, "write a parity-check matrix")
+    p = add("export-matrix", "write a parity-check matrix", func=_export_matrix)
     p.add_argument(
         "--which",
         choices=("auto", "hx", "hz", "classical"),

@@ -120,14 +120,6 @@ class LaurentPoly:
         exps[i] = power
         return cls.monomial(context, exps)
 
-    @classmethod
-    def from_term_list(cls, context: VarContext, monos: Iterable[Iterable[int]]) -> LaurentPoly:
-        """Build from a list of monomials with GF(2) cancellation of repeats."""
-        acc: set[Monomial] = set()
-        for m in monos:
-            acc ^= {tuple(int(e) for e in m)}
-        return cls(context, frozenset(acc))
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -138,10 +130,6 @@ class LaurentPoly:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    @property
-    def is_one(self) -> bool:
-        return self.terms == frozenset({mono_one(self.context.dim)})
 
     @property
     def is_monomial(self) -> bool:

@@ -284,7 +284,7 @@ def test_gross_code_parameters_and_seeded_search():
     spec = load_fixture("gross")
     inst = instantiate(spec.two_block(), spec.presentation())
     assert inst.n == 144
-    assert (inst.hx @ inst.hz.transpose()).is_zero
+    assert (inst.hx @ inst.hz.transpose()).is_zero()
     assert inst.k() == 12
     res = random_upper_bound(inst, 100_000, seed=1)
     assert res.d_upper == 12
@@ -385,7 +385,7 @@ def test_instantiated_css_commutation_1000x():
         code = TwoBlockCode(ctx, rand_poly(), rand_poly())
         lengths = tuple(rng.randint(2, 4) for _ in range(d))
         inst = instantiate(code, _torus(ctx_names, *lengths), check=False)
-        assert (inst.hx @ inst.hz.transpose()).is_zero
+        assert (inst.hx @ inst.hz.transpose()).is_zero()
     assert time.perf_counter() - t0 < 30.0
 
 

@@ -468,6 +468,20 @@ def test_usage_error_exits_two(capsys):
     capsys.readouterr()
 
 
+def test_seed_and_threads_are_distance_options_only(capsys):
+    for argv in (["check", "gross", "--seed", "3"], ["params", "toric", "--threads", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--no-cache"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    code, doc = run_json(
+        capsys, "distance", "toric", "--seed", "3", "--threads", "2", "--no-cache"
+    )
+    assert code == 0
+    assert doc["seed"] == doc["result"]["search_seed"] == 3
+    assert doc["result"]["workers"] == 2
+
+
 def test_missing_spec_exits_one(capsys):
     code, out, err = run(capsys, "check", "no_such_spec")
     assert code == 1
@@ -500,7 +514,12 @@ def test_cache_dir_that_is_a_file_exits_one(capsys, tmp_path):
 
 def test_cache_dir_that_is_a_file_fails_before_building(capsys, tmp_path, monkeypatch):
     calls = []
-    monkeypatch.setattr(cli_mod, "_result_params", lambda spec: calls.append(spec) or {})
+
+    def build_instance(*args, **kwargs):
+        calls.append(args)
+        raise ValueError("built")
+
+    monkeypatch.setattr(cli_mod, "build_instance", build_instance)
     blocker = tmp_path / "not_a_dir"
     blocker.write_text("", encoding="utf-8")
     for cache_dir in (blocker, blocker / "below"):
