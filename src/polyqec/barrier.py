@@ -16,6 +16,13 @@ pending states of one level, and each new level starts with a rescan of the
 settled states for their lowest-energy unsettled neighbours.  CSS sectors
 decouple (X flips only trigger Z checks and vice versa), so each sector is a
 classical search.
+
+One runner serves every search: a state carries its syndrome and its
+signature, the pairings with the rows of a logical matrix.  A CSS sector
+takes its checks from ``distance._sector_checks`` and its logical matrix from
+``logical_space``, the same ones the distance search uses; a classical
+codeword is a logical whose signature columns are unit vectors, so its
+signature is the state itself.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .distance import logical_space
+from .distance import _sector_checks, logical_space
 from .instantiate import BinaryMatrix, CodeInstance
 
 __all__ = [
@@ -31,7 +38,6 @@ __all__ = [
     "BarrierCapError",
     "BarrierResult",
     "CodeBarrierResult",
-    "FourWayBarrier",
     "energy",
     "barrier",
     "sector_barrier",
@@ -62,34 +68,12 @@ class BarrierResult:
 
 
 @dataclass(frozen=True)
-class FourWayBarrier:
-    """Classical barriers of HX, HZ and their transposes, reported side by side.
-
-    Entries are None when that matrix has no nonzero kernel element or its
-    bit count exceeds the cap.  The minimum ignores None entries.  This is a
-    cross-check quantity; it is reported next to the code barrier and never
-    asserted equal to it.
-    """
-
-    hx: int | None
-    hz: int | None
-    hx_t: int | None
-    hz_t: int | None
-
-    @property
-    def minimum(self) -> int | None:
-        vals = [v for v in (self.hx, self.hz, self.hx_t, self.hz_t) if v is not None]
-        return min(vals) if vals else None
-
-
-@dataclass(frozen=True)
 class CodeBarrierResult:
     """Code barrier = min over sectors, plus per-sector results."""
 
     barrier: int
     x_result: BarrierResult
     z_result: BarrierResult
-    four_way: FourWayBarrier | None = None
 
 
 def energy(H: BinaryMatrix, v: int) -> int:
@@ -170,6 +154,28 @@ def _dijkstra(
         known.update(pending)
 
 
+def _reaches_logical(_state: int, syn: int, sig: int) -> bool:
+    return syn == 0 and sig != 0
+
+
+def _search(
+    checks: BinaryMatrix,
+    sector: str,
+    goal,
+    want_path: bool,
+    logicals: BinaryMatrix | None = None,
+) -> BarrierResult:
+    """Flip search against ``checks`` up to the first goal state popped.
+
+    Bit i of a state's signature is its pairing with row i of ``logicals``.
+    """
+    sig_cols = None if logicals is None else logicals.transpose().rows
+    bott, state, explored, path = _dijkstra(
+        checks.transpose().rows, checks.ncols, goal, sig_cols=sig_cols, want_path=want_path
+    )
+    return BarrierResult(barrier=bott, sector=sector, target=state, path=path, explored=explored)
+
+
 def barrier(
     H: BinaryMatrix,
     target: int,
@@ -186,11 +192,7 @@ def barrier(
         raise BarrierError("target must be a nonzero state on the matrix columns")
     if H.times_vector(target):
         raise BarrierError("target violates checks; it is not in the kernel")
-    syn_cols = H.transpose().rows
-    bott, state, explored, path = _dijkstra(
-        syn_cols, n, lambda s, _syn, _sig: s == target, want_path=want_path
-    )
-    return BarrierResult(barrier=bott, sector=sector, target=state, path=path, explored=explored)
+    return _search(H, sector, lambda s, _syn, _sig: s == target, want_path)
 
 
 def classical_code_barrier(
@@ -202,13 +204,7 @@ def classical_code_barrier(
         raise BarrierCapError(f"{n} bits exceed the barrier cap {cap_n}")
     if H.rank() == H.ncols:
         raise BarrierError("kernel is trivial; there are no codewords to reach")
-    syn_cols = H.transpose().rows
-    bott, state, explored, path = _dijkstra(
-        syn_cols, n, lambda s, syn, _sig: s != 0 and syn == 0, want_path=want_path
-    )
-    return BarrierResult(
-        barrier=bott, sector="classical", target=state, path=path, explored=explored
-    )
+    return _search(H, "classical", _reaches_logical, want_path, BinaryMatrix.identity(n))
 
 
 def sector_barrier(
@@ -223,25 +219,10 @@ def sector_barrier(
     if n > cap_n:
         raise BarrierCapError(f"n={n} exceeds the barrier cap {cap_n}")
     _, reps = logical_space(inst, sector)
-    if not reps:
+    if not reps.rows:
         raise BarrierError("code has no logical operators (k = 0)")
-    checks = inst.hz if sector == "X" else inst.hx
-    syn_cols = checks.transpose().rows
-    sig_cols = [0] * n
-    for i, rep in enumerate(reps):
-        r = rep
-        while r:
-            low = r & -r
-            sig_cols[low.bit_length() - 1] |= 1 << i
-            r ^= low
-    bott, state, explored, path = _dijkstra(
-        syn_cols,
-        n,
-        lambda s, syn, sig: syn == 0 and sig != 0,
-        sig_cols=sig_cols,
-        want_path=want_path,
-    )
-    return BarrierResult(barrier=bott, sector=sector, target=state, path=path, explored=explored)
+    checks, _ = _sector_checks(inst, sector)
+    return _search(checks, sector, _reaches_logical, want_path, reps)
 
 
 def code_barrier(
@@ -249,29 +230,12 @@ def code_barrier(
     *,
     cap_n: int = BARRIER_CAP_DEFAULT,
     want_path: bool = False,
-    with_four_way: bool = False,
 ) -> CodeBarrierResult:
-    """Code barrier: minimum over the X and Z sector barriers.
-
-    With ``with_four_way`` the classical barriers of HX, HZ, HXᵀ, HZᵀ are
-    computed as a side-by-side cross-check (entries that are infeasible or
-    trivial are left as None); the two quantities are reported together and
-    never asserted equal.
-    """
+    """Code barrier: minimum over the X and Z sector barriers."""
     x_res = sector_barrier(inst, "X", cap_n=cap_n, want_path=want_path)
     z_res = sector_barrier(inst, "Z", cap_n=cap_n, want_path=want_path)
-    four = None
-    if with_four_way:
-        values = []
-        for mat in (inst.hx, inst.hz, inst.hx.transpose(), inst.hz.transpose()):
-            try:
-                values.append(classical_code_barrier(mat, cap_n=cap_n).barrier)
-            except BarrierError:
-                values.append(None)
-        four = FourWayBarrier(*values)
     return CodeBarrierResult(
         barrier=min(x_res.barrier, z_res.barrier),
         x_result=x_res,
         z_result=z_res,
-        four_way=four,
     )

@@ -309,34 +309,22 @@ def _result_barrier(spec: specfile.CodeSpec, args) -> dict[str, Any]:
         res = barrier_mod.classical_code_barrier(
             built, cap_n=args.cap, want_path=args.emit_path
         )
-        by_kind = {"classical": _barrier_result_json(res)}
-    elif args.sector in ("X", "Z"):
-        res = barrier_mod.sector_barrier(
-            built, args.sector, cap_n=args.cap, want_path=args.emit_path
-        )
-        by_kind = {
-            "sectors": {args.sector: _barrier_result_json(res)},
-            "four_way": None,
+        return {
+            "kind": "classical",
+            "barrier": res.barrier,
+            "cap": args.cap,
+            "classical": _barrier_result_json(res),
         }
-    else:
-        res = barrier_mod.code_barrier(
-            built, cap_n=args.cap, want_path=args.emit_path, with_four_way=args.four_way
-        )
-        four = None
-        if res.four_way is not None:
-            four = {**dataclasses.asdict(res.four_way), "minimum": res.four_way.minimum}
-        by_kind = {
-            "sectors": {
-                "X": _barrier_result_json(res.x_result),
-                "Z": _barrier_result_json(res.z_result),
-            },
-            "four_way": four,
-        }
+    sectors = ("X", "Z") if args.sector == "both" else (args.sector,)
+    results = [
+        barrier_mod.sector_barrier(built, s, cap_n=args.cap, want_path=args.emit_path)
+        for s in sectors
+    ]
     return {
-        "kind": "classical" if spec.is_classical else "two-block",
-        "barrier": res.barrier,
+        "kind": "two-block",
+        "barrier": min(res.barrier for res in results),
         "cap": args.cap,
-        **by_kind,
+        "sectors": {res.sector: _barrier_result_json(res) for res in results},
     }
 
 
@@ -418,7 +406,7 @@ _COMMANDS = {
     "distance": (
         _result_distance, ("method", "exact_cap", "trials", "seed", "threads")
     ),
-    "barrier": (_result_barrier, ("cap", "sector", "emit_path", "four_way")),
+    "barrier": (_result_barrier, ("cap", "sector", "emit_path")),
     "bounds": (_result_bounds, ("n",)),
     "reproduce-appendix": (_result_reproduce_appendix, ()),
 }
@@ -594,11 +582,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--emit-path", action="store_true", help="include an optimal flip sequence"
-    )
-    p.add_argument(
-        "--four-way",
-        action="store_true",
-        help="also report classical barriers of HX, HZ and their transposes",
     )
 
     p = add("bounds", "locality-driven distance-bound summary")

@@ -55,6 +55,7 @@ __all__ = [
     "TwistError",
     "hgp",
     "hgp_split",
+    "parent_hgp",
     "css_commutes_symbolically",
     "monomial_group_vectors",
     "is_indecomposable",
@@ -193,6 +194,24 @@ def hgp(f_gen: ClassicalGenerator, g_gen: ClassicalGenerator) -> HGPCode:
         g=extend_to_context(g_gen.poly, ctx),
         f_vars=f_names,
         g_vars=g_names,
+    )
+
+
+def parent_hgp(f_vars: tuple[str, ...], g_vars: tuple[str, ...]) -> HGPCode:
+    """HGP(1 + a1 + a2 + ..., 1 + b1 + b2 + ...): one fresh variable per term."""
+    ctx = VarContext(f_vars + g_vars)
+    K = ctx.dim
+    one = (0,) * K
+
+    def unit(i: int) -> Monomial:
+        return tuple(int(t == i) for t in range(K))
+
+    return HGPCode(
+        ctx,
+        LaurentPoly(ctx, frozenset({one} | {unit(i) for i in range(len(f_vars))})),
+        LaurentPoly(ctx, frozenset({one} | {unit(i) for i in range(len(f_vars), K)})),
+        f_vars=f_vars,
+        g_vars=g_vars,
     )
 
 
@@ -432,22 +451,7 @@ def lift_to_parent(code: TwoBlockCode) -> ParentLift:
         assert img == [int(j == ell) for j in range(d)], "witness bookkeeping broke"
 
     # -- assemble parent, substitution, twists
-    parent_ctx = VarContext(labels)
-    parent_f = LaurentPoly(
-        parent_ctx,
-        frozenset({(0,) * K} | {tuple(int(t == i) for t in range(K)) for i in range(len(a_names))}),
-    )
-    parent_g = LaurentPoly(
-        parent_ctx,
-        frozenset(
-            {(0,) * K}
-            | {
-                tuple(int(t == i) for t in range(K))
-                for i in range(len(a_names), K)
-            }
-        ),
-    )
-    parent = HGPCode(parent_ctx, parent_f, parent_g, f_vars=a_names, g_vars=b_names)
+    parent = parent_hgp(a_names, b_names)
     substitution = {
         name: LaurentPoly.monomial(child.context, vec) for name, vec in zip(labels, vectors)
     }

@@ -12,9 +12,13 @@ logical operators.  Its worker streams run in parallel processes once the
 job is large enough to pay for the round trip; they are merged in worker
 order, so the result is the one a sequential run of the streams gives.
 
-Sector conventions: an X-type logical is v with HZ*v = 0 and v outside the
-row space of HX; symmetrically for Z.  The reported code distance is the
-minimum over the two sectors.
+Sector conventions, held by ``_sector_checks`` alone: an X-type logical is v
+with HZ*v = 0 and v outside the row space of HX; symmetrically for Z.  The
+reported code distance is the minimum over the two sectors.  A logical's
+signature is its pairing with the representative rows of ``logical_space``.
+A classical codeword is a logical with unit signatures: each kernel basis
+vector gets its own signature bit, so any nonzero combination counts, and
+``exact_classical_distance`` runs the same sweep.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .instantiate import BinaryMatrix, CodeInstance, parity_dot
+from .instantiate import BinaryMatrix, CodeInstance
 
 __all__ = [
     "DistanceError",
@@ -76,22 +80,31 @@ class ClassicalDistance:
     witness: int | None
 
 
-def logical_space(inst: CodeInstance, sector: str) -> tuple[list[int], list[int]]:
-    """(kernel basis, opposite-sector logical representatives) for a sector.
+def _sector_checks(inst: CodeInstance, sector: str) -> tuple[BinaryMatrix, BinaryMatrix]:
+    """(checks, stabilizers) of a sector: its logicals v have checks*v = 0
+    and lie outside rowspace(stabilizers).
 
-    For sector "X" the kernel is ker(HZ) and the representatives span
-    ker(HX) modulo rowspace(HZ).  A kernel element v is logical iff it pairs
-    oddly with at least one representative, which turns the logical test into
-    a handful of popcounts.
+    For sector "X" the checks are HZ and the stabilizers HX; for "Z" the
+    other way round.
     """
     if sector == "X":
-        own_kernel, opp_checks, opp_rows = inst.hz, inst.hx, inst.hz
-    elif sector == "Z":
-        own_kernel, opp_checks, opp_rows = inst.hx, inst.hz, inst.hx
-    else:
-        raise DistanceError(f"unknown sector {sector!r}")
-    kernel = own_kernel.nullspace()
-    # representatives: kernel of the opposite matrix modulo its stabilizer rows
+        return inst.hz, inst.hx
+    if sector == "Z":
+        return inst.hx, inst.hz
+    raise DistanceError(f"unknown sector {sector!r}")
+
+
+def logical_space(inst: CodeInstance, sector: str) -> tuple[list[int], BinaryMatrix]:
+    """(kernel basis, opposite-sector logical representatives) for a sector.
+
+    The kernel is ker(checks) and the representatives, the rows of a
+    matrix R, span ker(stabilizers) modulo rowspace(checks).  A kernel
+    element v is logical iff its signature R*v is nonzero, which turns the
+    logical test into a handful of popcounts.
+    """
+    checks, stabilizers = _sector_checks(inst, sector)
+    kernel = checks.nullspace()
+    # representatives: kernel of the stabilizers modulo the check rows
     piv: dict[int, int] = {}
 
     def reduce_top(v: int) -> int:
@@ -103,48 +116,31 @@ def logical_space(inst: CodeInstance, sector: str) -> tuple[list[int], list[int]
             cur ^= piv[c]
         return 0
 
-    for row in opp_rows.rows:
+    for row in checks.rows:
         res = reduce_top(row)
         if res:
             piv[res.bit_length() - 1] = res
     reps = []
     k = inst.k()
-    for v in opp_checks.nullspace():
+    for v in stabilizers.nullspace():
         if len(reps) == k:  # the quotient has dimension k: nothing more to add
             break
         res = reduce_top(v)
         if res:
             reps.append(v)
             piv[res.bit_length() - 1] = res
-    return kernel, reps
+    return kernel, BinaryMatrix(reps, inst.n)
 
 
 def validate_logical_witness(inst: CodeInstance, witness: int, sector: str) -> None:
     """Independent check that a witness is a genuine logical operator."""
-    if sector == "X":
-        kernel_of, stabilizers = inst.hz, inst.hx
-    elif sector == "Z":
-        kernel_of, stabilizers = inst.hx, inst.hz
-    else:
-        raise DistanceError(f"unknown sector {sector!r}")
+    checks, stabilizers = _sector_checks(inst, sector)
     if witness <= 0 or witness >> inst.n:
         raise DistanceError("witness is not a nonzero vector on the qubit columns")
-    if kernel_of.times_vector(witness):
+    if checks.times_vector(witness):
         raise DistanceError(f"witness violates the {sector}-sector kernel condition")
     if stabilizers.rowspace_contains(witness):
         raise DistanceError("witness is a stabilizer, not a logical operator")
-
-
-def _signatures(kernel: list[int], reps: list[int]) -> list[int]:
-    """Pairing signature of each kernel basis vector with the representatives."""
-    sigs = []
-    for v in kernel:
-        s = 0
-        for i, rep in enumerate(reps):
-            if parity_dot(v, rep):
-                s |= 1 << i
-        sigs.append(s)
-    return sigs
 
 
 def _gray_minimum(kernel: list[int], sigs: list[int], n: int) -> tuple[int, int | None]:
@@ -188,12 +184,12 @@ def exact_sector_distance(
     if inst.n > cap_n:
         raise DistanceCapError(f"n={inst.n} exceeds the exact-search cap {cap_n}")
     kernel, reps = logical_space(inst, sector)
-    if not reps:
+    if not reps.rows:
         raise DistanceError("code has no logical operators (k = 0)")
     m = len(kernel)
     if m > _KERNEL_EXP_CAP:
         raise DistanceCapError(f"kernel dimension {m} exceeds 2^{_KERNEL_EXP_CAP} states")
-    best_w, best = _gray_minimum(kernel, _signatures(kernel, reps), inst.n)
+    best_w, best = _gray_minimum(kernel, [reps.times_vector(v) for v in kernel], inst.n)
     assert best is not None  # reps nonempty guarantees a logical element exists
     validate_logical_witness(inst, best, sector)
     return best_w, best
@@ -340,9 +336,9 @@ def random_upper_bound(
     spaces = {}
     for sector in ("X", "Z"):
         kernel, reps = logical_space(inst, sector)
-        if not reps:
+        if not reps.rows:
             raise DistanceError("code has no logical operators (k = 0)")
-        spaces[sector] = (kernel, _signatures(kernel, reps))
+        spaces[sector] = (kernel, [reps.times_vector(v) for v in kernel])
     share, remainder = divmod(trials, workers)
     jobs = [
         (spaces, inst.n, seed, widx, share + (1 if widx < remainder else 0), pair_pool)

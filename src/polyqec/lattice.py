@@ -298,7 +298,6 @@ class QuotientGroup:
     invariant_factors: tuple[int, ...]
     _radices: tuple[int, ...] = field(repr=False)
     _coord_rows: tuple[tuple[int, ...], ...] = field(repr=False)  # w -> coords matrix
-    _moduli: tuple[int, ...] = field(repr=False)
 
     @property
     def is_finite(self) -> bool:
@@ -329,7 +328,7 @@ class QuotientGroup:
             sum(w[i] * self._coord_rows[i][j] for i in range(len(w)))
             for j in range(len(self._radices))
         ]
-        return tuple(x % m for x, m in zip(raw, self._moduli))
+        return tuple(x % m for x, m in zip(raw, self._radices))
 
     def reduce(self, mono: Monomial) -> int:
         """Element index of a monomial's class."""
@@ -391,7 +390,6 @@ def quotient(pres: GroupPresentation) -> QuotientGroup:
             invariant_factors=torsion,
             _radices=(),
             _coord_rows=(),
-            _moduli=(),
         )
     radices = _product_radices(pres)
     if radices is not None:
@@ -405,7 +403,6 @@ def quotient(pres: GroupPresentation) -> QuotientGroup:
             invariant_factors=torsion,
             _radices=radices,
             _coord_rows=coord_rows,
-            _moduli=radices,
         )
     snf = smith_normal_form([list(rel) for rel in pres.relations])
     diag = list(snf.diagonal) + [0] * (d - len(snf.diagonal))
@@ -418,5 +415,4 @@ def quotient(pres: GroupPresentation) -> QuotientGroup:
         invariant_factors=torsion,
         _radices=moduli,
         _coord_rows=coord_rows,
-        _moduli=moduli,
     )

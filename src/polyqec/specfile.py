@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .codes import HGPCode, TwoBlockCode, ClassicalGenerator
+from .codes import HGPCode, TwoBlockCode, ClassicalGenerator, parent_hgp
 from .lattice import GroupPresentation
 from .poly import LaurentPoly, Monomial, PolyParseError, VarContext, parse_poly
 
@@ -266,7 +266,6 @@ def _parse_lift(lines, ctx: VarContext, source: str) -> LiftSpec:
 
     combined = VarContext(ctx.names + labels)
     d = ctx.dim
-    K = len(labels)
     label_index = {lbl: i for i, lbl in enumerate(labels)}
 
     images: dict[str, Monomial] = {}
@@ -302,22 +301,7 @@ def _parse_lift(lines, ctx: VarContext, source: str) -> LiftSpec:
             )
         remaining = [k for k in remaining if k not in progressed]
 
-    parent_ctx = VarContext(labels)
-    one = (0,) * K
-
-    def unit(i: int) -> Monomial:
-        return tuple(int(t == i) for t in range(K))
-
-    parent = HGPCode(
-        parent_ctx,
-        LaurentPoly(parent_ctx, frozenset({one} | {unit(i) for i in range(len(f_labels))})),
-        LaurentPoly(
-            parent_ctx,
-            frozenset({one} | {unit(i) for i in range(len(f_labels), K)}),
-        ),
-        f_vars=f_labels,
-        g_vars=g_labels,
-    )
+    parent = parent_hgp(f_labels, g_labels)
     substitution = {lbl: LaurentPoly.monomial(ctx, images[lbl]) for lbl in labels}
     return LiftSpec(
         f_labels=f_labels,

@@ -206,16 +206,6 @@ def test_surface_code_barrier_is_two():
         assert res.barrier == 2
         assert res.x_result.barrier == 2
         assert res.z_result.barrier == 2
-        assert res.four_way is None
-
-
-def test_surface_code_four_way_report():
-    code = two_block("x y", "1 + x", "1 + y")
-    inst = instantiate(code, torus(code.context, 2, 2))
-    res = code_barrier(inst, with_four_way=True)
-    assert res.four_way.hx == 2 and res.four_way.hz == 2
-    assert res.four_way.hx_t == 4 and res.four_way.hz_t == 4
-    assert res.four_way.minimum == 2
 
 
 def test_sector_targets_are_genuine_logicals():
@@ -367,9 +357,7 @@ def test_bundled_barriers_match_heap_reference(monkeypatch):
             if isinstance(obj, BinaryMatrix):
                 yield (name, rels), _outcome(classical_code_barrier, obj, want_path=True)
             else:
-                yield (name, rels), _outcome(
-                    code_barrier, obj, want_path=True, with_four_way=True
-                )
+                yield (name, rels), _outcome(code_barrier, obj, want_path=True)
 
     got = list(searches())
     monkeypatch.setattr(barrier_mod, "_dijkstra", _heap_dijkstra)

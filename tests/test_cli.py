@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import shlex
 from pathlib import Path
 
 import jsonschema
@@ -244,7 +245,7 @@ def test_distance_classical(capsys):
     assert doc["result"]["method"] == "exact-kernel-enumeration"
 
 
-def test_barrier_toric_with_four_way(capsys):
+def test_barrier_toric_with_path(capsys):
     code, doc = run_json(
         capsys,
         "barrier",
@@ -253,13 +254,11 @@ def test_barrier_toric_with_four_way(capsys):
         "x^2 = 1",
         "--boundary",
         "y^2 = 1",
-        "--four-way",
         "--emit-path",
     )
     assert code == 0
     res = doc["result"]
     assert res["barrier"] == 2
-    assert res["four_way"] == {"hx": 2, "hz": 2, "hx_t": 4, "hz_t": 4, "minimum": 2}
     path = res["sectors"]["X"]["path"]
     assert path is not None and len(path) == res["sectors"]["X"]["target"]["weight"]
 
@@ -271,6 +270,18 @@ def test_barrier_single_sector(capsys):
     )
     assert code == 0
     assert list(doc["result"]["sectors"]) == ["Z"]
+
+
+def test_four_way_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["barrier", "toric", "--four-way", "--no-cache"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --four-way" in capsys.readouterr().err
+    code, doc = run_json(
+        capsys, "barrier", "toric", "--boundary", "x^2 = 1", "--boundary", "y^2 = 1"
+    )
+    assert code == 0
+    assert set(doc["result"]) == {"kind", "barrier", "cap", "sectors"}
 
 
 def test_barrier_classical_ising(capsys):
@@ -480,6 +491,21 @@ def test_seed_and_threads_are_distance_options_only(capsys):
     assert code == 0
     assert doc["seed"] == doc["result"]["search_seed"] == 3
     assert doc["result"]["workers"] == 2
+
+
+def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    argvs = [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("polyqec ")
+    ]
+    assert argvs
+    monkeypatch.chdir(tmp_path)  # export-matrix writes its --out file here
+    for argv in argvs:
+        assert main([*argv, "--no-cache"]) == 0, argv
+        capsys.readouterr()
 
 
 def test_missing_spec_exits_one(capsys):

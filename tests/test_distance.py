@@ -340,7 +340,7 @@ def test_exact_sector_distance_matches_per_state_sweep(monkeypatch, width):
         for sector in ("X", "Z"):
             kernel, reps = logical_space(inst, sector)
             dims.add(len(kernel))
-            expect = _per_state_gray(kernel, distance_mod._signatures(kernel, reps), inst.n)
+            expect = _per_state_gray(kernel, [reps.times_vector(v) for v in kernel], inst.n)
             assert exact_sector_distance(inst, sector, cap_n=64) == expect
     assert max(dims) > 12
 
@@ -354,7 +354,7 @@ def _sequential_upper_bound(inst, trials, seed, workers, pair_pool=16):
     spaces = {}
     for sector in ("X", "Z"):
         kernel, reps = logical_space(inst, sector)
-        spaces[sector] = (kernel, distance_mod._signatures(kernel, reps))
+        spaces[sector] = (kernel, [reps.times_vector(v) for v in kernel])
     best_w, best, best_sector = inst.n, None, None
     share, remainder = divmod(trials, workers)
     for widx in range(workers):
@@ -456,7 +456,7 @@ def test_logical_space_stops_at_k_with_the_same_answer():
             inst = instantiate(spec.two_block(), GroupPresentation(spec.context, rels))
             for sector in ("X", "Z"):
                 kernel, reps = logical_space(inst, sector)
-                assert (kernel, reps) == _full_logical_space(inst, sector)
-                assert len(reps) == inst.k()
+                assert (kernel, list(reps.rows)) == _full_logical_space(inst, sector)
+                assert reps.nrows == inst.k()
         seen.add(name)
     assert len(seen) >= 10
