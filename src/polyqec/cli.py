@@ -278,8 +278,9 @@ def _result_distance(spec: specfile.CodeSpec, args) -> dict[str, Any]:
             "kind": "classical",
             "d_upper": res.value,
             "d_lower": res.value,
-            "method": "exact-kernel-enumeration",
+            "method": "exact-brouwer-zimmermann",
             "trials": None,
+            "combinations": res.combinations,
             "witness": _witness_json(res.witness),
         }
     method = args.method
@@ -291,7 +292,7 @@ def _result_distance(spec: specfile.CodeSpec, args) -> dict[str, Any]:
         res = distance.random_upper_bound(
             built, args.trials, args.seed, workers=args.threads
         )
-    return {
+    out = {
         "kind": "two-block",
         "d_upper": res.d_upper,
         "d_lower": res.d_lower,
@@ -301,6 +302,9 @@ def _result_distance(spec: specfile.CodeSpec, args) -> dict[str, Any]:
         "search_seed": res.seed,
         "witness": _witness_json(res.witness, res.witness_sector),
     }
+    if res.combinations is not None:
+        out["combinations"] = res.combinations
+    return out
 
 
 def _result_barrier(spec: specfile.CodeSpec, args) -> dict[str, Any]:
@@ -554,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--exact-cap",
         type=int,
         default=distance.EXACT_CAP_DEFAULT,
-        help="largest n for exhaustive kernel enumeration",
+        help="largest n for the exact Brouwer–Zimmermann search",
     )
     p.add_argument(
         "--trials", type=int, default=10000, help="randomized-search trial budget"

@@ -1,16 +1,29 @@
 """Minimum-distance search for instantiated CSS codes.
 
-Exact distances come from a full Gray-code sweep of the relevant kernel,
-feasible only at small block length.  The sweep runs in blocks: the
-combinations of the low kernel vectors are tabulated once, and each step of
-the high part weighs a whole block with one list comprehension, visiting the
-states in the same order as a one-state-at-a-time Gray sweep.  At practical
-sizes a seeded information-set search gives upper bounds: repeatedly
-re-eliminate the kernel basis along a random column order and inspect the
-resulting sparse-ish rows (and sums of light row pairs) for low-weight
-logical operators.  Its worker streams run in parallel processes once the
-job is large enough to pay for the round trip; they are merged in worker
-order, so the result is the one a sequential run of the streams gives.
+Exact distances come from Brouwer–Zimmermann enumeration of the relevant
+kernel (Zimmermann 1996; Grassl 2006; White & Grassl 2006 for quantum
+codes).  The kernel basis is put in Gauss–Jordan form on disjoint
+information sets, taken greedily over the columns no earlier set used; the
+basis from ``nullspace`` is already systematic on its free columns, so the
+first set costs no row operation.  A set of rank r_j among m kernel vectors
+has m - r_j rows that vanish on its columns, so a combination of s rows
+weighs at least s - (m - r_j) there.  Level w visits every w-subset of the
+rows of each set whose contribution max(0, w + 1 - (m - r_j)) is positive,
+after the levels below it that the set has not visited yet.  Once level w
+is done, every kernel vector not yet seen weighs at least the sum of those
+contributions over the sets.  The search stops at the first level where that
+bound exceeds the best logical weight, so every minimum-weight logical has
+been seen by then, and the witness is the smallest integer among them,
+whatever the basis or the visiting order.  The work is capped per sector in
+combinations (``_COMBINATION_CAP``), checked before each level starts.
+
+At practical sizes a seeded information-set search gives upper bounds:
+repeatedly re-eliminate the kernel basis along a random column order and
+inspect the resulting sparse-ish rows (and sums of light row pairs) for
+low-weight logical operators.  Its worker streams run in parallel processes
+once the job is large enough to pay for the round trip; they are merged in
+worker order, so the result is the one a sequential run of the streams
+gives.
 
 Sector conventions, held by ``_sector_checks`` alone: an X-type logical is v
 with HZ*v = 0 and v outside the row space of HX; symmetrically for Z.  The
@@ -18,14 +31,15 @@ reported code distance is the minimum over the two sectors.  A logical's
 signature is its pairing with the representative rows of ``logical_space``.
 A classical codeword is a logical with unit signatures: each kernel basis
 vector gets its own signature bit, so any nonzero combination counts, and
-``exact_classical_distance`` runs the same sweep.
+``exact_classical_distance`` runs the same enumeration.
 """
 
 from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import comb
 
 from .instantiate import BinaryMatrix, CodeInstance
 
@@ -43,8 +57,7 @@ __all__ = [
 ]
 
 EXACT_CAP_DEFAULT = 28
-_KERNEL_EXP_CAP = 26  # hard cap on 2^dim enumeration states
-_GRAY_BLOCK = 12  # low kernel vectors tabulated once by the Gray-code sweep
+_COMBINATION_CAP = 1 << 26  # kernel combinations one exact sector may visit
 # trials x kernel dimension below which search streams stay in-process: a few
 # tens of ms of search, where a pool round trip (a few ms) stops paying off
 _POOL_MIN_WORK = 1 << 18
@@ -55,7 +68,7 @@ class DistanceError(ValueError):
 
 
 class DistanceCapError(DistanceError):
-    """Exact enumeration would exceed the configured size caps."""
+    """Exact enumeration would exceed the block-length or work cap."""
 
 
 @dataclass(frozen=True)
@@ -66,10 +79,13 @@ class DistanceResult:
     d_lower: int | None
     witness: int | None
     witness_sector: str | None
-    method: str  # "exact-enumeration" | "random-information-set"
+    method: str  # "exact-brouwer-zimmermann" | "random-information-set"
     trials: int | None = None
     seed: int | None = None
     workers: int | None = None
+    # kernel combinations an exact search visited, both sectors: a work
+    # counter, not part of the answer
+    combinations: int | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -78,6 +94,7 @@ class ClassicalDistance:
 
     value: int | None  # None: the kernel is trivial, there are no codewords
     witness: int | None
+    combinations: int = field(default=0, compare=False)  # work counter
 
 
 def _sector_checks(inst: CodeInstance, sector: str) -> tuple[BinaryMatrix, BinaryMatrix]:
@@ -143,68 +160,162 @@ def validate_logical_witness(inst: CodeInstance, witness: int, sector: str) -> N
         raise DistanceError("witness is a stabilizer, not a logical operator")
 
 
-def _gray_minimum(kernel: list[int], sigs: list[int], n: int) -> tuple[int, int | None]:
-    """(weight, state) of the first lightest kernel combination with a nonzero
-    signature, over the combinations i = 1 .. 2^m - 1 in Gray-code order.
+def _eliminate(rows: list[int], row_sigs: list[int], columns: list[int]) -> int:
+    """Gauss–Jordan on ``rows`` in place, signatures alongside, pivoting on
+    ``columns`` in the given order; returns the pivot columns as a mask.
 
-    The low ``_GRAY_BLOCK`` basis vectors are tabulated once in Gray order;
-    the high part steps in Gray order and, by the reflected-code property,
-    every odd high step walks the low table backwards, so the states come in
-    the order of a per-state Gray sweep.  Combinations with a zero signature
-    weigh n + 1.  Returns (n + 1, None) when no combination qualifies.
+    Pivot rows come first and each holds exactly one pivot column; the rows
+    after them hold none.
     """
-    b = min(len(kernel), _GRAY_BLOCK)
-    low, low_sigs = [0], [0]
-    for v, s in zip(kernel[:b], sigs[:b]):
-        low += [x ^ v for x in reversed(low)]
-        low_sigs += [x ^ s for x in reversed(low_sigs)]
-    tables = ((low, low_sigs), (low[::-1], low_sigs[::-1]))
-    best_w, best = n + 1, None
-    high = high_sig = 0
-    for h in range(1 << (len(kernel) - b)):
-        if h:
-            j = b + (h & -h).bit_length() - 1
-            high ^= kernel[j]
-            high_sig ^= sigs[j]
-        states, state_sigs = tables[h & 1]
-        weights = [
-            (high ^ x).bit_count() if s != high_sig else n + 1
-            for x, s in zip(states, state_sigs)
-        ]
-        w = min(weights)
-        if w < best_w:
-            best_w, best = w, high ^ states[weights.index(w)]
+    m = len(rows)
+    r = pivots = 0
+    for col in columns:
+        bit = 1 << col
+        pivot = next((t for t in range(r, m) if rows[t] & bit), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        row_sigs[r], row_sigs[pivot] = row_sigs[pivot], row_sigs[r]
+        for t in range(m):
+            if t != r and rows[t] & bit:
+                rows[t] ^= rows[r]
+                row_sigs[t] ^= row_sigs[r]
+        pivots |= bit
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
+def _information_sets(
+    kernel: list[int], sigs: list[int], n: int
+) -> list[tuple[list[int], list[int], int]]:
+    """Disjoint information sets of the kernel: (rows, sigs, rank) per set.
+
+    Each set is the basis in Gauss–Jordan form on pivot columns that no
+    earlier set holds, chosen greedily in column order, so a combination of
+    s rows holds at least s - (m - rank) of the set's columns.  Non-pivot
+    columns stay free for later sets.
+    """
+    rows, row_sigs = list(kernel), list(sigs)
+    used = 0
+    sets = []
+    while pivots := _eliminate(
+        rows, row_sigs, [c for c in range(n) if not used >> c & 1]
+    ):
+        used |= pivots
+        sets.append((list(rows), list(row_sigs), pivots.bit_count()))
+    return sets
+
+
+def _visit_level(
+    rows: list[int], sigs: list[int], size: int, best_w: int, best: int | None
+) -> tuple[int, int | None]:
+    """Fold every ``size``-subset of ``rows`` with a nonzero signature into
+    (best_w, best): lower weight wins, then the smaller integer.
+
+    The subsets are walked by prefix XOR; the last index runs as one list
+    comprehension over the rows after the prefix.
+    """
+    m = len(rows)
+    skip = best_w + 1  # weight given to a zero-signature combination
+
+    def walk(start: int, depth: int, acc: int, acc_sig: int) -> None:
+        nonlocal best_w, best
+        if depth == 1:
+            tail, tail_sigs = rows[start:], sigs[start:]
+            weights = [
+                (acc ^ x).bit_count() if s != acc_sig else skip
+                for x, s in zip(tail, tail_sigs)
+            ]
+            if min(weights) > best_w:
+                return
+            for x, s, w in zip(tail, tail_sigs, weights):
+                if s != acc_sig and w <= best_w:
+                    x ^= acc
+                    if w < best_w or x < best:
+                        best_w, best = w, x
+            return
+        for i in range(start, m - depth + 1):
+            walk(i + 1, depth - 1, acc ^ rows[i], acc_sig ^ sigs[i])
+
+    walk(0, size, 0, 0)
     return best_w, best
 
 
-def exact_sector_distance(
-    inst: CodeInstance, sector: str, *, cap_n: int = EXACT_CAP_DEFAULT
-) -> tuple[int, int]:
-    """(distance, witness) for one sector by full kernel enumeration."""
+def _bz_minimum(kernel: list[int], sigs: list[int], n: int) -> tuple[int, int | None, int]:
+    """(weight, witness, combinations) by Brouwer–Zimmermann enumeration.
+
+    The witness is the smallest integer among the lightest kernel
+    combinations with a nonzero signature; (n + 1, None) when none has one.
+    ``combinations`` counts the subsets visited over all sets and levels.
+    Raises ``DistanceCapError`` before a level that would take the count
+    past ``_COMBINATION_CAP``.
+    """
+    m = len(kernel)
+    sets = _information_sets(kernel, sigs, n)
+    done = [0] * len(sets)  # levels each set has visited
+    best_w, best = n + 1, None
+    visited = 0
+    for w in range(1, m + 1):
+        # a set of rank r contributes w + 1 - (m - r) to the bound once it
+        # has visited every level up to w
+        active = [j for j, (_, _, r) in enumerate(sets) if w + r > m]
+        cost = sum(comb(m, s) for j in active for s in range(done[j] + 1, w + 1))
+        if visited + cost > _COMBINATION_CAP:
+            raise DistanceCapError(
+                f"exact search needs more than {_COMBINATION_CAP} kernel "
+                f"combinations (level {w} of kernel dimension {m})"
+            )
+        visited += cost
+        for j in active:
+            rows, row_sigs, _ = sets[j]
+            for s in range(done[j] + 1, w + 1):
+                best_w, best = _visit_level(rows, row_sigs, s, best_w, best)
+            done[j] = w
+        if sum(w + 1 - m + sets[j][2] for j in active) > best_w:
+            break
+    return best_w, best, visited
+
+
+def _sector_minimum(inst: CodeInstance, sector: str, cap_n: int) -> tuple[int, int, int]:
+    """(distance, witness, combinations) of one sector."""
     if inst.n > cap_n:
         raise DistanceCapError(f"n={inst.n} exceeds the exact-search cap {cap_n}")
     kernel, reps = logical_space(inst, sector)
     if not reps.rows:
         raise DistanceError("code has no logical operators (k = 0)")
-    m = len(kernel)
-    if m > _KERNEL_EXP_CAP:
-        raise DistanceCapError(f"kernel dimension {m} exceeds 2^{_KERNEL_EXP_CAP} states")
-    best_w, best = _gray_minimum(kernel, [reps.times_vector(v) for v in kernel], inst.n)
+    sigs = [reps.times_vector(v) for v in kernel]
+    best_w, best, visited = _bz_minimum(kernel, sigs, inst.n)
     assert best is not None  # reps nonempty guarantees a logical element exists
     validate_logical_witness(inst, best, sector)
+    return best_w, best, visited
+
+
+def exact_sector_distance(
+    inst: CodeInstance, sector: str, *, cap_n: int = EXACT_CAP_DEFAULT
+) -> tuple[int, int]:
+    """(distance, witness) for one sector; the witness is the smallest integer
+    among the sector's minimum-weight logicals."""
+    best_w, best, _ = _sector_minimum(inst, sector, cap_n)
     return best_w, best
 
 
 def exact_distance(inst: CodeInstance, *, cap_n: int = EXACT_CAP_DEFAULT) -> DistanceResult:
-    """Exact code distance: the minimum over the X and Z sectors."""
-    dx, wx = exact_sector_distance(inst, "X", cap_n=cap_n)
-    dz, wz = exact_sector_distance(inst, "Z", cap_n=cap_n)
+    """Exact code distance: the minimum over the X and Z sectors, X on a tie."""
+    dx, wx, cx = _sector_minimum(inst, "X", cap_n)
+    dz, wz, cz = _sector_minimum(inst, "Z", cap_n)
     if dx <= dz:
         d, w, sec = dx, wx, "X"
     else:
         d, w, sec = dz, wz, "Z"
     return DistanceResult(
-        d_upper=d, d_lower=d, witness=w, witness_sector=sec, method="exact-enumeration"
+        d_upper=d,
+        d_lower=d,
+        witness=w,
+        witness_sector=sec,
+        method="exact-brouwer-zimmermann",
+        combinations=cx + cz,
     )
 
 
@@ -221,21 +332,7 @@ def _information_set_round(
     m = len(rows)
     order = list(range(n))
     rng.shuffle(order)
-    r = 0
-    for col in order:
-        bit = 1 << col
-        pivot = next((t for t in range(r, m) if rows[t] & bit), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        row_sigs[r], row_sigs[pivot] = row_sigs[pivot], row_sigs[r]
-        for t in range(m):
-            if t != r and rows[t] & bit:
-                rows[t] ^= rows[r]
-                row_sigs[t] ^= row_sigs[r]
-        r += 1
-        if r == m:
-            break
+    _eliminate(rows, row_sigs, order)
     for mask, s in zip(rows, row_sigs):
         yield mask, s
     light = sorted(range(m), key=lambda t: rows[t].bit_count())[:pair_pool]
@@ -368,15 +465,13 @@ def random_upper_bound(
     )
 
 
-def exact_classical_distance(
-    mat: BinaryMatrix, *, cap_dim: int = _KERNEL_EXP_CAP
-) -> ClassicalDistance:
-    """Minimum weight over the nonzero kernel of a classical check matrix."""
+def exact_classical_distance(mat: BinaryMatrix) -> ClassicalDistance:
+    """Minimum weight over the nonzero kernel of a classical check matrix; the
+    witness is the smallest integer among the lightest codewords."""
     kernel = mat.nullspace()
-    m = len(kernel)
-    if m == 0:
+    if not kernel:
         return ClassicalDistance(value=None, witness=None)
-    if m > cap_dim:
-        raise DistanceCapError(f"kernel dimension {m} exceeds 2^{cap_dim} states")
-    value, witness = _gray_minimum(kernel, [1 << j for j in range(m)], mat.ncols)
-    return ClassicalDistance(value=value, witness=witness)
+    value, witness, visited = _bz_minimum(
+        kernel, [1 << j for j in range(len(kernel))], mat.ncols
+    )
+    return ClassicalDistance(value=value, witness=witness, combinations=visited)

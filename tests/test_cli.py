@@ -156,11 +156,12 @@ def test_pinned_params_and_seeded_witness(capsys):
             keys = ("n", "k", "rank_hx", "rank_hz", "tanner_components")
             got[name] = tuple(res[key] for key in keys)
     assert got == PINNED_PARAMS
-    # exact enumeration keeps the first lightest logical in Gray-code order
-    # over the kernel basis, so a reordered basis changes this witness
+    # the exact witness is the smallest integer among the lightest logicals
+    # (confirmed by the brute-force oracle in test_distance), whatever the
+    # kernel basis or the visiting order
     code, doc = run_json(capsys, "distance", "checkerboard", "--method", "exact")
     assert code == 0
-    assert doc["result"]["witness"] == {"sector": "X", "support": [4, 12], "weight": 2}
+    assert doc["result"]["witness"] == {"sector": "X", "support": [0, 8], "weight": 2}
     # the randomized stream re-eliminates the kernel each round; its witness
     # pins the seeded candidate order
     code, doc = run_json(
@@ -219,9 +220,10 @@ def test_distance_exact_small_toric(capsys):
     )
     assert code == 0
     res = doc["result"]
-    assert res["method"] == "exact-enumeration"
+    assert res["method"] == "exact-brouwer-zimmermann"
     assert res["d_upper"] == 2 and res["d_lower"] == 2
     assert res["witness"]["weight"] == 2
+    assert res["combinations"] > 0
 
 
 def test_distance_randomized_carries_seed_and_trials(capsys):
@@ -232,6 +234,7 @@ def test_distance_randomized_carries_seed_and_trials(capsys):
     assert code == 0
     res = doc["result"]
     assert res["method"] == "random-information-set"
+    assert "combinations" not in res
     assert res["trials"] == 400
     assert res["search_seed"] == 3
     assert doc["seed"] == 3
@@ -242,7 +245,21 @@ def test_distance_classical(capsys):
     code, doc = run_json(capsys, "distance", "newman_moore")
     assert code == 0
     assert doc["result"]["d_upper"] == 6
-    assert doc["result"]["method"] == "exact-kernel-enumeration"
+    assert doc["result"]["method"] == "exact-brouwer-zimmermann"
+
+
+def test_exact_combinations_repeat(capsys):
+    # the work counter is deterministic, for two-block and classical codes
+    for argv in (
+        ("distance", "toric", "--boundary", "x^3 = 1", "--boundary", "y^3 = 1"),
+        ("distance", "newman_moore"),
+    ):
+        counts = []
+        for _ in range(2):
+            code, doc = run_json(capsys, *argv, "--no-cache")
+            assert code == 0
+            counts.append(doc["result"]["combinations"])
+        assert counts[0] == counts[1] > 0
 
 
 def test_barrier_toric_with_path(capsys):

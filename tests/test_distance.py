@@ -1,6 +1,7 @@
 """Tests for exact and randomized distance search."""
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -73,7 +74,7 @@ def test_surface_code_distance_grows_with_torus():
         res = exact_distance(inst, cap_n=32)
         assert res.d_upper == L
         assert res.d_lower == L
-        assert res.method == "exact-enumeration"
+        assert res.method == "exact-brouwer-zimmermann"
         assert res.witness.bit_count() == L
         validate_logical_witness(inst, res.witness, res.witness_sector)
 
@@ -258,37 +259,68 @@ def test_classical_matches_brute_force():
         got = exact_classical_distance(mat)
         assert got.value == expect
         if expect is not None:
-            assert got.witness.bit_count() == expect
-            assert mat.times_vector(got.witness) == 0
+            # the smallest integer among the lightest codewords
+            assert got.witness == next(
+                v for v in range(1, 1 << cols)
+                if v.bit_count() == expect and mat.times_vector(v) == 0
+            )
 
 
-def test_classical_cap():
-    from polyqec.instantiate import BinaryMatrix
-
-    with pytest.raises(DistanceCapError):
+def test_classical_cap(monkeypatch):
+    # every unit vector is a codeword: level 1 finds weight 1 and ends the search
+    got = exact_classical_distance(BinaryMatrix.zeros(1, 30))
+    assert (got.value, got.witness, got.combinations) == (1, 1, 30)
+    monkeypatch.setattr(distance_mod, "_COMBINATION_CAP", 29)
+    with pytest.raises(DistanceCapError, match="combinations"):
         exact_classical_distance(BinaryMatrix.zeros(1, 30))
 
 
-# -- blocked Gray sweep against the per-state sweep ------------------------
+def test_exact_combination_cap(monkeypatch):
+    gross = two_block("x y", "x^3 + y + y^2", "y^3 + x + x^2")
+    inst = instantiate(gross, torus(gross.context, 3, 6))  # n = 36, d = 4
+    res = exact_distance(inst, cap_n=64)
+    assert res.d_upper == res.d_lower == 4
+    assert res.combinations == exact_distance(inst, cap_n=64).combinations > 0
+    monkeypatch.setattr(distance_mod, "_COMBINATION_CAP", 1000)
+    with pytest.raises(DistanceCapError, match="combinations"):
+        exact_distance(inst, cap_n=64)
+
+
+# -- Brouwer–Zimmermann against independent oracles -----------------------
 
 
 def _per_state_gray(kernel, sigs, n):
-    """Reference: the one-state-at-a-time Gray sweep over i = 1 .. 2^m - 1.
+    """Distance oracle: the one-state-at-a-time Gray sweep over all 2^m - 1
+    kernel combinations.
 
-    Returns the first lightest state whose signature is nonzero, as
-    (weight, state), or (n + 1, None) when none is.
+    Returns the lightest weight with a nonzero signature, n + 1 when none has.
     """
-    best_w, best = n + 1, None
+    best_w = n + 1
     state = sig = 0
     for i in range(1, 1 << len(kernel)):
         j = (i & -i).bit_length() - 1
         state ^= kernel[j]
         sig ^= sigs[j]
         if sig:
-            w = state.bit_count()
-            if w < best_w:
-                best_w, best = w, state
-    return best_w, best
+            best_w = min(best_w, state.bit_count())
+    return best_w
+
+
+def _brute_sector_minimum(inst, sector):
+    """Witness oracle: (weight, smallest integer) of the lightest logicals of a
+    sector, scanning all vectors weight by weight with direct parity checks."""
+    checks, stabilizers = (inst.hz, inst.hx) if sector == "X" else (inst.hx, inst.hz)
+    span = {0}
+    for r in stabilizers.rows:
+        span |= {s ^ r for s in span}
+    for w in range(1, inst.n + 1):
+        found = [
+            v for v in (sum(1 << c for c in cols) for cols in combinations(range(inst.n), w))
+            if v not in span and all((r & v).bit_count() % 2 == 0 for r in checks.rows)
+        ]
+        if found:
+            return w, min(found)
+    return None
 
 
 def _matrix_with_kernel_dim(rng, m):
@@ -298,31 +330,43 @@ def _matrix_with_kernel_dim(rng, m):
     return BinaryMatrix(rows, m + r)
 
 
-@pytest.mark.parametrize("width", [1, 3, None])
-def test_blocked_gray_sweep_matches_per_state_sweep(monkeypatch, width):
-    # widths 1 and 3 give many blocks, so odd and even high steps both occur;
-    # None keeps the real block width, which only splits kernels with m > 12
-    if width is not None:
-        monkeypatch.setattr(distance_mod, "_GRAY_BLOCK", width)
-    dims = range(1, 17) if width is not None else range(13, 17)
-    rng = random.Random(2718 + (width or 0))
-    for m in dims:
-        for _ in range(2):
-            mat = _matrix_with_kernel_dim(rng, m)
-            kernel = mat.nullspace()
-            assert len(kernel) == m
-            unit = [1 << j for j in range(m)]
-            value, witness = _per_state_gray(kernel, unit, mat.ncols)
-            assert exact_classical_distance(mat) == ClassicalDistance(value, witness)
-            sigs = [rng.getrandbits(2) if rng.random() < 0.6 else 0 for _ in range(m)]
-            got = distance_mod._gray_minimum(kernel, sigs, mat.ncols)
-            assert got == _per_state_gray(kernel, sigs, mat.ncols)
+def test_bz_minimum_matches_brute_force_on_random_kernels():
+    # sparse checks give many information sets of low rank, so sets join the
+    # bound late and must first visit the levels they skipped
+    rng = random.Random(2718)
+    cases = 0
+    while cases < 600:
+        if cases % 2:
+            mat = _matrix_with_kernel_dim(rng, rng.randint(1, 8))
+        else:
+            n = rng.randint(4, 16)
+            mat = BinaryMatrix(
+                [sum(1 << c for c in rng.sample(range(n), rng.randint(1, 4)))
+                 for _ in range(rng.randint(1, n - 1))],
+                n,
+            )
+        kernel = mat.nullspace()
+        m = len(kernel)
+        if not 1 <= m <= 10:
+            continue
+        cases += 1
+        sigs = [rng.getrandbits(3) if rng.random() < 0.5 else 0 for _ in range(m)]
+        combos = []
+        for i in range(1, 1 << m):
+            x = s = 0
+            for j in range(m):
+                if i >> j & 1:
+                    x, s = x ^ kernel[j], s ^ sigs[j]
+            if s:
+                combos.append((x.bit_count(), x))
+        expect = min(combos, default=(mat.ncols + 1, None))
+        got = distance_mod._bz_minimum(kernel, sigs, mat.ncols)
+        assert got[:2] == expect
+        assert got[0] == _per_state_gray(kernel, sigs, mat.ncols)
 
 
-@pytest.mark.parametrize("width", [1, 3, None])
-def test_exact_sector_distance_matches_per_state_sweep(monkeypatch, width):
-    if width is not None:
-        monkeypatch.setattr(distance_mod, "_GRAY_BLOCK", width)
+def _small_sector_instances():
+    """Small plain and twisted tori, and random one-variable instances."""
     toric = two_block("x y", "1 + x", "1 + y")
     gross = two_block("x y", "x^3 + y + y^2", "y^3 + x + x^2")
     insts = [
@@ -335,14 +379,44 @@ def test_exact_sector_distance_matches_per_state_sweep(monkeypatch, width):
         inst = _random_small_instance(rng)
         if inst is not None:
             insts.append(inst)
-    dims = set()
-    for inst in insts:
+    return insts
+
+
+def _bundled_small_fixtures():
+    """Two-block fixtures with k > 0 at their own boundary, n <= 28."""
+    out = []
+    for name in fixture_names():
+        spec = specfile.parse_spec_file(fixture_path(name))
+        if spec.is_classical:
+            continue
+        inst = instantiate(spec.two_block(), spec.presentation())
+        if inst.n <= 28 and inst.k() > 0:
+            out.append(inst)
+    return out
+
+
+def test_exact_sector_distance_matches_per_state_sweep():
+    fixtures = _bundled_small_fixtures()
+    assert len(fixtures) >= 3
+    for inst in fixtures + _small_sector_instances():
         for sector in ("X", "Z"):
             kernel, reps = logical_space(inst, sector)
-            dims.add(len(kernel))
-            expect = _per_state_gray(kernel, [reps.times_vector(v) for v in kernel], inst.n)
-            assert exact_sector_distance(inst, sector, cap_n=64) == expect
-    assert max(dims) > 12
+            sigs = [reps.times_vector(v) for v in kernel]
+            d, _ = exact_sector_distance(inst, sector, cap_n=64)
+            assert d == _per_state_gray(kernel, sigs, inst.n)
+
+
+def test_exact_witness_is_smallest_lightest_logical():
+    insts = [i for i in _bundled_small_fixtures() + _small_sector_instances() if i.n <= 20]
+    assert len(insts) >= 10
+    for inst in insts:
+        per_sector = {}
+        for sector in ("X", "Z"):
+            per_sector[sector] = _brute_sector_minimum(inst, sector)
+            assert exact_sector_distance(inst, sector) == per_sector[sector]
+        res = exact_distance(inst)
+        sector = "X" if per_sector["X"][0] <= per_sector["Z"][0] else "Z"
+        assert (res.d_upper, res.witness, res.witness_sector) == (*per_sector[sector], sector)
 
 
 # -- parallel search streams against the sequential loop --------------------
