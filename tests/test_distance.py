@@ -290,20 +290,21 @@ def test_exact_combination_cap(monkeypatch):
 
 
 def _per_state_gray(kernel, sigs, n):
-    """Distance oracle: the one-state-at-a-time Gray sweep over all 2^m - 1
-    kernel combinations.
+    """Oracle: the one-state-at-a-time Gray sweep over all 2^m - 1 kernel
+    combinations.
 
-    Returns the lightest weight with a nonzero signature, n + 1 when none has.
+    Returns (weight, smallest integer) of the lightest combinations with a
+    nonzero signature, (n + 1, None) when none has one.
     """
-    best_w = n + 1
+    best = (n + 1, None)
     state = sig = 0
     for i in range(1, 1 << len(kernel)):
         j = (i & -i).bit_length() - 1
         state ^= kernel[j]
         sig ^= sigs[j]
         if sig:
-            best_w = min(best_w, state.bit_count())
-    return best_w
+            best = min(best, (state.bit_count(), state))
+    return best
 
 
 def _brute_sector_minimum(inst, sector):
@@ -361,8 +362,45 @@ def test_bz_minimum_matches_brute_force_on_random_kernels():
                 combos.append((x.bit_count(), x))
         expect = min(combos, default=(mat.ncols + 1, None))
         got = distance_mod._bz_minimum(kernel, sigs, mat.ncols)
-        assert got[:2] == expect
-        assert got[0] == _per_state_gray(kernel, sigs, mat.ncols)
+        assert got[:2] == expect == _per_state_gray(kernel, sigs, mat.ncols)
+
+
+def _limit_information_sets(monkeypatch, max_sets):
+    """Let Brouwer–Zimmermann use at most ``max_sets`` information sets (all
+    when None); returns the list of set counts it would have had."""
+    counts = []
+    full = distance_mod._information_sets
+
+    def limited(*args):
+        sets = full(*args)
+        counts.append(len(sets))
+        return sets[:max_sets]
+
+    monkeypatch.setattr(distance_mod, "_information_sets", limited)
+    return counts
+
+
+@pytest.mark.parametrize("max_sets", [1, 3, None])
+def test_blocked_gray_sweep_matches_per_state_sweep(monkeypatch, max_sets):
+    # (named for the blocked Gray sweep that the exact search once ran) fewer
+    # information sets only weaken the lower bound, so the search runs more
+    # levels and must still end at the per-state sweep's minimum and witness;
+    # kernels up to m = 16, unit signatures as in the classical distance
+    counts = _limit_information_sets(monkeypatch, max_sets)
+    rng = random.Random(2718 + (max_sets or 0))
+    for m in range(1, 17):
+        for _ in range(2):
+            mat = _matrix_with_kernel_dim(rng, m)
+            kernel = mat.nullspace()
+            assert len(kernel) == m
+            unit = [1 << j for j in range(m)]
+            value, witness = _per_state_gray(kernel, unit, mat.ncols)
+            got = exact_classical_distance(mat)
+            assert (got.value, got.witness) == (value, witness)
+            sigs = [rng.getrandbits(2) if rng.random() < 0.6 else 0 for _ in range(m)]
+            got = distance_mod._bz_minimum(kernel, sigs, mat.ncols)
+            assert got[:2] == _per_state_gray(kernel, sigs, mat.ncols)
+    assert max(counts) > (max_sets or 1)
 
 
 def _small_sector_instances():
@@ -395,15 +433,23 @@ def _bundled_small_fixtures():
     return out
 
 
-def test_exact_sector_distance_matches_per_state_sweep():
+@pytest.mark.parametrize("max_sets", [1, 3, None])
+def test_exact_sector_distance_matches_per_state_sweep(monkeypatch, max_sets):
     fixtures = _bundled_small_fixtures()
     assert len(fixtures) >= 3
+    counts = _limit_information_sets(monkeypatch, max_sets)
+    dims = set()
     for inst in fixtures + _small_sector_instances():
         for sector in ("X", "Z"):
             kernel, reps = logical_space(inst, sector)
+            dims.add(len(kernel))
             sigs = [reps.times_vector(v) for v in kernel]
-            d, _ = exact_sector_distance(inst, sector, cap_n=64)
-            assert d == _per_state_gray(kernel, sigs, inst.n)
+            expect = _per_state_gray(kernel, sigs, inst.n)
+            assert exact_sector_distance(inst, sector, cap_n=64) == expect
+    assert max(dims) > 12
+    # kernels of about half the qubits have at most three sets here; the
+    # random kernels above are where three sets get cut short
+    assert max(counts) > 1
 
 
 def test_exact_witness_is_smallest_lightest_logical():
