@@ -15,24 +15,21 @@ Matrices are stored bit-packed: each row is a Python int whose bit j is the
 entry in column j.  This keeps rank / kernel / row-space reduction allocation
 free and fast enough for exhaustive distance and barrier searches.
 
-Rank, residues and kernels all come from one cached reduced row-echelon
-form, with pivots taken at each row's top bit.  It is computed in two
-phases: a forward pass reduces each row only against the pivot bits it
-holds, and a single back-substitution in ascending pivot order then clears
-every pivot column from every other row, one XOR per cleared bit.  The
-reduced row-echelon form of a row space is unique, so the pivot rows, and
-the kernel basis read off them, do not depend on how the elimination is
-scheduled.
+Elimination takes pivots at each row's top bit.  The rank reads a cached
+forward echelon; residues and kernels read the reduced row-echelon form that
+one back-substitution builds from it.  That form is unique for a row space,
+so the kernel basis read off it does not depend on the elimination order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from .codes import ClassicalGenerator, CodeError, TwoBlockCode
-from .lattice import GroupPresentation, QuotientGroup, quotient
+from .lattice import GroupPresentation, QuotientGroup, quotient, quotient_shape
 from .poly import LaurentPoly
 
 __all__ = [
@@ -58,7 +55,7 @@ def parity_dot(a: int, b: int) -> int:
 class BinaryMatrix:
     """An immutable GF(2) matrix with bit-packed integer rows."""
 
-    __slots__ = ("rows", "ncols", "_piv", "_null")
+    __slots__ = ("rows", "ncols", "_ech", "_piv", "_null")
 
     def __init__(self, rows: Iterable[int], ncols: int):
         rows = tuple(int(r) for r in rows)
@@ -69,6 +66,7 @@ class BinaryMatrix:
                 raise ValueError("row has bits outside the declared width")
         self.rows = rows
         self.ncols = ncols
+        self._ech: dict[int, int] | None = None
         self._piv: dict[int, int] | None = None
         self._null: tuple[int, ...] | None = None
 
@@ -143,22 +141,13 @@ class BinaryMatrix:
 
     # -- linear algebra ----------------------------------------------------
 
-    def _pivots(self) -> dict[int, int]:
-        """Reduced row-echelon form: pivot rows keyed by pivot column (cached).
+    def _echelon(self) -> dict[int, int]:
+        """Forward echelon form: basis rows keyed by their top bit (cached).
 
-        Invariant: each row's top bit is its pivot column and no row contains
-        any other row's pivot column.
-
-        Two phases.  The forward phase reduces each incoming row against only
-        the pivot bits it holds (``cur & pivmask``), always clearing the
-        highest one, until none is left; a nonzero remainder joins the
-        echelon basis under its top bit.  Back-substitution then walks the
-        pivot columns in ascending order: the lower pivot rows are already
-        reduced, so each XOR clears exactly one pivot bit and sets no other.
-        The reduced row-echelon form of a row space is unique, so the result
-        does not depend on the row order or on how the phases are scheduled.
+        Each row is cleared of the pivot bits it holds (``cur & pivmask``),
+        highest first; a nonzero remainder joins the basis under its top bit.
         """
-        if self._piv is None:
+        if self._ech is None:
             echelon: dict[int, int] = {}
             pivmask = 0
             for cur in self.rows:
@@ -170,9 +159,23 @@ class BinaryMatrix:
                     c = cur.bit_length() - 1
                     echelon[c] = cur
                     pivmask |= 1 << c
+            self._ech = echelon
+        return self._ech
+
+    def _pivots(self) -> dict[int, int]:
+        """Reduced row-echelon form: pivot rows keyed by pivot column (cached).
+
+        Invariant: each row's top bit is its pivot column and no row contains
+        any other row's pivot column.  Back-substitution on the forward
+        echelon walks the pivot columns in ascending order: the lower pivot
+        rows are already reduced, so each XOR clears exactly one pivot bit
+        and sets no other.  The echelon is then released, so a matrix keeps
+        one elimination.
+        """
+        if self._piv is None:
+            pivmask = sum(1 << c for c in self._echelon())
             piv: dict[int, int] = {}
-            for c in sorted(echelon):
-                row = echelon[c]
+            for c, row in sorted(self._ech.items()):
                 hit = (row & pivmask) ^ (1 << c)
                 while hit:
                     t = hit.bit_length() - 1
@@ -180,10 +183,11 @@ class BinaryMatrix:
                     hit ^= 1 << t
                 piv[c] = row
             self._piv = piv
+            self._ech = None
         return self._piv
 
     def rank(self) -> int:
-        return len(self._pivots())
+        return len(self._piv if self._piv is not None else self._echelon())
 
     def residue(self, vec: int) -> int:
         """Reduce a bit-packed vector against this matrix's row space."""
@@ -390,34 +394,28 @@ def code_dimension(inst: CodeInstance) -> int:
 
 
 def tanner_component_count(inst: CodeInstance) -> int:
-    """Connected components of the Tanner graph on all checks and qubits."""
-    order = inst.group.order
-    n = inst.n
-    total = n + 2 * order  # qubits, then X checks, then Z checks
-    parent = list(range(total))
+    """Connected components of the Tanner graph: 2^e [G : <A - A, B - B>].
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for i, row in enumerate(inst.hx.rows):
-        while row:
-            low = row & -row
-            union(n + i, low.bit_length() - 1)
-            row ^= low
-    for i, row in enumerate(inst.hz.rows):
-        while row:
-            low = row & -row
-            union(n + order + i, low.bit_length() - 1)
-            row ^= low
-    return len({find(v) for v in range(total)})
+    A and B are the supports of f and g on G after colliding monomials
+    cancel (the X check at the identity); e of them are empty.  X_h meets
+    L_{h+a} and R_{h+b}, Z_h meets L_{h-b} and R_{h-a}: every edge keeps the
+    label X_h: h, L_q: q - a0, R_q: q - b0, Z_h: h - a0 - b0 in one coset,
+    and a coset's X checks join through the qubits.  An empty support cuts
+    the left block and X checks from the right block and Z checks.
+    """
+    group = inst.group
+    supports: tuple[list, list] = ([], [])
+    row = inst.hx.rows[0]
+    while row:
+        low = row & -row
+        block, idx = divmod(low.bit_length() - 1, group.order)
+        supports[block].append(group.index_coords(idx))
+        row ^= low
+    radices = group._radices
+    vectors = [[r * (i == j) for j in range(len(radices))] for i, r in enumerate(radices)]
+    for elems in supports:
+        vectors += [[x - y for x, y in zip(e, elems[0])] for e in elems[1:]]
+    return 2 ** supports.count([]) * prod(quotient_shape(vectors, len(radices))[1])
 
 
 # -- exports ---------------------------------------------------------------

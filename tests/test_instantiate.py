@@ -2,11 +2,18 @@
 
 import importlib
 import io
+import itertools
 import random
 
 import pytest
 
-from polyqec.codes import CodeError, classical, two_block
+from polyqec.codes import (
+    CodeError,
+    TwoBlockCode,
+    classical,
+    is_indecomposable_finite,
+    two_block,
+)
 from polyqec.instantiate import (
     BinaryMatrix,
     classical_parity_matrix,
@@ -18,7 +25,7 @@ from polyqec.instantiate import (
     write_matrix_market,
 )
 from polyqec.lattice import GroupPresentation, InfiniteQuotientError
-from polyqec.poly import VarContext
+from polyqec.poly import LaurentPoly, VarContext, parse_poly
 
 # the package re-exports the function ``instantiate`` under the module's name
 instantiate_mod = importlib.import_module("polyqec.instantiate")
@@ -146,6 +153,36 @@ def test_nullspace_equals_dense_rref_basis():
         assert basis == [_pack(v) for v in expected]
         basis.append(1)  # each call hands out a fresh list
         assert m.nullspace() == [_pack(v) for v in expected]
+
+
+def test_rank_runs_no_back_substitution():
+    for m in _rref_cases():  # fresh matrices, nothing cached yet
+        assert m.rank() == len(_dense_rref(m.to_dense(), m.ncols))
+        assert m._piv is None
+        assert m._ech is not None
+        m.residue(0)
+        assert m._piv is not None
+        assert m._ech is None  # the echelon is released once the RREF exists
+        assert m.rank() == len(m._piv)
+
+
+@pytest.mark.parametrize(
+    "order", list(itertools.permutations(("rank", "rref", "nullspace")))
+)
+def test_rank_rref_nullspace_agree_in_any_call_order(order):
+    for m in _rref_cases():
+        expected = _dense_rref(m.to_dense(), m.ncols)
+        answers = {
+            "rank": (m.rank, len(expected)),
+            "rref": (m._pivots, {c: _pack(row) for c, row in expected.items()}),
+            "nullspace": (
+                m.nullspace,
+                [_pack(v) for v in _dense_nullspace(expected, m.ncols)],
+            ),
+        }
+        for name in order:
+            call, want = answers[name]
+            assert call() == want
 
 
 def test_nullspace_spans_kernel():
@@ -328,6 +365,115 @@ def test_decomposable_code_splits_on_even_torus():
     assert tanner_component_count(even) == 2
     odd = instantiate(code, torus(code.context, 3, 5, 7))
     assert tanner_component_count(odd) == 1
+
+
+# -- Tanner components ----------------------------------------------------
+
+
+def _union_find_components(inst):
+    """Per-bit union-find over qubits, X checks and Z checks: the oracle."""
+    order = inst.group.order
+    n = inst.n
+    total = n + 2 * order  # qubits, then X checks, then Z checks
+    parent = list(range(total))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for offset, matrix in ((n, inst.hx), (n + order, inst.hz)):
+        for i, row in enumerate(matrix.rows):
+            while row:
+                low = row & -row
+                ra, rb = find(offset + i), find(low.bit_length() - 1)
+                parent[ra] = rb
+                row ^= low
+    return len({find(v) for v in range(total)})
+
+
+def _random_poly(rng, ctx, span):
+    terms = {
+        tuple(rng.randint(-span, span) for _ in range(ctx.dim))
+        for _ in range(rng.randint(1, 4))
+    }
+    return LaurentPoly(ctx, frozenset(terms))
+
+
+def _random_boundary(rng, ctx):
+    """A plain torus, or a twisted one: x_i^{L_i} = x_{i+1}^{s_i}, last x^L = 1."""
+    sizes = [rng.randint(1, 4) for _ in range(ctx.dim)]
+    if rng.random() < 0.5:
+        return torus(ctx, *sizes)
+    rels = []
+    for i, size in enumerate(sizes):
+        rel = [0] * ctx.dim
+        rel[i] = size
+        if i + 1 < ctx.dim:
+            rel[i + 1] = -rng.randint(0, 3)
+        rels.append(tuple(rel))
+    return GroupPresentation(ctx, tuple(rels))
+
+
+def _random_instances(seed, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        ctx = VarContext(tuple("xyz"[: rng.choice((2, 3))]))
+        code = TwoBlockCode(ctx, _random_poly(rng, ctx, 3), _random_poly(rng, ctx, 3))
+        pres = _random_boundary(rng, ctx)
+        yield code, pres, instantiate(code, pres)
+
+
+def test_tanner_components_match_union_find():
+    cancelled = {0: 0, 1: 0, 2: 0}  # generators cancelled on G -> instances
+    for code, pres, inst in _random_instances(5150, 400):
+        row = inst.hx.rows[0]
+        order = inst.group_order
+        cancelled[(row & ((1 << order) - 1) == 0) + (row >> order == 0)] += 1
+        assert tanner_component_count(inst) == _union_find_components(inst), (code, pres)
+    # every regime is exercised: no, one and both generators cancelled
+    assert min(cancelled.values()) > 0, cancelled
+
+
+def test_tanner_components_worked_cases():
+    ctx = VarContext(("x", "y"))
+    pres = GroupPresentation(ctx, ((2, 0), (0, 3)))
+    trivial = torus(ctx, 1, 1)
+    f = "x + x^3"  # x and x^3 meet on x^2 = 1 and cancel
+    cases = [
+        # <B - B> = <xy> is all of G: index 1, doubled because f is gone
+        (f, "1 + x*y", pres, 2),
+        # <B - B> = <y> has index 2, doubled
+        (f, "1 + y", pres, 4),
+        # <B - B> = <x> has index 3, doubled
+        (f, "1 + x", pres, 6),
+        # y and y^4 cancel on y^3 = 1 as well: 4|G| isolated nodes
+        (f, "y + y^4", pres, 24),
+        # the trivial group: no coordinates at all
+        ("1 + x + y", "y", trivial, 1),
+        ("1 + x + y", "1 + y", trivial, 2),
+        ("1 + x", "1 + y", trivial, 4),
+    ]
+    for fs, gs, p, expected in cases:
+        inst = instantiate(TwoBlockCode(ctx, parse_poly(fs, ctx), parse_poly(gs, ctx)), p)
+        assert tanner_component_count(inst) == expected, (fs, gs)
+        assert _union_find_components(inst) == expected, (fs, gs)
+
+
+def test_tanner_components_agree_with_indecomposability():
+    seen = {True: 0, False: 0}
+    for code, pres, inst in _random_instances(6021, 300):
+        group = inst.group
+        if any(
+            len({group.reduce(t) for t in poly.terms}) < len(poly.terms)
+            for poly in (code.f, code.g)
+        ):
+            continue  # a collision: the effective supports differ from the symbols
+        connected = tanner_component_count(inst) == 1
+        assert connected == is_indecomposable_finite(code, pres), (code, pres)
+        seen[connected] += 1
+    assert min(seen.values()) > 0, seen
 
 
 def test_classical_triangle_generator_kernels():
