@@ -17,13 +17,14 @@ been seen by then, and the witness is the smallest integer among them,
 whatever the basis or the visiting order.  The work is capped per sector in
 combinations (``_COMBINATION_CAP``), checked before each level starts.
 
-At practical sizes a seeded information-set search gives upper bounds:
-repeatedly re-eliminate the kernel basis along a random column order and
-inspect the resulting sparse-ish rows (and sums of light row pairs) for
-low-weight logical operators.  Its worker streams run in parallel processes
-once the job is large enough to pay for the round trip; they are merged in
-worker order, so the result is the one a sequential run of the streams
-gives.
+At practical sizes a seeded information-set walk gives upper bounds: each
+worker stream keeps the kernel basis of each sector in Gauss–Jordan form,
+moves it to a neighbouring information set by random pivot swaps every round
+(``_InformationSetWalk``), and inspects the rows (and sums of light row
+pairs) for low-weight logical operators.  The worker streams run in parallel
+processes once the job is large enough to pay for the round trip; they are
+merged in worker order, so the result is the one a sequential run of the
+streams gives.
 
 Sector conventions, held by ``_sector_checks`` alone: an X-type logical is v
 with HZ*v = 0 and v outside the row space of HX; symmetrically for Z.  The
@@ -39,6 +40,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 from math import comb
 
 from .instantiate import BinaryMatrix, CodeInstance
@@ -58,8 +60,9 @@ __all__ = [
 
 EXACT_CAP_DEFAULT = 28
 _COMBINATION_CAP = 1 << 26  # kernel combinations one exact sector may visit
-# trials x kernel dimension below which search streams stay in-process: a few
-# tens of ms of search, where a pool round trip (a few ms) stops paying off
+# trials x kernel dimension below which search streams stay in-process: about
+# 10-20 ms of search on bb144 and bb288, where a pool round trip (a few ms)
+# stops paying off; the first elimination of each stream dominates there
 _POOL_MIN_WORK = 1 << 18
 
 
@@ -79,7 +82,7 @@ class DistanceResult:
     d_lower: int | None
     witness: int | None
     witness_sector: str | None
-    method: str  # "exact-brouwer-zimmermann" | "random-information-set"
+    method: str  # "exact-brouwer-zimmermann" | "random-information-set-walk"
     trials: int | None = None
     seed: int | None = None
     workers: int | None = None
@@ -160,26 +163,33 @@ def validate_logical_witness(inst: CodeInstance, witness: int, sector: str) -> N
         raise DistanceError("witness is a stabilizer, not a logical operator")
 
 
-def _eliminate(rows: list[int], row_sigs: list[int], columns: list[int]) -> int:
-    """Gauss–Jordan on ``rows`` in place, signatures alongside, pivoting on
-    ``columns`` in the given order; returns the pivot columns as a mask.
+def _pivot(rows: list[int], r: int, bit: int) -> None:
+    """One Gauss–Jordan pivot step: add ``rows[r]`` to every other row that
+    holds ``bit``, so ``rows[r]`` alone holds it."""
+    p = rows[r]
+    rows[:] = [x ^ p if x & bit else x for x in rows]
+    rows[r] = p
+
+
+def _eliminate(rows: list[int], columns: list[int]) -> int:
+    """Gauss–Jordan on ``rows`` in place, pivoting on ``columns`` in the given
+    order; returns the pivot columns as a mask.
 
     Pivot rows come first and each holds exactly one pivot column; the rows
-    after them hold none.
+    after them hold none.  Bits above every column, such as a signature
+    packed above the qubit columns, ride along with their row.
     """
     m = len(rows)
     r = pivots = 0
     for col in columns:
         bit = 1 << col
-        pivot = next((t for t in range(r, m) if rows[t] & bit), None)
-        if pivot is None:
+        for t in range(r, m):
+            if rows[t] & bit:
+                break
+        else:
             continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        row_sigs[r], row_sigs[pivot] = row_sigs[pivot], row_sigs[r]
-        for t in range(m):
-            if t != r and rows[t] & bit:
-                rows[t] ^= rows[r]
-                row_sigs[t] ^= row_sigs[r]
+        rows[r], rows[t] = rows[t], rows[r]
+        _pivot(rows, r, bit)
         pivots |= bit
         r += 1
         if r == m:
@@ -197,14 +207,13 @@ def _information_sets(
     s rows holds at least s - (m - rank) of the set's columns.  Non-pivot
     columns stay free for later sets.
     """
-    rows, row_sigs = list(kernel), list(sigs)
+    rows = [v | s << n for v, s in zip(kernel, sigs)]
+    full = (1 << n) - 1
     used = 0
     sets = []
-    while pivots := _eliminate(
-        rows, row_sigs, [c for c in range(n) if not used >> c & 1]
-    ):
+    while pivots := _eliminate(rows, [c for c in range(n) if not used >> c & 1]):
         used |= pivots
-        sets.append((list(rows), list(row_sigs), pivots.bit_count()))
+        sets.append(([x & full for x in rows], [x >> n for x in rows], pivots.bit_count()))
     return sets
 
 
@@ -319,27 +328,56 @@ def exact_distance(inst: CodeInstance, *, cap_n: int = EXACT_CAP_DEFAULT) -> Dis
     )
 
 
-def _information_set_round(
-    rng: random.Random,
-    kernel: list[int],
-    sigs: list[int],
-    n: int,
-    pair_pool: int,
-):
-    """One re-elimination round; yields (mask, sig) candidates in fixed order."""
-    rows = list(kernel)
-    row_sigs = list(sigs)
-    m = len(rows)
-    order = list(range(n))
-    rng.shuffle(order)
-    _eliminate(rows, row_sigs, order)
-    for mask, s in zip(rows, row_sigs):
-        yield mask, s
-    light = sorted(range(m), key=lambda t: rows[t].bit_count())[:pair_pool]
-    for a in range(len(light)):
-        for b in range(a + 1, len(light)):
-            ta, tb = light[a], light[b]
-            yield rows[ta] ^ rows[tb], row_sigs[ta] ^ row_sigs[tb]
+class _InformationSetWalk:
+    """A walk over information sets of one sector's kernel (Canteaut &
+    Chabaud 1998).
+
+    ``rows`` is a basis of ker(checks), each vector v packed with its
+    signature as v | R*v << n, in Gauss–Jordan form on the columns of
+    ``pivots``: every row holds exactly one of them.  ``free`` lists the
+    non-pivot columns some row holds, the columns a swap can bring in.  The
+    first round eliminates along a shuffled column order; every later round
+    first makes max(1, m // 8) pivot swaps.  A swap draws a free column j
+    and a row i that holds it, uniformly over such pairs, and pivots row i
+    on j in place of its old pivot column, which becomes free.  When no row
+    holds a non-pivot column there is no swap to make, and the walk stays
+    where it is.
+    """
+
+    def __init__(self, rng: random.Random, kernel: list[int], sigs: list[int], n: int):
+        self.rng, self.n = rng, n
+        self.rows = [v | s << n for v, s in zip(kernel, sigs)]
+        self.pivots = 0
+        self.free: list[int] | None = None  # None until the first round
+
+    def round(self, pair_pool: int) -> list[int]:
+        """Move to the next information set and return its candidates in
+        fixed order: the m rows, then the sums of pairs of the ``pair_pool``
+        lightest rows.  Each is a packed kernel element."""
+        rows, n, rng, free = self.rows, self.n, self.rng, self.free
+        if free is None:
+            order = list(range(n))
+            rng.shuffle(order)
+            self.pivots = _eliminate(rows, order)
+            support = 0
+            for x in rows:
+                support |= x
+            nonpivot = support & ~self.pivots
+            self.free = [c for c in range(n) if nonpivot >> c & 1]
+        elif free:
+            for _ in range(max(1, len(rows) // 8)):
+                while True:  # ends: every free column is held by some row
+                    u, i = rng.randrange(len(free)), rng.randrange(len(rows))
+                    if rows[i] >> free[u] & 1:
+                        break
+                bit = 1 << free[u]
+                old = rows[i] & self.pivots
+                self.pivots ^= old | bit
+                free[u] = old.bit_length() - 1
+                _pivot(rows, i, bit)
+        full = (1 << n) - 1
+        light = sorted(rows, key=lambda x: (x & full).bit_count())[:pair_pool]
+        return rows + [a ^ b for a, b in combinations(light, 2)]
 
 
 def _stream(
@@ -352,24 +390,26 @@ def _stream(
 ) -> tuple[int, int | None, str | None]:
     """(best_w, best, best_sector) of one worker stream of ``budget`` trials.
 
-    The first candidate of the lowest weight wins; weights of n and above
-    never count, so a stream that finds nothing returns (n, None, None).
+    The stream walks each sector's information sets, the sectors taking
+    rounds in turn.  The first candidate of the lowest weight wins; weights
+    of n and above never count, so a stream that finds nothing returns
+    (n, None, None).
     """
     rng = random.Random(seed * 0x9E3779B1 + widx)
+    walks = {s: _InformationSetWalk(rng, *spaces[s], n) for s in ("X", "Z")}
+    full = (1 << n) - 1
     best_w, best, best_sector = n, None, None
     examined = 0
     round_idx = 0
     while examined < budget:
         sector = "X" if round_idx % 2 == 0 else "Z"
-        kernel, sigs = spaces[sector]
-        for mask, sig in _information_set_round(rng, kernel, sigs, n, pair_pool):
-            examined += 1
-            if sig and mask:
-                w = mask.bit_count()
-                if w < best_w:
-                    best_w, best, best_sector = w, mask, sector
-            if examined >= budget:
-                break
+        found = walks[sector].round(pair_pool)[: budget - examined]
+        examined += len(found)
+        # a candidate counts only with a nonzero signature, i.e. as a logical
+        weights = [(x & full).bit_count() if x >> n else n for x in found]
+        w = min(weights)
+        if w < best_w:
+            best_w, best, best_sector = w, found[weights.index(w)] & full, sector
         round_idx += 1
     return best_w, best, best_sector
 
@@ -412,7 +452,7 @@ def random_upper_bound(
     workers: int = 1,
     pair_pool: int = 16,
 ) -> DistanceResult:
-    """Randomized information-set upper bound on the code distance.
+    """Randomized upper bound on the code distance by information-set walks.
 
     A trial is one candidate codeword examined.  The search is deterministic
     given (seed, trials, workers): each worker runs an independent stream
@@ -458,7 +498,7 @@ def random_upper_bound(
         d_lower=None,
         witness=best,
         witness_sector=best_sector,
-        method="random-information-set",
+        method="random-information-set-walk",
         trials=trials,
         seed=seed,
         workers=workers,

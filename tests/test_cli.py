@@ -233,12 +233,29 @@ def test_distance_randomized_carries_seed_and_trials(capsys):
     )
     assert code == 0
     res = doc["result"]
-    assert res["method"] == "random-information-set"
+    assert res["method"] == "random-information-set-walk"
     assert "combinations" not in res
     assert res["trials"] == 400
     assert res["search_seed"] == 3
     assert doc["seed"] == 3
     assert res["d_upper"] == 4  # 4x4 torus
+
+
+def test_distance_randomized_when_both_generators_cancel(capsys, tmp_path):
+    # f = x + x^3 and g = y + y^4 vanish on x^2 = y^3 = 1: every qubit is a
+    # pivot of the kernel, so the search has no pivot swap to make
+    spec = tmp_path / "cancel.code"
+    spec.write_text(
+        "[code]\nvariables = x y\nf = x + x^3\ng = y + y^4\n\n"
+        "[boundary]\nx^2 = 1\ny^3 = 1\n",
+        encoding="utf-8",
+    )
+    code, doc = run_json(
+        capsys, "distance", str(spec), "--method", "random", "--trials", "500"
+    )
+    assert code == 0
+    assert doc["result"]["d_upper"] == 1
+    assert doc["result"]["method"] == "random-information-set-walk"
 
 
 def test_distance_classical(capsys):

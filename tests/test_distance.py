@@ -475,20 +475,23 @@ def _sequential_upper_bound(inst, trials, seed, workers, pair_pool=16):
     for sector in ("X", "Z"):
         kernel, reps = logical_space(inst, sector)
         spaces[sector] = (kernel, [reps.times_vector(v) for v in kernel])
-    best_w, best, best_sector = inst.n, None, None
+    n = inst.n
+    best_w, best, best_sector = n, None, None
     share, remainder = divmod(trials, workers)
     for widx in range(workers):
         budget = share + (1 if widx < remainder else 0)
         if budget == 0:
             continue
         rng = random.Random(seed * 0x9E3779B1 + widx)
+        walks = {
+            sector: distance_mod._InformationSetWalk(rng, *spaces[sector], n)
+            for sector in ("X", "Z")
+        }
         examined = round_idx = 0
         while examined < budget:
             sector = "X" if round_idx % 2 == 0 else "Z"
-            kernel, sigs = spaces[sector]
-            for mask, sig in distance_mod._information_set_round(
-                rng, kernel, sigs, inst.n, pair_pool
-            ):
+            for packed in walks[sector].round(pair_pool):
+                mask, sig = packed & ((1 << n) - 1), packed >> n
                 examined += 1
                 if sig and mask and mask.bit_count() < best_w:
                     best_w, best, best_sector = mask.bit_count(), mask, sector
@@ -497,7 +500,7 @@ def _sequential_upper_bound(inst, trials, seed, workers, pair_pool=16):
             round_idx += 1
     return distance_mod.DistanceResult(
         d_upper=best_w, d_lower=None, witness=best, witness_sector=best_sector,
-        method="random-information-set", trials=trials, seed=seed, workers=workers,
+        method="random-information-set-walk", trials=trials, seed=seed, workers=workers,
     )
 
 
@@ -535,6 +538,55 @@ def test_parallel_streams_match_sequential_loop(monkeypatch, in_pool):
     # a lone stream or an empty budget never needs a pool
     multi = sum(min(trials, workers) > 1 for trials, workers in cases)
     assert len(pooled) == (len(instances) * multi if in_pool else 0)
+
+
+# -- the information-set walk behind the randomized search ------------------
+
+
+def _assert_walk_invariants(walk, inst, sector):
+    """The walk's rows are a basis of ker(checks) in Gauss–Jordan form on its
+    pivots, each carrying its true signature, and ``free`` is the rest of the
+    kernel's support."""
+    checks, _ = distance_mod._sector_checks(inst, sector)
+    _, reps = logical_space(inst, sector)
+    n, full, rows, pivots = inst.n, (1 << inst.n) - 1, walk.rows, walk.pivots
+    held = [x & pivots for x in rows]
+    assert all(h.bit_count() == 1 for h in held) and sum(held) == pivots
+    masks = [x & full for x in rows]
+    assert BinaryMatrix(masks, n).rank() == len(rows) == pivots.bit_count()
+    support = 0
+    for x, v in zip(rows, masks):
+        assert not checks.times_vector(v)
+        assert x >> n == reps.times_vector(v)
+        support |= v
+    assert sorted(walk.free) == [c for c in range(n) if (support & ~pivots) >> c & 1]
+
+
+def test_walk_rounds_stay_systematic_kernel_bases():
+    instances = _search_instances()[:3]  # gross, toric, haah
+    rng = random.Random(1998)
+    while len(instances) < 53:
+        inst = _random_small_instance(rng)
+        if inst is not None:
+            instances.append(inst)
+    for idx, inst in enumerate(instances):
+        for sector in ("X", "Z"):
+            kernel, reps = logical_space(inst, sector)
+            sigs = [reps.times_vector(v) for v in kernel]
+            walk = distance_mod._InformationSetWalk(random.Random(idx), kernel, sigs, inst.n)
+            for _ in range(4):
+                found = walk.round(16)
+                assert found[: len(kernel)] == walk.rows
+                _assert_walk_invariants(walk, inst, sector)
+
+
+def test_walk_without_a_legal_swap_stays_put():
+    # column 2 is no pivot, but no kernel vector holds it: no swap can bring
+    # it in, so the walk must stop swapping rather than look for one
+    walk = distance_mod._InformationSetWalk(random.Random(0), [0b001, 0b010], [1, 2], 3)
+    first = walk.round(16)
+    assert walk.pivots == 0b011 and walk.free == []
+    assert walk.round(16) == first == [0b1001, 0b10010, 0b11011]
 
 
 def _full_logical_space(inst, sector):
