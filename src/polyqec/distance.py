@@ -124,8 +124,9 @@ def logical_space(inst: CodeInstance, sector: str) -> tuple[list[int], BinaryMat
     """
     checks, stabilizers = _sector_checks(inst, sector)
     kernel = checks.nullspace()
-    # representatives: kernel of the stabilizers modulo the check rows
-    piv: dict[int, int] = {}
+    # representatives: kernel of the stabilizers modulo the check rows, reduced
+    # against the checks' own reduced rows (``nullspace`` has just built them)
+    piv = dict(checks._pivots())
 
     def reduce_top(v: int) -> int:
         cur = v
@@ -136,10 +137,6 @@ def logical_space(inst: CodeInstance, sector: str) -> tuple[list[int], BinaryMat
             cur ^= piv[c]
         return 0
 
-    for row in checks.rows:
-        res = reduce_top(row)
-        if res:
-            piv[res.bit_length() - 1] = res
     reps = []
     k = inst.k()
     for v in stabilizers.nullspace():

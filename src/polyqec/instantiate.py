@@ -12,8 +12,10 @@ check and one Z check per group element acting on two qubit blocks of size
 Coefficients add mod 2, so monomials that collide on the finite group cancel.
 
 Matrices are stored bit-packed: each row is a Python int whose bit j is the
-entry in column j.  This keeps rank / kernel / row-space reduction allocation
-free and fast enough for exhaustive distance and barrier searches.
+entry in column j, so a row operation is one big-int XOR.  Columns are read
+without a per-bit walk: a block of rows is written as one binary string, and
+column j of the block is a strided slice of it, parsed back with ``int``
+(``_columns``).  ``transpose`` and ``nullspace`` both read columns this way.
 
 Elimination takes pivots at each row's top bit.  The rank reads a cached
 forward echelon; residues and kernels read the reduced row-echelon form that
@@ -50,6 +52,28 @@ GROUP_ORDER_CAP = 1 << 20  # largest group order for which matrices are built
 def parity_dot(a: int, b: int) -> int:
     """GF(2) inner product of two bit-packed vectors."""
     return (a & b).bit_count() & 1
+
+
+_COLUMN_BLOCK = 256  # rows written to one string by ``_columns``
+
+
+def _columns(rows: Sequence[int], ncols: int, wanted: Sequence[int]) -> list[int]:
+    """Columns ``wanted`` of bit-packed rows of width ``ncols``, bit-packed:
+    bit i of the column for j is bit j of ``rows[i]``.
+
+    Each block of ``_COLUMN_BLOCK`` rows is written as one string of
+    ``ncols``-digit binary rows, last row first.  Column j of the block is
+    then the slice ``text[ncols - 1 - j :: ncols]``, its first character the
+    block's last row, so ``int(slice, 2)`` is the column with bit 0 at the
+    block's first row; it is shifted to the block's offset.
+    """
+    cols = [0] * len(wanted)
+    fmt = f"0{ncols}b"
+    for start in range(0, len(rows), _COLUMN_BLOCK):
+        text = "".join(format(r, fmt) for r in reversed(rows[start : start + _COLUMN_BLOCK]))
+        for idx, j in enumerate(wanted):
+            cols[idx] |= int(text[ncols - 1 - j :: ncols], 2) << start
+    return cols
 
 
 class BinaryMatrix:
@@ -120,13 +144,8 @@ class BinaryMatrix:
         return not any(self.rows)
 
     def transpose(self) -> BinaryMatrix:
-        cols = [0] * self.ncols
-        for i, r in enumerate(self.rows):
-            while r:
-                low = r & -r
-                cols[low.bit_length() - 1] |= 1 << i
-                r ^= low
-        return BinaryMatrix(cols, len(self.rows))
+        """The transpose: row j is column j, read by ``_columns``."""
+        return BinaryMatrix(_columns(self.rows, self.ncols, range(self.ncols)), self.nrows)
 
     def hstack(self, other: BinaryMatrix) -> BinaryMatrix:
         if other.nrows != self.nrows:
@@ -207,20 +226,19 @@ class BinaryMatrix:
         """Basis of {x : every row r has parity(r & x) = 0}, bit-packed (cached).
 
         One vector per free (non-pivot) column j, in ascending j: bit j plus
-        the pivot column of every reduced row that holds bit j.
+        the pivot column of every reduced row that holds bit j.  With each
+        reduced row, minus its pivot bit, placed at the index of its pivot
+        column (0 at free columns), that set of pivot columns is column j of
+        an ncols x ncols matrix, which ``_columns`` reads for the free j only.
         """
         if self._null is None:
             piv = self._pivots()
-            pivot_cols = [0] * self.ncols
+            placed = [0] * self.ncols
             for c, r in piv.items():
-                rest = r ^ (1 << c)
-                while rest:
-                    j = rest.bit_length() - 1
-                    pivot_cols[j] |= 1 << c
-                    rest ^= 1 << j
-            self._null = tuple(
-                pivot_cols[j] | (1 << j) for j in range(self.ncols) if j not in piv
-            )
+                placed[c] = r ^ (1 << c)
+            free = [j for j in range(self.ncols) if j not in piv]
+            cols = _columns(placed, self.ncols, free)
+            self._null = tuple(col | (1 << j) for col, j in zip(cols, free))
         return list(self._null)
 
     def times_vector(self, vec: int) -> int:

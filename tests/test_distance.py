@@ -1,7 +1,7 @@
 """Tests for exact and randomized distance search."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -632,3 +632,26 @@ def test_logical_space_stops_at_k_with_the_same_answer():
                 assert reps.nrows == inst.k()
         seen.add(name)
     assert len(seen) >= 10
+
+
+def test_logical_space_matches_check_row_reduction_on_random_tori():
+    rng = random.Random(1212)
+    big = 0
+    for trial in range(40):
+        ctx = VarContext(tuple("xyz"[: rng.choice((2, 3))]))
+        cube = list(product(range(-3, 4), repeat=ctx.dim))
+        # an even number of terms makes both generators vanish at the trivial
+        # character, so every instance has k >= 2
+        f, g = (LaurentPoly(ctx, frozenset(rng.sample(cube, rng.choice((2, 4)))))
+                for _ in range(2))
+        if trial % 5 == 0:  # tori past one 256-row block of columns
+            sizes = [rng.choice((12, 14, 16)), rng.choice((12, 14, 16))] + [1] * (ctx.dim - 2)
+        else:
+            sizes = [rng.randint(1, 5) for _ in range(ctx.dim)]
+        inst = instantiate(TwoBlockCode(ctx, f, g), torus(ctx, *sizes))
+        for sector in ("X", "Z"):
+            kernel, reps = logical_space(inst, sector)
+            assert (kernel, list(reps.rows)) == _full_logical_space(inst, sector)
+            assert reps.nrows == inst.k()
+        big += inst.n > 256 and inst.k() > 0
+    assert big >= 4

@@ -233,6 +233,89 @@ def test_transpose_involution_and_product():
         a @ a
 
 
+def _bitwalk_transpose(m):
+    """Reference: the per-bit transpose (each set bit of row i goes to its column)."""
+    cols = [0] * m.ncols
+    for i, r in enumerate(m.rows):
+        while r:
+            low = r & -r
+            cols[low.bit_length() - 1] |= 1 << i
+            r ^= low
+    return BinaryMatrix(cols, m.nrows)
+
+
+def _bitwalk_nullspace(m):
+    """Reference: the per-bit kernel walk over the non-pivot bits of the RREF."""
+    piv = m._pivots()
+    pivot_cols = [0] * m.ncols
+    for c, r in piv.items():
+        rest = r ^ (1 << c)
+        while rest:
+            j = rest.bit_length() - 1
+            pivot_cols[j] |= 1 << c
+            rest ^= 1 << j
+    return [pivot_cols[j] | (1 << j) for j in range(m.ncols) if j not in piv]
+
+
+def _block_edge_cases():
+    """Seeded matrices on both sides of the 256-row block edge: random,
+    all-zero, identity-like and rank-deficient, plus the degenerate shapes."""
+    rng = random.Random(2026)
+    cases = [BinaryMatrix([], 0), BinaryMatrix([], 5), BinaryMatrix([0] * 5, 0),
+             BinaryMatrix([1], 1), BinaryMatrix([0], 1)]
+    for nrows in (255, 256, 257):
+        for ncols in (1, 7, 8, 9, 300, 513):
+            base = [rng.getrandbits(ncols) for _ in range(max(1, ncols // 3))]
+            deficient = []
+            for _ in range(nrows):
+                combo = 0
+                for b in base:
+                    if rng.random() < 0.5:
+                        combo ^= b
+                deficient.append(combo)
+            cases += [
+                BinaryMatrix([rng.getrandbits(ncols) for _ in range(nrows)], ncols),
+                BinaryMatrix.zeros(nrows, ncols),
+                BinaryMatrix([1 << (i % ncols) for i in range(nrows)], ncols),
+                BinaryMatrix(deficient, ncols),
+            ]
+    for n in (255, 256, 257):
+        cases.append(BinaryMatrix.identity(n))
+    return cases
+
+
+def test_column_reader_matches_bit_walks_across_the_block_edge():
+    assert instantiate_mod._COLUMN_BLOCK == 256
+    for m in _block_edge_cases():
+        t = m.transpose()
+        assert t == _bitwalk_transpose(m), m
+        assert t.shape == (m.ncols, m.nrows)
+        assert t.transpose() == m
+        assert m.nullspace() == _bitwalk_nullspace(m), m
+
+
+def test_column_reader_reads_any_wanted_columns():
+    rng = random.Random(77)
+    for nrows, ncols in ((1, 1), (255, 9), (257, 300), (513, 8), (600, 513)):
+        rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+        full = _bitwalk_transpose(BinaryMatrix(rows, ncols)).rows
+        wanted = rng.sample(range(ncols), min(ncols, 40))
+        assert instantiate_mod._columns(rows, ncols, wanted) == [full[j] for j in wanted]
+        assert instantiate_mod._columns(rows, ncols, []) == []
+
+
+def test_kernel_basis_properties_across_the_block_edge():
+    for m in _block_edge_cases():
+        basis = m.nullspace()
+        piv = m._pivots()
+        free = [j for j in range(m.ncols) if j not in piv]
+        free_mask = sum(1 << j for j in free)
+        assert len(basis) == m.ncols - m.rank() == len(free)
+        for v, j in zip(basis, free):  # ascending free columns, each its own
+            assert v & free_mask == 1 << j
+            assert m.times_vector(v) == 0
+
+
 def test_times_vector_matches_matmul():
     rng = random.Random(12)
     for _ in range(30):
