@@ -9,13 +9,16 @@ import pytest
 
 from polyqec.codes import (
     CodeError,
+    ClassicalGenerator,
     TwoBlockCode,
     classical,
     is_indecomposable_finite,
     two_block,
 )
+from polyqec.fixtures import fixture_names, load_fixture
 from polyqec.instantiate import (
     BinaryMatrix,
+    CodeInstance,
     classical_parity_matrix,
     code_dimension,
     instantiate,
@@ -24,7 +27,7 @@ from polyqec.instantiate import (
     write_coordinate_text,
     write_matrix_market,
 )
-from polyqec.lattice import GroupPresentation, InfiniteQuotientError
+from polyqec.lattice import GroupPresentation, InfiniteQuotientError, quotient
 from polyqec.poly import LaurentPoly, VarContext, parse_poly
 
 # the package re-exports the function ``instantiate`` under the module's name
@@ -403,6 +406,112 @@ def test_instantiation_matches_direct_modular_construction():
                     col = N + ((i - e1) % L1) * L2 + (j - e2) % L2
                     expect_z[h][col] ^= 1
         assert inst.hz.to_dense() == expect_z
+
+
+def _translation_table_rows(group, blocks):
+    """Per-monomial construction: row h gets bit (h * m) + b|G| for every
+    monomial m of blocks[b], read from ``group.translation(m)``: the oracle."""
+    order = group.order
+    rows = [0] * order
+    for b, poly in enumerate(blocks):
+        for m in poly.sorted_terms():
+            table = group.translation(m)
+            for h in range(order):
+                rows[h] ^= 1 << (table[h] + b * order)
+    return rows
+
+
+def _builder_cases():
+    """(generators, presentation) pairs: a classical generator or a two-block code."""
+    for name in fixture_names():
+        spec = load_fixture(name)
+        gen = spec.classical_generator() if spec.is_classical else spec.two_block()
+        yield gen, spec.presentation()
+    xy = VarContext(("x", "y"))
+    gross = two_block("x y", "x^3 + y + y^2", "y^3 + x + x^2")
+    plain_and_twisted = [
+        (two_block("x", "1 + x + x^-3", "x^2 + x^5"), ((7,),)),
+        (gross, ((6, 0), (0, 4))),
+        (gross, ((6, -2), (0, 4))),  # x^6 = y^2
+        (gross, ((3, 0), (1, 5))),  # y^5 = x^-1
+        (two_block("x y z", "1 + x + y*z^-1", "z + x^2*y"), ((2, 0, 0), (0, 3, 0), (0, 0, 4))),
+        (two_block("x y z", "1 + x + y*z^-1", "z + x^2*y"), ((3, -1, 0), (0, 2, -1), (0, 0, 4))),
+        (two_block("x y z", "1 + x + y + z", "1 + x*y + x*z + y*z"), ((1, 1, 4), (0, 3, 0), (0, 0, 2))),
+        # radix-1 factors, and the trivial group
+        (gross, ((2, 0), (0, 1))),
+        (gross, ((1, 0), (0, 3))),
+        (gross, ((1, 0), (0, 1))),
+        # x and x^3 meet on x^2 = 1 and cancel; y^2 and y^-1 on y^3 = 1
+        (two_block("x y", "x + x^3 + y", "y^2 + y^-1 + x*y"), ((2, 0), (0, 3))),
+        (two_block("x y", "x + x^3", "y^2 + y^-1"), ((2, 0), (0, 3))),
+        (gross, ((48, 0), (0, 48))),  # |G| = 2304
+    ]
+    for code, rels in plain_and_twisted:
+        yield code, GroupPresentation(code.context, rels)
+    yield classical("x y", "1 + x + y"), torus(xy, 5, 3)
+    rng = random.Random(1303)
+    ctx = VarContext(("w", "x", "y", "z"))
+    for _ in range(12):
+        code = TwoBlockCode(ctx, _random_poly(rng, ctx, 3), _random_poly(rng, ctx, 3))
+        if code.f.is_zero or code.g.is_zero:
+            continue
+        yield code, _random_boundary(rng, ctx)
+
+
+def test_translate_builder_matches_translation_tables():
+    seen = set()
+    for gen, pres in _builder_cases():
+        group = quotient(pres)
+        seen.add(group.order)
+        if isinstance(gen, ClassicalGenerator):
+            polys = (gen.poly,)
+        else:
+            inst = instantiate(gen, pres)
+            f, g = gen.f, gen.g
+            assert list(inst.hx.rows) == _translation_table_rows(group, (f, g)), (gen, pres)
+            assert list(inst.hz.rows) == _translation_table_rows(
+                group, (g.antipode(), f.antipode())
+            ), (gen, pres)
+            polys = (f, g)
+        for poly in polys:
+            assert list(classical_parity_matrix(poly, pres).rows) == _translation_table_rows(
+                group, (poly,)
+            ), (poly, pres)
+    assert {1, 2, 3, 2304} <= seen
+
+
+def _oddly_meeting_instance(inst):
+    """``inst`` with one bit of X check 0 added to a Z check at an offset
+    that is not a product of monomials of f and g, chosen so that no X check
+    at a candidate offset of the changed Z check holds that bit."""
+    group, code = inst.group, inst.code
+    candidates = {
+        group.reduce(tuple(a + b for a, b in zip(m, n)))
+        for m in code.f.terms
+        for n in code.g.terms
+    }
+    bit = inst.hx.rows[0] & -inst.hx.rows[0]
+    for h in group.elements():
+        if h not in candidates and not any(
+            inst.hx.rows[group.add(h, group.neg(c))] & bit for c in candidates
+        ):
+            rows = list(inst.hz.rows)
+            rows[h] ^= bit
+            hz = BinaryMatrix(rows, inst.hz.ncols)
+            return h, CodeInstance(inst.code, inst.presentation, group, inst.hx, hz)
+    raise AssertionError("no such offset")
+
+
+def test_verify_commutation_reads_a_full_row():
+    verify = instantiate_mod._verify_commutation
+    code = two_block("x y", "x^3 + y + y^2", "y^3 + x + x^2")
+    inst = instantiate(code, torus(code.context, 12, 6), check=False)
+    verify(inst)
+    h, broken = _oddly_meeting_instance(inst)
+    with pytest.raises(CodeError, match=f"X check 0 and Z check {h} overlap oddly"):
+        verify(broken)
+    for _, _, intact in _random_instances(909, 40):
+        verify(intact)
 
 
 def test_random_instances_commute():
