@@ -19,126 +19,3 @@ The pipeline, module by module:
 * :mod:`polyqec.cli` / :mod:`polyqec.report` — the ``polyqec`` command and
   its JSON report documents.
 """
-
-from .poly import LaurentPoly, PolyParseError, VarContext, parse_poly
-from .lattice import (
-    GroupPresentation,
-    InfiniteQuotientError,
-    QuotientGroup,
-    hermite_basis,
-    quotient,
-    smith_normal_form,
-)
-from .codes import (
-    ClassicalGenerator,
-    CodeError,
-    FamilyTag,
-    HGPCode,
-    LiftError,
-    ParentLift,
-    TwistError,
-    TwoBlockCode,
-    bound_report,
-    classical,
-    compactify,
-    css_commutes_symbolically,
-    decomposition_profile,
-    family_tree,
-    hgp,
-    is_indecomposable,
-    is_indecomposable_finite,
-    lift_to_parent,
-    two_block,
-)
-from .instantiate import (
-    BinaryMatrix,
-    CodeInstance,
-    classical_parity_matrix,
-    instantiate,
-    tanner_component_count,
-    write_coordinate_text,
-    write_matrix_market,
-)
-from .distance import (
-    DistanceCapError,
-    DistanceError,
-    DistanceResult,
-    exact_classical_distance,
-    exact_distance,
-    random_upper_bound,
-)
-from .barrier import (
-    BarrierCapError,
-    BarrierError,
-    BarrierResult,
-    classical_code_barrier,
-    code_barrier,
-    sector_barrier,
-)
-from .specfile import CodeSpec, SpecError, parse_spec_file, parse_spec_text, render_spec
-from .fixtures import fixture_names, load_fixture
-
-__all__ = [
-    # poly
-    "LaurentPoly",
-    "PolyParseError",
-    "VarContext",
-    "parse_poly",
-    # lattice
-    "GroupPresentation",
-    "InfiniteQuotientError",
-    "QuotientGroup",
-    "hermite_basis",
-    "quotient",
-    "smith_normal_form",
-    # codes
-    "ClassicalGenerator",
-    "CodeError",
-    "FamilyTag",
-    "HGPCode",
-    "LiftError",
-    "ParentLift",
-    "TwistError",
-    "TwoBlockCode",
-    "bound_report",
-    "classical",
-    "compactify",
-    "css_commutes_symbolically",
-    "decomposition_profile",
-    "family_tree",
-    "hgp",
-    "is_indecomposable",
-    "is_indecomposable_finite",
-    "lift_to_parent",
-    "two_block",
-    # instantiate
-    "BinaryMatrix",
-    "CodeInstance",
-    "classical_parity_matrix",
-    "instantiate",
-    "tanner_component_count",
-    "write_coordinate_text",
-    "write_matrix_market",
-    # distance
-    "DistanceCapError",
-    "DistanceError",
-    "DistanceResult",
-    "exact_classical_distance",
-    "exact_distance",
-    "random_upper_bound",
-    # barrier
-    "BarrierCapError",
-    "BarrierError",
-    "BarrierResult",
-    "classical_code_barrier",
-    "code_barrier",
-    "sector_barrier",
-    # specfile / fixtures
-    "CodeSpec",
-    "SpecError",
-    "parse_spec_file",
-    "parse_spec_text",
-    "render_spec",
-    "fixture_names",
-    "load_fixture",
-]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .distance import _sector_checks, logical_space
+from .distance import _sector_checks, logical_space, validate_logical_witness
 from .instantiate import BinaryMatrix, CodeInstance
 
 __all__ = [
@@ -182,7 +182,6 @@ def barrier(
     *,
     cap_n: int = BARRIER_CAP_DEFAULT,
     want_path: bool = False,
-    sector: str = "classical",
 ) -> BarrierResult:
     """Exact barrier of one target state against a check matrix."""
     n = H.ncols
@@ -192,7 +191,7 @@ def barrier(
         raise BarrierError("target must be a nonzero state on the matrix columns")
     if H.times_vector(target):
         raise BarrierError("target violates checks; it is not in the kernel")
-    return _search(H, sector, lambda s, _syn, _sig: s == target, want_path)
+    return _search(H, "classical", lambda s, _syn, _sig: s == target, want_path)
 
 
 def classical_code_barrier(
@@ -204,7 +203,10 @@ def classical_code_barrier(
         raise BarrierCapError(f"{n} bits exceed the barrier cap {cap_n}")
     if H.rank() == H.ncols:
         raise BarrierError("kernel is trivial; there are no codewords to reach")
-    return _search(H, "classical", _reaches_logical, want_path, BinaryMatrix.identity(n))
+    res = _search(H, "classical", _reaches_logical, want_path, BinaryMatrix.identity(n))
+    if res.target == 0 or H.times_vector(res.target):
+        raise BarrierError("search reached a state that is not a nonzero codeword")
+    return res
 
 
 def sector_barrier(
@@ -222,7 +224,9 @@ def sector_barrier(
     if not reps.rows:
         raise BarrierError("code has no logical operators (k = 0)")
     checks, _ = _sector_checks(inst, sector)
-    return _search(checks, sector, _reaches_logical, want_path, reps)
+    res = _search(checks, sector, _reaches_logical, want_path, reps)
+    validate_logical_witness(inst, res.target, sector)
+    return res
 
 
 def code_barrier(

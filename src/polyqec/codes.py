@@ -592,8 +592,6 @@ def bound_report(code: TwoBlockCode, n: int) -> BoundReport:
     if w < 3:
         raise CodeError(f"total check weight {w} is too small to bound (need >= 3)")
     D = min(v, w - 2)
-    if D < 1:
-        raise CodeError("no variables in use; nothing to bound")
     indec = is_indecomposable(code)
     upper = float(n) ** (1.0 - 1.0 / D)
     lower = float(n) ** (1.0 / D)

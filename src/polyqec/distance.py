@@ -60,6 +60,7 @@ __all__ = [
 
 EXACT_CAP_DEFAULT = 28
 _COMBINATION_CAP = 1 << 26  # kernel combinations one exact sector may visit
+_PAIR_POOL = 16  # lightest rows of a walk round whose pairwise sums are candidates
 # trials x kernel dimension below which search streams stay in-process: about
 # 10-20 ms of search on bb144 and bb288, where a pool round trip (a few ms)
 # stops paying off; the first elimination of each stream dominates there
@@ -347,9 +348,9 @@ class _InformationSetWalk:
         self.pivots = 0
         self.free: list[int] | None = None  # None until the first round
 
-    def round(self, pair_pool: int) -> list[int]:
+    def round(self) -> list[int]:
         """Move to the next information set and return its candidates in
-        fixed order: the m rows, then the sums of pairs of the ``pair_pool``
+        fixed order: the m rows, then the sums of pairs of the ``_PAIR_POOL``
         lightest rows.  Each is a packed kernel element."""
         rows, n, rng, free = self.rows, self.n, self.rng, self.free
         if free is None:
@@ -373,7 +374,7 @@ class _InformationSetWalk:
                 free[u] = old.bit_length() - 1
                 _pivot(rows, i, bit)
         full = (1 << n) - 1
-        light = sorted(rows, key=lambda x: (x & full).bit_count())[:pair_pool]
+        light = sorted(rows, key=lambda x: (x & full).bit_count())[:_PAIR_POOL]
         return rows + [a ^ b for a, b in combinations(light, 2)]
 
 
@@ -383,7 +384,6 @@ def _stream(
     seed: int,
     widx: int,
     budget: int,
-    pair_pool: int,
 ) -> tuple[int, int | None, str | None]:
     """(best_w, best, best_sector) of one worker stream of ``budget`` trials.
 
@@ -400,7 +400,7 @@ def _stream(
     round_idx = 0
     while examined < budget:
         sector = "X" if round_idx % 2 == 0 else "Z"
-        found = walks[sector].round(pair_pool)[: budget - examined]
+        found = walks[sector].round()[: budget - examined]
         examined += len(found)
         # a candidate counts only with a nonzero signature, i.e. as a logical
         weights = [(x & full).bit_count() if x >> n else n for x in found]
@@ -447,7 +447,6 @@ def random_upper_bound(
     seed: int,
     *,
     workers: int = 1,
-    pair_pool: int = 16,
 ) -> DistanceResult:
     """Randomized upper bound on the code distance by information-set walks.
 
@@ -475,7 +474,7 @@ def random_upper_bound(
         spaces[sector] = (kernel, [reps.times_vector(v) for v in kernel])
     share, remainder = divmod(trials, workers)
     jobs = [
-        (spaces, inst.n, seed, widx, share + (1 if widx < remainder else 0), pair_pool)
+        (spaces, inst.n, seed, widx, share + (1 if widx < remainder else 0))
         for widx in range(min(workers, trials))
     ]
     processes = min(len(jobs), os.cpu_count() or 1)
@@ -511,4 +510,6 @@ def exact_classical_distance(mat: BinaryMatrix) -> ClassicalDistance:
     value, witness, visited = _bz_minimum(
         kernel, [1 << j for j in range(len(kernel))], mat.ncols
     )
+    if not witness or mat.times_vector(witness):
+        raise DistanceError("witness is not a nonzero codeword of the check matrix")
     return ClassicalDistance(value=value, witness=witness, combinations=visited)

@@ -47,10 +47,6 @@ class SmithForm:
     V: tuple[tuple[int, ...], ...]
     diagonal: tuple[int, ...]
 
-    @property
-    def rank(self) -> int:
-        return sum(1 for s in self.diagonal if s)
-
     def solve(self, target: Sequence[int]) -> list[int] | None:
         """Integer coefficients c with c @ M == target, if any (M the input rows)."""
         k, d = len(self.U), len(self.V)

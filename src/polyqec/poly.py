@@ -287,8 +287,8 @@ class _Tok:
         self.pos = pos
 
 
-def _tokenize(text: str, names: tuple[str, ...] | None) -> Iterator[_Tok]:
-    by_len = sorted(names, key=len, reverse=True) if names is not None else None
+def _tokenize(text: str, names: tuple[str, ...]) -> Iterator[_Tok]:
+    by_len = sorted(names, key=len, reverse=True)
     i, n = 0, len(text)
     while i < n:
         ch = text[i]
@@ -311,21 +311,15 @@ def _tokenize(text: str, names: tuple[str, ...] | None) -> Iterator[_Tok]:
             i = j
             continue
         if ch.isalpha() or ch == "_":
-            if by_len is not None:
-                for cand in by_len:
-                    if text.startswith(cand, i):
-                        yield _Tok("name", cand, i)
-                        i += len(cand)
-                        break
-                else:
-                    m = _NAME_RE.match(text, i)
-                    bad = m.group(0) if m else ch
-                    raise PolyParseError(f"unknown variable {bad!r} at position {i}")
+            for cand in by_len:
+                if text.startswith(cand, i):
+                    yield _Tok("name", cand, i)
+                    i += len(cand)
+                    break
             else:
                 m = _NAME_RE.match(text, i)
-                assert m is not None
-                yield _Tok("name", m.group(0), i)
-                i = m.end()
+                bad = m.group(0) if m else ch
+                raise PolyParseError(f"unknown variable {bad!r} at position {i}")
             continue
         raise PolyParseError(f"unexpected character {ch!r} at position {i}")
 

@@ -84,7 +84,6 @@ def make_document(
     *,
     seed: int | None = None,
     seconds: float = 0.0,
-    cached: bool = False,
 ) -> dict[str, Any]:
     return {
         "tool": _TOOL,
@@ -93,7 +92,7 @@ def make_document(
         "seed": seed,
         "spec": dict(spec_info) if spec_info is not None else None,
         "result": dict(result),
-        "timing": {"seconds": seconds, "cached": cached},
+        "timing": {"seconds": seconds, "cached": False},
     }
 
 

@@ -17,12 +17,12 @@ from polyqec.barrier import (
     energy,
     sector_barrier,
 )
-from polyqec.codes import classical, two_block
-from polyqec.distance import exact_distance
+from polyqec.codes import TwoBlockCode, classical, two_block
+from polyqec.distance import DistanceError, exact_distance, exact_sector_distance
 from polyqec.fixtures import fixture_names, fixture_path
 from polyqec.instantiate import BinaryMatrix, classical_parity_matrix, instantiate
 from polyqec.lattice import GroupPresentation
-from polyqec.poly import VarContext
+from polyqec.poly import LaurentPoly, VarContext
 
 
 def torus(ctx: VarContext, *sizes: int) -> GroupPresentation:
@@ -254,6 +254,78 @@ def test_code_barrier_consistent_with_exact_distance_witness():
     d = exact_distance(inst)
     b = code_barrier(inst)
     assert d.d_upper >= 1 and b.barrier >= 1
+
+
+def test_reported_targets_are_rechecked(monkeypatch):
+    # a search that stops at a non-codeword is refused, not reported
+    code = two_block("x y", "1 + x", "1 + y")
+    inst = instantiate(code, torus(code.context, 2, 2))
+    monkeypatch.setattr(barrier_mod, "_dijkstra", lambda *a, **k: (1, 0b1, 1, None))
+    for sector in ("X", "Z"):
+        with pytest.raises(DistanceError, match="kernel condition"):
+            sector_barrier(inst, sector)
+    ising = classical("x", "1 + x")
+    ring = classical_parity_matrix(ising, torus(ising.poly.context, 4))
+    with pytest.raises(BarrierError, match="not a nonzero codeword"):
+        classical_code_barrier(ring)
+    monkeypatch.setattr(barrier_mod, "_dijkstra", lambda *a, **k: (0, 0, 1, None))
+    with pytest.raises(BarrierError, match="not a nonzero codeword"):
+        classical_code_barrier(ring)
+
+
+def _swap_and_invert(inst, v):
+    """psi(a, b) = (b-bar, a-bar): swap the two blocks and invert each element."""
+    order = inst.group_order
+    out = 0
+    for h in range(order):
+        j = inst.group.neg(h)
+        out |= (v >> h & 1) << (order + j) | (v >> (order + h) & 1) << j
+    return out
+
+
+def _random_symmetry_instance(rng):
+    """A random two-block instance, n <= 24, on a plain or twisted torus."""
+    dim = rng.randint(1, 3)
+    ctx = VarContext(tuple("xyz"[:dim]))
+    cube = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(8)]
+    f, g = (LaurentPoly(ctx, frozenset(rng.sample(cube, rng.randint(1, 4)))) for _ in range(2))
+    if f.is_zero or g.is_zero:
+        return None
+    sizes = [rng.randint(1, 4) for _ in range(dim)]
+    rels = [tuple(sizes[i] if j == i else 0 for j in range(dim)) for i in range(dim)]
+    if dim > 1 and rng.random() < 0.5:  # twist: the last relation also shifts x
+        rels[-1] = (rng.randint(1, sizes[0]),) + rels[-1][1:]
+    inst = instantiate(TwoBlockCode(ctx, f, g), GroupPresentation(ctx, tuple(rels)))
+    return inst if inst.n <= 24 else None
+
+
+def test_sector_symmetry_swaps_the_blocks_and_inverts():
+    # psi is a qubit permutation taking HX rows into rowspace(HZ) and ker HZ
+    # into ker HX, so the two sectors share their distance and barrier
+    instances = []
+    for name in fixture_names():
+        spec = specfile.parse_spec_file(fixture_path(name))
+        if not spec.is_classical:
+            instances.append(instantiate(spec.two_block(), spec.presentation()))
+    assert len(instances) == 11
+    rng = random.Random(1401)
+    compared = barriers = 0
+    while compared < 300:
+        inst = _random_symmetry_instance(rng)
+        if inst is None:
+            continue
+        instances.append(inst)
+        if inst.k() == 0:
+            continue
+        compared += 1
+        assert exact_sector_distance(inst, "X")[0] == exact_sector_distance(inst, "Z")[0]
+        if inst.n <= 16:
+            barriers += 1
+            assert sector_barrier(inst, "X").barrier == sector_barrier(inst, "Z").barrier
+    assert barriers >= 200
+    for inst in instances:
+        assert all(inst.hz.rowspace_contains(_swap_and_invert(inst, r)) for r in inst.hx.rows)
+        assert not any(inst.hx.times_vector(_swap_and_invert(inst, v)) for v in inst.hz.nullspace())
 
 
 # -- level-by-level search against the heap Dijkstra -----------------------

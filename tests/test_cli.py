@@ -329,6 +329,9 @@ def test_barrier_cap_exceeded_is_domain_error(capsys):
     code, out, err = run(capsys, "barrier", "gross")
     assert code == 1
     assert "cap" in err
+    code, out, err = run(capsys, "barrier", "ising", "--boundary", "x^30 = 1", "--no-cache")
+    assert (code, out) == (1, "")
+    assert err == "error: 30 bits exceed the barrier cap 20\n"
 
 
 def test_bounds_gross(capsys):
@@ -344,6 +347,14 @@ def test_bounds_explicit_n(capsys):
     code, doc = run_json(capsys, "bounds", "haah", "--n", "1000")
     assert code == 0
     assert doc["result"]["n"] == 1000
+
+
+def test_bounds_without_block_length_exits_one(capsys, tmp_path):
+    spec = tmp_path / "open.code"
+    spec.write_text("[code]\nvariables = x y\nf = 1 + x\ng = 1 + y\n", encoding="utf-8")
+    code, out, err = run(capsys, "bounds", str(spec), "--no-cache")
+    assert (code, out) == (1, "")
+    assert err == "error: bounds need a block length; add a [boundary] section or pass --n\n"
 
 
 # -- reproduce-appendix ----------------------------------------------------
@@ -542,6 +553,18 @@ def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):
         capsys.readouterr()
 
 
+def test_readme_library_example_runs(capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == [
+        "{'a1': 'x*y', 'a2': 'x^2*y', 'a3': 'y^3', 'b1': 'x*z', 'b2': 'z^2'}",
+        "['a3 = (a1^2*a2^-1)^3', 'b2 = (a1*a2^-1*b1)^2']",
+        "18 2",
+        "3",
+    ]
+
+
 def test_missing_spec_exits_one(capsys):
     code, out, err = run(capsys, "check", "no_such_spec")
     assert code == 1
@@ -639,7 +662,7 @@ def test_bounds_refuses_what_instantiate_refuses(capsys, tmp_path):
         "--boundary", "y^100000 = 1", "--no-cache",
     )
     assert (code, out) == (1, "")
-    assert err == f"error: group order 10000000000 exceeds the instantiation cap {1 << 20}\n"
+    assert err == f"error: group order 10000000000 exceeds the instantiation cap {1 << 14}\n"
 
 
 def test_group_order_over_cap_exits_one(capsys):
@@ -650,4 +673,4 @@ def test_group_order_over_cap_exits_one(capsys):
     )
     assert code == 1
     assert out == ""
-    assert err == f"error: group order 10000000000 exceeds the instantiation cap {1 << 20}\n"
+    assert err == f"error: group order 10000000000 exceeds the instantiation cap {1 << 14}\n"

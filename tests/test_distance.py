@@ -275,6 +275,15 @@ def test_classical_cap(monkeypatch):
         exact_classical_distance(BinaryMatrix.zeros(1, 30))
 
 
+def test_classical_witness_is_rechecked(monkeypatch):
+    ring = BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1]])  # codewords 0 and 111
+    assert exact_classical_distance(ring).witness == 0b111
+    for bad in (0b011, 0):
+        monkeypatch.setattr(distance_mod, "_bz_minimum", lambda *a, bad=bad: (2, bad, 1))
+        with pytest.raises(DistanceError, match="not a nonzero codeword"):
+            exact_classical_distance(ring)
+
+
 def test_exact_combination_cap(monkeypatch):
     gross = two_block("x y", "x^3 + y + y^2", "y^3 + x + x^2")
     inst = instantiate(gross, torus(gross.context, 3, 6))  # n = 36, d = 4
@@ -468,7 +477,7 @@ def test_exact_witness_is_smallest_lightest_logical():
 # -- parallel search streams against the sequential loop --------------------
 
 
-def _sequential_upper_bound(inst, trials, seed, workers, pair_pool=16):
+def _sequential_upper_bound(inst, trials, seed, workers):
     """Reference: the worker streams run one after another in one loop, with
     the best weight carried from each stream into the next."""
     spaces = {}
@@ -490,7 +499,7 @@ def _sequential_upper_bound(inst, trials, seed, workers, pair_pool=16):
         examined = round_idx = 0
         while examined < budget:
             sector = "X" if round_idx % 2 == 0 else "Z"
-            for packed in walks[sector].round(pair_pool):
+            for packed in walks[sector].round():
                 mask, sig = packed & ((1 << n) - 1), packed >> n
                 examined += 1
                 if sig and mask and mask.bit_count() < best_w:
@@ -575,7 +584,7 @@ def test_walk_rounds_stay_systematic_kernel_bases():
             sigs = [reps.times_vector(v) for v in kernel]
             walk = distance_mod._InformationSetWalk(random.Random(idx), kernel, sigs, inst.n)
             for _ in range(4):
-                found = walk.round(16)
+                found = walk.round()
                 assert found[: len(kernel)] == walk.rows
                 _assert_walk_invariants(walk, inst, sector)
 
@@ -584,9 +593,9 @@ def test_walk_without_a_legal_swap_stays_put():
     # column 2 is no pivot, but no kernel vector holds it: no swap can bring
     # it in, so the walk must stop swapping rather than look for one
     walk = distance_mod._InformationSetWalk(random.Random(0), [0b001, 0b010], [1, 2], 3)
-    first = walk.round(16)
+    first = walk.round()
     assert walk.pivots == 0b011 and walk.free == []
-    assert walk.round(16) == first == [0b1001, 0b10010, 0b11011]
+    assert walk.round() == first == [0b1001, 0b10010, 0b11011]
 
 
 def _full_logical_space(inst, sector):

@@ -229,6 +229,13 @@ def test_parse_rejects_garbage():
             p(bad)
 
 
+def test_parse_error_messages():
+    with pytest.raises(PolyParseError, match=r"expected '\)'"):
+        p("(x^2 ^3)")
+    with pytest.raises(PolyParseError, match=r"trailing input '\)' at position 1"):
+        p("x)")
+
+
 def test_parse_error_reports_position():
     with pytest.raises(PolyParseError, match="position"):
         p("1 + x & y")
