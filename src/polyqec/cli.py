@@ -33,7 +33,7 @@ from .instantiate import (
     write_coordinate_text,
     write_matrix_market,
 )
-from .lattice import lattice_saturates, quotient_shape
+from .lattice import lattice_saturates, quotient, quotient_shape
 from .report import (
     ReportCache,
     canonical_json,
@@ -273,7 +273,7 @@ def _result_params(spec: specfile.CodeSpec, args) -> dict[str, Any]:
 def _result_distance(spec: specfile.CodeSpec, args) -> dict[str, Any]:
     built = _on_boundary(spec)
     if spec.is_classical:
-        res = distance.exact_classical_distance(built)
+        res = distance.exact_classical_distance(built, quotient(spec.presentation()))
         return {
             "kind": "classical",
             "d_upper": res.value,

@@ -2,20 +2,17 @@
 
 Exact distances come from Brouwer–Zimmermann enumeration of the relevant
 kernel (Zimmermann 1996; Grassl 2006; White & Grassl 2006 for quantum
-codes).  The kernel basis is put in Gauss–Jordan form on disjoint
-information sets, taken greedily over the columns no earlier set used; the
-basis from ``nullspace`` is already systematic on its free columns, so the
-first set costs no row operation.  A set of rank r_j among m kernel vectors
-has m - r_j rows that vanish on its columns, so a combination of s rows
-weighs at least s - (m - r_j) there.  Level w visits every w-subset of the
-rows of each set whose contribution max(0, w + 1 - (m - r_j)) is positive,
-after the levels below it that the set has not visited yet.  Once level w
-is done, every kernel vector not yet seen weighs at least the sum of those
-contributions over the sets.  The search stops at the first level where that
-bound exceeds the best logical weight, so every minimum-weight logical has
-been seen by then, and the witness is the smallest integer among them,
-whatever the basis or the visiting order.  The work is capped per sector in
-combinations (``_COMBINATION_CAP``), checked before each level starts.
+codes) on one information set, each next pivot taken from the block of |G|
+columns that holds fewer so far; a is the most one block holds.  Level w
+visits every w-subset of the m rows.  A translation maps logicals to
+logicals of the same weight, and a logical no translate of which was
+visited meets each of the |G| translates of the set in more than w columns,
+so it weighs at least ⌈(w + 1)|G| / a⌉.  The search stops once that bound
+exceeds the best weight: every minimum-weight logical then has a visited
+translate, so the smallest integer over their translates is the witness,
+whatever the basis or the visiting order.  Without a group the bound is
+w + 1.  The work is capped per sector in combinations
+(``_COMBINATION_CAP``), checked before each level starts.
 
 At practical sizes a seeded information-set walk gives upper bounds: each
 worker stream keeps the kernel basis of each sector in Gauss–Jordan form,
@@ -27,12 +24,13 @@ merged in worker order, so the result is the one a sequential run of the
 streams gives.
 
 Sector conventions, held by ``_sector_checks`` alone: an X-type logical is v
-with HZ*v = 0 and v outside the row space of HX; symmetrically for Z.  The
-reported code distance is the minimum over the two sectors.  A logical's
-signature is its pairing with the representative rows of ``logical_space``.
-A classical codeword is a logical with unit signatures: each kernel basis
-vector gets its own signature bit, so any nonzero combination counts, and
-``exact_classical_distance`` runs the same enumeration.
+with HZ*v = 0 and v outside the row space of HX; symmetrically for Z.  Both
+sectors have the same distance, so ``exact_distance`` searches X only.  A
+logical's signature is its pairing with the representative rows of
+``logical_space``.  A classical codeword is a logical with unit signatures:
+each kernel basis vector gets its own signature bit, so any nonzero
+combination counts, and ``exact_classical_distance`` runs the same
+enumeration.
 """
 
 from __future__ import annotations
@@ -43,7 +41,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .instantiate import BinaryMatrix, CodeInstance
+from .instantiate import BinaryMatrix, CodeInstance, _translates
+from .lattice import QuotientGroup
 
 __all__ = [
     "DistanceError",
@@ -87,7 +86,7 @@ class DistanceResult:
     trials: int | None = None
     seed: int | None = None
     workers: int | None = None
-    # kernel combinations an exact search visited, both sectors: a work
+    # kernel combinations an exact search visited in the X sector: a work
     # counter, not part of the answer
     combinations: int | None = field(default=None, compare=False)
 
@@ -169,57 +168,52 @@ def _pivot(rows: list[int], r: int, bit: int) -> None:
     rows[r] = p
 
 
-def _eliminate(rows: list[int], columns: list[int]) -> int:
-    """Gauss–Jordan on ``rows`` in place, pivoting on ``columns`` in the given
-    order; returns the pivot columns as a mask.
+def _take_pivot(rows: list[int], r: int, bit: int) -> bool:
+    """Swap a row at index r or later that holds ``bit`` into place r and
+    pivot on it; False when no such row holds it."""
+    for t in range(r, len(rows)):
+        if rows[t] & bit:
+            rows[r], rows[t] = rows[t], rows[r]
+            _pivot(rows, r, bit)
+            return True
+    return False
 
-    Pivot rows come first and each holds exactly one pivot column; the rows
-    after them hold none.  Bits above every column, such as a signature
-    packed above the qubit columns, ride along with their row.
-    """
-    m = len(rows)
+
+def _eliminate(rows: list[int], columns: list[int]) -> int:
+    """Gauss–Jordan on linearly independent ``rows`` in place, pivoting on
+    ``columns`` in the given order; returns the pivot columns as a mask.
+    Each row then holds exactly one pivot column.  Bits above every column,
+    such as a signature packed above the qubit columns, ride along."""
     r = pivots = 0
     for col in columns:
-        bit = 1 << col
-        for t in range(r, m):
-            if rows[t] & bit:
-                break
-        else:
-            continue
-        rows[r], rows[t] = rows[t], rows[r]
-        _pivot(rows, r, bit)
-        pivots |= bit
-        r += 1
-        if r == m:
+        if r == len(rows):
             break
+        if _take_pivot(rows, r, 1 << col):
+            pivots |= 1 << col
+            r += 1
     return pivots
 
 
-def _information_sets(
-    kernel: list[int], sigs: list[int], n: int
-) -> list[tuple[list[int], list[int], int]]:
-    """Disjoint information sets of the kernel: (rows, sigs, rank) per set.
-
-    Each set is the basis in Gauss–Jordan form on pivot columns that no
-    earlier set holds, chosen greedily in column order, so a combination of
-    s rows holds at least s - (m - rank) of the set's columns.  Non-pivot
-    columns stay free for later sets.
-    """
-    rows = [v | s << n for v, s in zip(kernel, sigs)]
-    full = (1 << n) - 1
-    used = 0
-    sets = []
-    while pivots := _eliminate(rows, [c for c in range(n) if not used >> c & 1]):
-        used |= pivots
-        sets.append(([x & full for x in rows], [x >> n for x in rows], pivots.bit_count()))
-    return sets
+def _balanced_information_set(rows: list[int], n: int, size: int) -> int:
+    """Gauss–Jordan on linearly independent ``rows`` in place, each next pivot
+    from the block of ``size`` columns with the fewest pivots so far (the
+    first on a tie), in column order; returns the most one block holds."""
+    tried, held = list(range(0, n, size)), [0] * (n // size)
+    r = 0
+    while r < len(rows):
+        b = min((b for b in range(len(held)) if tried[b] < (b + 1) * size), key=held.__getitem__)
+        tried[b] += 1
+        if _take_pivot(rows, r, 1 << (tried[b] - 1)):
+            held[b] += 1
+            r += 1
+    return max(held)
 
 
 def _visit_level(
-    rows: list[int], sigs: list[int], size: int, best_w: int, best: int | None
-) -> tuple[int, int | None]:
+    rows: list[int], sigs: list[int], size: int, best_w: int, lightest: list[int]
+) -> tuple[int, list[int]]:
     """Fold every ``size``-subset of ``rows`` with a nonzero signature into
-    (best_w, best): lower weight wins, then the smaller integer.
+    (best_w, lightest): a lower weight starts a new list, an equal one joins it.
 
     The subsets are walked by prefix XOR; the last index runs as one list
     comprehension over the rows after the prefix.
@@ -228,7 +222,7 @@ def _visit_level(
     skip = best_w + 1  # weight given to a zero-signature combination
 
     def walk(start: int, depth: int, acc: int, acc_sig: int) -> None:
-        nonlocal best_w, best
+        nonlocal best_w, lightest
         if depth == 1:
             tail, tail_sigs = rows[start:], sigs[start:]
             weights = [
@@ -239,50 +233,53 @@ def _visit_level(
                 return
             for x, s, w in zip(tail, tail_sigs, weights):
                 if s != acc_sig and w <= best_w:
-                    x ^= acc
-                    if w < best_w or x < best:
-                        best_w, best = w, x
+                    if w < best_w:
+                        best_w, lightest = w, []
+                    lightest.append(acc ^ x)
             return
         for i in range(start, m - depth + 1):
             walk(i + 1, depth - 1, acc ^ rows[i], acc_sig ^ sigs[i])
 
     walk(0, size, 0, 0)
-    return best_w, best
+    return best_w, lightest
 
 
-def _bz_minimum(kernel: list[int], sigs: list[int], n: int) -> tuple[int, int | None, int]:
-    """(weight, witness, combinations) by Brouwer–Zimmermann enumeration.
-
-    The witness is the smallest integer among the lightest kernel
-    combinations with a nonzero signature; (n + 1, None) when none has one.
-    ``combinations`` counts the subsets visited over all sets and levels.
-    Raises ``DistanceCapError`` before a level that would take the count
-    past ``_COMBINATION_CAP``.
+def _bz_minimum(
+    kernel: list[int], sigs: list[int], n: int, group: QuotientGroup | None = None
+) -> tuple[int, int | None, int]:
+    """(weight, witness, combinations) by Brouwer–Zimmermann enumeration,
+    credited over the translations of ``group`` on each block of |G| columns
+    (None: the trivial group).  The witness is the smallest integer among the
+    lightest kernel combinations with a nonzero signature; (n + 1, None) when
+    none has one.  ``combinations`` counts the subsets visited.  Raises
+    ``DistanceCapError`` before a level that would pass ``_COMBINATION_CAP``.
     """
+    size = 1 if group is None else group.order
     m = len(kernel)
-    sets = _information_sets(kernel, sigs, n)
-    done = [0] * len(sets)  # levels each set has visited
-    best_w, best = n + 1, None
+    packed = [v | s << n for v, s in zip(kernel, sigs)]
+    spread = _balanced_information_set(packed, n, size)
+    full = (1 << n) - 1
+    rows, row_sigs = [x & full for x in packed], [x >> n for x in packed]
+    best_w, lightest = n + 1, []
     visited = 0
     for w in range(1, m + 1):
-        # a set of rank r contributes w + 1 - (m - r) to the bound once it
-        # has visited every level up to w
-        active = [j for j, (_, _, r) in enumerate(sets) if w + r > m]
-        cost = sum(comb(m, s) for j in active for s in range(done[j] + 1, w + 1))
-        if visited + cost > _COMBINATION_CAP:
+        if visited + comb(m, w) > _COMBINATION_CAP:
             raise DistanceCapError(
                 f"exact search needs more than {_COMBINATION_CAP} kernel "
                 f"combinations (level {w} of kernel dimension {m})"
             )
-        visited += cost
-        for j in active:
-            rows, row_sigs, _ = sets[j]
-            for s in range(done[j] + 1, w + 1):
-                best_w, best = _visit_level(rows, row_sigs, s, best_w, best)
-            done[j] = w
-        if sum(w + 1 - m + sets[j][2] for j in active) > best_w:
+        visited += comb(m, w)
+        best_w, lightest = _visit_level(rows, row_sigs, w, best_w, lightest)
+        # the translated bound of the module docstring
+        if ((w + 1) * size + spread - 1) // spread > best_w:
             break
-    return best_w, best, visited
+    # every lightest combination has a translate among those seen
+    witnesses, pending = [], set(lightest)
+    while pending:
+        orbit = [pending.pop()] if group is None else _translates(group, pending.pop(), n)
+        pending.difference_update(orbit)
+        witnesses.append(min(orbit))
+    return best_w, min(witnesses, default=None), visited
 
 
 def _sector_minimum(inst: CodeInstance, sector: str, cap_n: int) -> tuple[int, int, int]:
@@ -293,7 +290,7 @@ def _sector_minimum(inst: CodeInstance, sector: str, cap_n: int) -> tuple[int, i
     if not reps.rows:
         raise DistanceError("code has no logical operators (k = 0)")
     sigs = [reps.times_vector(v) for v in kernel]
-    best_w, best, visited = _bz_minimum(kernel, sigs, inst.n)
+    best_w, best, visited = _bz_minimum(kernel, sigs, inst.n, inst.group)
     assert best is not None  # reps nonempty guarantees a logical element exists
     validate_logical_witness(inst, best, sector)
     return best_w, best, visited
@@ -309,20 +306,16 @@ def exact_sector_distance(
 
 
 def exact_distance(inst: CodeInstance, *, cap_n: int = EXACT_CAP_DEFAULT) -> DistanceResult:
-    """Exact code distance: the minimum over the X and Z sectors, X on a tie."""
-    dx, wx, cx = _sector_minimum(inst, "X", cap_n)
-    dz, wz, cz = _sector_minimum(inst, "Z", cap_n)
-    if dx <= dz:
-        d, w, sec = dx, wx, "X"
-    else:
-        d, w, sec = dz, wz, "Z"
+    """Exact code distance from the X sector: the block swap (a, b) -> (b̄, ā)
+    maps HX onto HZ and back, so d_X = d_Z."""
+    d, witness, visited = _sector_minimum(inst, "X", cap_n)
     return DistanceResult(
         d_upper=d,
         d_lower=d,
-        witness=w,
-        witness_sector=sec,
+        witness=witness,
+        witness_sector="X",
         method="exact-brouwer-zimmermann",
-        combinations=cx + cz,
+        combinations=visited,
     )
 
 
@@ -501,14 +494,19 @@ def random_upper_bound(
     )
 
 
-def exact_classical_distance(mat: BinaryMatrix) -> ClassicalDistance:
+def exact_classical_distance(
+    mat: BinaryMatrix, group: QuotientGroup | None = None
+) -> ClassicalDistance:
     """Minimum weight over the nonzero kernel of a classical check matrix; the
-    witness is the smallest integer among the lightest codewords."""
+    witness is the smallest integer among the lightest codewords.  ``group``
+    is the group of ``classical_parity_matrix``; None uses no symmetry."""
+    if group is not None and group.order != mat.ncols:
+        raise DistanceError("the matrix does not have one column per group element")
     kernel = mat.nullspace()
     if not kernel:
         return ClassicalDistance(value=None, witness=None)
     value, witness, visited = _bz_minimum(
-        kernel, [1 << j for j in range(len(kernel))], mat.ncols
+        kernel, [1 << j for j in range(len(kernel))], mat.ncols, group
     )
     if not witness or mat.times_vector(witness):
         raise DistanceError("witness is not a nonzero codeword of the check matrix")

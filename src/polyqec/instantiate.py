@@ -12,11 +12,11 @@ check and one Z check per group element acting on two qubit blocks of size
 Coefficients add mod 2, so monomials that collide on the finite group cancel.
 
 Every check is its identity check translated by its element, so a matrix is
-built from one row (``_translates``): the identity row is read off the
-monomials' element indices, and each axis of the mixed-radix group gets one
-pair of masks under which adding 1 to that coordinate is two masked shifts
-of the whole row.  The same covariance lets one row of HX HZ^T, X check 0
-against every Z check, decide the commutation check.
+built from one row (``_check_matrix``): the identity row is read off the
+monomials' element indices, and ``_translates`` gives each axis of the
+mixed-radix group one pair of masks under which adding 1 to that coordinate
+is two masked shifts of the whole row.  The same covariance lets one row of
+HX HZ^T, X check 0 against every Z check, decide the commutation check.
 
 Matrices are stored bit-packed: each row is a Python int whose bit j is the
 entry in column j, so a row operation is one big-int XOR.  Columns are read
@@ -283,26 +283,29 @@ def _finite_group(pres: GroupPresentation) -> QuotientGroup:
     return group
 
 
-def _translates(group: QuotientGroup, blocks: Sequence[LaurentPoly]) -> list[int]:
-    """Rows h = 0..|G|-1, in index order, of the check matrix whose row h is
-    h * blocks[b] on block b (columns b|G|..(b+1)|G|-1); collisions XOR.
+def _check_matrix(group: QuotientGroup, blocks: Sequence[LaurentPoly]) -> BinaryMatrix:
+    """Row h is h * blocks[b] on block b (columns b|G|..(b+1)|G|-1); collisions XOR."""
+    row = 0
+    for b, poly in enumerate(blocks):
+        for m in poly.terms:
+            row ^= 1 << (group.reduce(m) + b * group.order)
+    width = len(blocks) * group.order
+    return BinaryMatrix(_translates(group, row, width), width)
 
-    The identity row is read off the monomials' element indices.  Each axis
-    of radix r > 1 and stride s (the product of the later radices) gets one
-    pair of masks, repeated over the blocks: ``hi`` holds the columns whose
-    coordinate on the axis is r - 1, ``lo`` the rest.  Adding 1 to that
+
+def _translates(group: QuotientGroup, row: int, width: int) -> list[int]:
+    """h * row for h = 0..|G|-1 in index order; ``width`` columns, blocks of |G|.
+
+    Each axis of radix r > 1 and stride s (the product of the later radices)
+    gets one pair of masks, repeated over the blocks: ``hi`` holds the columns
+    whose coordinate on the axis is r - 1, ``lo`` the rest.  Adding 1 to that
     coordinate moves ``lo`` up by s and wraps ``hi`` down by (r - 1) s.  The
     rows of the earlier axes are each extended by their r translates along
     the axis, so the last axis varies fastest, as in the element indices.
     """
-    order = group.order
-    rows = [0]
-    for b, poly in enumerate(blocks):
-        for m in poly.terms:
-            rows[0] ^= 1 << (group.reduce(m) + b * order)
-    width = len(blocks) * order
     full = (1 << width) - 1
-    stride = order
+    stride = group.order
+    rows = [row]
     for r in group._radices:
         stride //= r
         if r == 1:
@@ -371,10 +374,8 @@ def instantiate(
     verified on X check 0 against every Z check (``_verify_commutation``).
     """
     group = _code_group(code, pres)
-    order = group.order
-    f, g = code.f, code.g
-    hx = BinaryMatrix(_translates(group, (f, g)), 2 * order)
-    hz = BinaryMatrix(_translates(group, (g.antipode(), f.antipode())), 2 * order)
+    hx = _check_matrix(group, (code.f, code.g))
+    hz = _check_matrix(group, (code.g.antipode(), code.f.antipode()))
     inst = CodeInstance(code=code, presentation=pres, group=group, hx=hx, hz=hz)
     if check:
         _verify_commutation(inst)
@@ -407,7 +408,7 @@ def classical_parity_matrix(
     if poly.is_zero:
         raise CodeError("cannot instantiate a zero generator")
     group = _finite_group(pres)
-    return BinaryMatrix(_translates(group, (poly,)), group.order)
+    return _check_matrix(group, (poly,))
 
 
 def code_dimension(inst: CodeInstance) -> int:

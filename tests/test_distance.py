@@ -22,7 +22,7 @@ from polyqec.distance import (
 from polyqec.fixtures import fixture_names, fixture_path
 from polyqec.instantiate import BinaryMatrix
 from polyqec.instantiate import classical_parity_matrix, instantiate
-from polyqec.lattice import GroupPresentation
+from polyqec.lattice import GroupPresentation, quotient
 from polyqec.poly import LaurentPoly, VarContext
 
 
@@ -231,6 +231,9 @@ def test_repetition_code_distance_is_ring_length():
         mat = classical_parity_matrix(gen, torus(gen.poly.context, L))
         res = exact_classical_distance(mat)
         assert res == ClassicalDistance(value=L, witness=(1 << L) - 1)
+        assert exact_classical_distance(mat, quotient(torus(gen.poly.context, L))) == res
+        with pytest.raises(DistanceError, match="one column per group element"):
+            exact_classical_distance(mat, quotient(torus(gen.poly.context, L + 1)))
 
 
 def test_triangle_generator_distances():
@@ -290,9 +293,20 @@ def test_exact_combination_cap(monkeypatch):
     res = exact_distance(inst, cap_n=64)
     assert res.d_upper == res.d_lower == 4
     assert res.combinations == exact_distance(inst, cap_n=64).combinations > 0
-    monkeypatch.setattr(distance_mod, "_COMBINATION_CAP", 1000)
+    monkeypatch.setattr(distance_mod, "_COMBINATION_CAP", 100)
     with pytest.raises(DistanceCapError, match="combinations"):
         exact_distance(inst, cap_n=64)
+
+
+def test_bb72_exact_distance_is_six():
+    # [[72, 12, 6]]: the search credited over the 36 translations needs a few
+    # thousand combinations, where disjoint information sets needed millions
+    gross = two_block("x y", "x^3 + y + y^2", "y^3 + x + x^2")
+    inst = instantiate(gross, torus(gross.context, 6, 6))
+    res = exact_distance(inst, cap_n=72)
+    assert res.d_upper == res.d_lower == 6 and res.witness.bit_count() == 6
+    validate_logical_witness(inst, res.witness, res.witness_sector)
+    assert res.combinations < 10**5
 
 
 # -- Brouwer–Zimmermann against independent oracles -----------------------
@@ -374,29 +388,42 @@ def test_bz_minimum_matches_brute_force_on_random_kernels():
         assert got[:2] == expect == _per_state_gray(kernel, sigs, mat.ncols)
 
 
-def _limit_information_sets(monkeypatch, max_sets):
-    """Let Brouwer–Zimmermann use at most ``max_sets`` information sets (all
-    when None); returns the list of set counts it would have had."""
-    counts = []
-    full = distance_mod._information_sets
+def _random_classical_matrices(rng, count):
+    """Check matrices of random classical generators on random small tori,
+    with their groups, kernels of dimension 2 to 16."""
+    out = []
+    while len(out) < count:
+        ctx = VarContext(tuple("xy"[: rng.choice((1, 2))]))
+        cube = list(product(range(-2, 3), repeat=ctx.dim))
+        poly = LaurentPoly(ctx, frozenset(rng.sample(cube, rng.randint(2, 4))))
+        sides = [rng.randint(2, 8) for _ in range(ctx.dim)]
+        rels = [tuple(s if j == i else 0 for j in range(ctx.dim)) for i, s in enumerate(sides)]
+        if ctx.dim == 2:
+            rels[1] = (rng.randrange(sides[0]), sides[1])  # twisted unless 0
+        pres = GroupPresentation(ctx, tuple(rels))
+        mat = classical_parity_matrix(poly, pres)
+        if 2 <= len(mat.nullspace()) <= 16:
+            out.append((mat, quotient(pres)))
+    return out
 
-    def limited(*args):
-        sets = full(*args)
-        counts.append(len(sets))
-        return sets[:max_sets]
 
-    monkeypatch.setattr(distance_mod, "_information_sets", limited)
-    return counts
-
-
-@pytest.mark.parametrize("max_sets", [1, 3, None])
-def test_blocked_gray_sweep_matches_per_state_sweep(monkeypatch, max_sets):
-    # (named for the blocked Gray sweep that the exact search once ran) fewer
-    # information sets only weaken the lower bound, so the search runs more
-    # levels and must still end at the per-state sweep's minimum and witness;
-    # kernels up to m = 16, unit signatures as in the classical distance
-    counts = _limit_information_sets(monkeypatch, max_sets)
-    rng = random.Random(2718 + (max_sets or 0))
+def test_blocked_gray_sweep_matches_per_state_sweep():
+    # (named for the blocked Gray sweep that the exact search once ran) the
+    # search credited over the translation group and the search without
+    # symmetry must each end at the per-state sweep's minimum and witness, on
+    # the kernels of classical codes on tori; random kernels, with unit and
+    # with random signatures, take the search without symmetry
+    rng = random.Random(2718)
+    dims, fewer = set(), 0
+    for mat, group in _random_classical_matrices(rng, 60):
+        kernel = mat.nullspace()
+        dims.add(len(kernel))
+        expect = _per_state_gray(kernel, [1 << j for j in range(len(kernel))], mat.ncols)
+        credited, plain = (exact_classical_distance(mat, s) for s in (group, None))
+        assert (credited.value, credited.witness) == (plain.value, plain.witness) == expect
+        assert credited.combinations <= plain.combinations
+        fewer += credited.combinations < plain.combinations
+    assert max(dims) >= 10 and fewer > 0
     for m in range(1, 17):
         for _ in range(2):
             mat = _matrix_with_kernel_dim(rng, m)
@@ -409,7 +436,6 @@ def test_blocked_gray_sweep_matches_per_state_sweep(monkeypatch, max_sets):
             sigs = [rng.getrandbits(2) if rng.random() < 0.6 else 0 for _ in range(m)]
             got = distance_mod._bz_minimum(kernel, sigs, mat.ncols)
             assert got[:2] == _per_state_gray(kernel, sigs, mat.ncols)
-    assert max(counts) > (max_sets or 1)
 
 
 def _small_sector_instances():
@@ -426,7 +452,21 @@ def _small_sector_instances():
         inst = _random_small_instance(rng)
         if inst is not None:
             insts.append(inst)
+    for name, rels in _TWISTED:
+        spec = specfile.parse_spec_file(fixture_path(name))
+        insts.append(instantiate(spec.two_block(), GroupPresentation(spec.context, rels)))
     return insts
+
+
+# fixtures on twisted tori with k > 0, where element indices come from the
+# Smith form rather than from the torus sides
+_TWISTED = (
+    ("toric", ((4, 0), (1, 2))),
+    ("gross", ((3, 0), (1, 2))),
+    ("haah", ((2, 0, 0), (1, 2, 0), (0, 1, 2))),
+    ("checkerboard", ((2, 0, 0), (0, 2, 0), (1, 1, 2))),
+    ("hhb_a", ((2, 0, 0), (0, 1, 0), (1, 1, 3))),
+)
 
 
 def _bundled_small_fixtures():
@@ -442,11 +482,11 @@ def _bundled_small_fixtures():
     return out
 
 
-@pytest.mark.parametrize("max_sets", [1, 3, None])
-def test_exact_sector_distance_matches_per_state_sweep(monkeypatch, max_sets):
+def test_exact_sector_distance_matches_per_state_sweep():
+    # the search credited over the translation group and the search without
+    # symmetry, on the same kernels
     fixtures = _bundled_small_fixtures()
     assert len(fixtures) >= 3
-    counts = _limit_information_sets(monkeypatch, max_sets)
     dims = set()
     for inst in fixtures + _small_sector_instances():
         for sector in ("X", "Z"):
@@ -455,10 +495,8 @@ def test_exact_sector_distance_matches_per_state_sweep(monkeypatch, max_sets):
             sigs = [reps.times_vector(v) for v in kernel]
             expect = _per_state_gray(kernel, sigs, inst.n)
             assert exact_sector_distance(inst, sector, cap_n=64) == expect
+            assert distance_mod._bz_minimum(kernel, sigs, inst.n)[:2] == expect
     assert max(dims) > 12
-    # kernels of about half the qubits have at most three sets here; the
-    # random kernels above are where three sets get cut short
-    assert max(counts) > 1
 
 
 def test_exact_witness_is_smallest_lightest_logical():
@@ -472,6 +510,15 @@ def test_exact_witness_is_smallest_lightest_logical():
         res = exact_distance(inst)
         sector = "X" if per_sector["X"][0] <= per_sector["Z"][0] else "Z"
         assert (res.d_upper, res.witness, res.witness_sector) == (*per_sector[sector], sector)
+    # the one-block classical newman_moore on 6x6: the per-state sweep over
+    # its kernel visits every codeword
+    spec = specfile.parse_spec_file(fixture_path("newman_moore"))
+    pres = torus(spec.context, 6, 6)
+    mat = classical_parity_matrix(spec.classical_generator(), pres)
+    kernel = mat.nullspace()
+    expect = _per_state_gray(kernel, [1 << j for j in range(len(kernel))], mat.ncols)
+    got = exact_classical_distance(mat, quotient(pres))
+    assert (got.value, got.witness) == expect
 
 
 # -- parallel search streams against the sequential loop --------------------
