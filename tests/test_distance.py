@@ -407,23 +407,53 @@ def _random_classical_matrices(rng, count):
     return out
 
 
-def test_blocked_gray_sweep_matches_per_state_sweep():
+def _limit_credited_translations(monkeypatch, credited):
+    """Let Brouwer–Zimmermann credit at most ``credited`` translations of its
+    information set (all when None); returns the (a, spread) pairs it used.
+
+    A logical with no visited translate meets each of t translates of the set
+    in more than w columns, and each of its columns lies in at most min(a, t)
+    of them, so it weighs at least ⌈(w + 1)t / min(a, t)⌉.  The spread
+    returned, ⌈|G| min(a, t) / t⌉, gives the search a bound no stronger.
+    """
+    spreads = []
+    full = distance_mod._balanced_information_set
+
+    def limited(rows, n, size):
+        a = full(rows, n, size)
+        t = size if credited is None else min(credited, size)
+        spreads.append((a, -(-size * min(a, t) // t)))
+        return spreads[-1][1]
+
+    monkeypatch.setattr(distance_mod, "_balanced_information_set", limited)
+    return spreads
+
+
+@pytest.mark.parametrize("credited", [1, 3, None])
+def test_blocked_gray_sweep_matches_per_state_sweep(monkeypatch, credited):
     # (named for the blocked Gray sweep that the exact search once ran) the
     # search credited over the translation group and the search without
     # symmetry must each end at the per-state sweep's minimum and witness, on
-    # the kernels of classical codes on tori; random kernels, with unit and
-    # with random signatures, take the search without symmetry
-    rng = random.Random(2718)
+    # the kernels of classical codes on tori; crediting fewer translations only
+    # weakens the lower bound, so the search runs more levels and must still
+    # end there.  Random kernels, with unit and with random signatures, take
+    # the search without symmetry
+    spreads = _limit_credited_translations(monkeypatch, credited)
+    rng = random.Random(2718 + (credited or 0))
     dims, fewer = set(), 0
     for mat, group in _random_classical_matrices(rng, 60):
         kernel = mat.nullspace()
         dims.add(len(kernel))
         expect = _per_state_gray(kernel, [1 << j for j in range(len(kernel))], mat.ncols)
-        credited, plain = (exact_classical_distance(mat, s) for s in (group, None))
-        assert (credited.value, credited.witness) == (plain.value, plain.witness) == expect
-        assert credited.combinations <= plain.combinations
-        fewer += credited.combinations < plain.combinations
-    assert max(dims) >= 10 and fewer > 0
+        sym, plain = (exact_classical_distance(mat, s) for s in (group, None))
+        assert (sym.value, sym.witness) == (plain.value, plain.witness) == expect
+        assert sym.combinations <= plain.combinations
+        fewer += sym.combinations < plain.combinations
+    assert max(dims) >= 10
+    # one credited translation is the bound without symmetry
+    assert (fewer == 0) if credited == 1 else (fewer > 0)
+    if credited is not None:
+        assert any(s > a for a, s in spreads)
     for m in range(1, 17):
         for _ in range(2):
             mat = _matrix_with_kernel_dim(rng, m)
@@ -482,11 +512,13 @@ def _bundled_small_fixtures():
     return out
 
 
-def test_exact_sector_distance_matches_per_state_sweep():
-    # the search credited over the translation group and the search without
-    # symmetry, on the same kernels
+@pytest.mark.parametrize("credited", [1, 3, None])
+def test_exact_sector_distance_matches_per_state_sweep(monkeypatch, credited):
+    # the search credited over all, three or one of the translations, and the
+    # search without symmetry, on the same kernels
     fixtures = _bundled_small_fixtures()
     assert len(fixtures) >= 3
+    spreads = _limit_credited_translations(monkeypatch, credited)
     dims = set()
     for inst in fixtures + _small_sector_instances():
         for sector in ("X", "Z"):
@@ -497,6 +529,8 @@ def test_exact_sector_distance_matches_per_state_sweep():
             assert exact_sector_distance(inst, sector, cap_n=64) == expect
             assert distance_mod._bz_minimum(kernel, sigs, inst.n)[:2] == expect
     assert max(dims) > 12
+    if credited is not None:
+        assert any(s > a for a, s in spreads)
 
 
 def test_exact_witness_is_smallest_lightest_logical():
