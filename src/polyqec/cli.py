@@ -53,14 +53,11 @@ def _apply_boundary_override(
 ) -> specfile.CodeSpec:
     if not equations:
         return spec
-    vectors = []
-    for i, eq in enumerate(equations, start=1):
-        vectors.append(
-            specfile.parse_boundary_equation(
-                eq, spec.context, source="--boundary", lineno=i
-            )
-        )
-    return dataclasses.replace(spec, boundary=tuple(vectors))
+    vectors = tuple(
+        specfile.parse_boundary_equation(eq, spec.context, "--boundary", i)
+        for i, eq in enumerate(equations, start=1)
+    )
+    return dataclasses.replace(spec, boundary=vectors)
 
 
 def _load_spec(args) -> tuple[specfile.CodeSpec, str]:
@@ -246,7 +243,7 @@ def _result_instantiate(spec: specfile.CodeSpec, args) -> dict[str, Any]:
     return {
         "kind": "two-block",
         "n": built.n,
-        "group_order": built.group_order,
+        "group_order": built.group.order,
         "hx_shape": list(built.hx.shape),
         "hz_shape": list(built.hz.shape),
         "rank_hx": built.hx.rank(),
@@ -489,7 +486,8 @@ def _export_matrix(args) -> int:
     if args.out is None:
         writer(mat, sys.stdout)
         return 0
-    writer(mat, args.out)
+    with open(args.out, "w", encoding="utf-8") as fh:
+        writer(mat, fh)
     nnz = sum(r.bit_count() for r in mat.rows)
     result = {
         "which": which,

@@ -41,7 +41,6 @@ from .poly import (
     LaurentPoly,
     Monomial,
     VarContext,
-    extend_to_context,
     parse_poly,
     total_degree,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "CodeError",
     "LiftError",
     "TwistError",
-    "hgp",
     "hgp_split",
     "parent_hgp",
     "css_commutes_symbolically",
@@ -178,23 +176,6 @@ def two_block(variables: str, f_text: str, g_text: str) -> TwoBlockCode:
 def classical(variables: str, text: str) -> ClassicalGenerator:
     ctx = VarContext(tuple(variables.split()))
     return ClassicalGenerator(parse_poly(text, ctx))
-
-
-def hgp(f_gen: ClassicalGenerator, g_gen: ClassicalGenerator) -> HGPCode:
-    """Hypergraph product of two classical generators on disjoint variables."""
-    f_names = f_gen.context.names
-    g_names = g_gen.context.names
-    clash = set(f_names) & set(g_names)
-    if clash:
-        raise CodeError(f"hgp requires disjoint variables; both sides use {sorted(clash)}")
-    ctx = VarContext(f_names + g_names)
-    return HGPCode(
-        context=ctx,
-        f=extend_to_context(f_gen.poly, ctx),
-        g=extend_to_context(g_gen.poly, ctx),
-        f_vars=f_names,
-        g_vars=g_names,
-    )
 
 
 def parent_hgp(f_vars: tuple[str, ...], g_vars: tuple[str, ...]) -> HGPCode:
@@ -593,8 +574,12 @@ def bound_report(code: TwoBlockCode, n: int) -> BoundReport:
         raise CodeError(f"total check weight {w} is too small to bound (need >= 3)")
     D = min(v, w - 2)
     indec = is_indecomposable(code)
-    upper = float(n) ** (1.0 - 1.0 / D)
-    lower = float(n) ** (1.0 / D)
+    try:
+        size = float(n)
+    except OverflowError:
+        raise CodeError(f"block length n is too large to bound ({len(str(n))} digits)") from None
+    upper = size ** (1.0 - 1.0 / D)
+    lower = size ** (1.0 / D)
     lines = [
         f"total check weight w = {w}; unique variables v = {v}",
         f"local embedding dimension D = min(v, w-2) = {D}",

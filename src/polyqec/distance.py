@@ -50,7 +50,6 @@ __all__ = [
     "DistanceResult",
     "ClassicalDistance",
     "exact_distance",
-    "exact_sector_distance",
     "random_upper_bound",
     "exact_classical_distance",
     "validate_logical_witness",
@@ -282,33 +281,19 @@ def _bz_minimum(
     return best_w, min(witnesses, default=None), visited
 
 
-def _sector_minimum(inst: CodeInstance, sector: str, cap_n: int) -> tuple[int, int, int]:
-    """(distance, witness, combinations) of one sector."""
+def exact_distance(inst: CodeInstance, *, cap_n: int = EXACT_CAP_DEFAULT) -> DistanceResult:
+    """Exact code distance from the X sector: the block swap (a, b) -> (b̄, ā)
+    maps HX onto HZ and back, so d_X = d_Z.  The witness is the smallest
+    integer among the X sector's minimum-weight logicals."""
     if inst.n > cap_n:
         raise DistanceCapError(f"n={inst.n} exceeds the exact-search cap {cap_n}")
-    kernel, reps = logical_space(inst, sector)
+    kernel, reps = logical_space(inst, "X")
     if not reps.rows:
         raise DistanceError("code has no logical operators (k = 0)")
     sigs = [reps.times_vector(v) for v in kernel]
-    best_w, best, visited = _bz_minimum(kernel, sigs, inst.n, inst.group)
-    assert best is not None  # reps nonempty guarantees a logical element exists
-    validate_logical_witness(inst, best, sector)
-    return best_w, best, visited
-
-
-def exact_sector_distance(
-    inst: CodeInstance, sector: str, *, cap_n: int = EXACT_CAP_DEFAULT
-) -> tuple[int, int]:
-    """(distance, witness) for one sector; the witness is the smallest integer
-    among the sector's minimum-weight logicals."""
-    best_w, best, _ = _sector_minimum(inst, sector, cap_n)
-    return best_w, best
-
-
-def exact_distance(inst: CodeInstance, *, cap_n: int = EXACT_CAP_DEFAULT) -> DistanceResult:
-    """Exact code distance from the X sector: the block swap (a, b) -> (b̄, ā)
-    maps HX onto HZ and back, so d_X = d_Z."""
-    d, witness, visited = _sector_minimum(inst, "X", cap_n)
+    d, witness, visited = _bz_minimum(kernel, sigs, inst.n, inst.group)
+    assert witness is not None  # reps nonempty guarantees a logical element exists
+    validate_logical_witness(inst, witness, "X")
     return DistanceResult(
         d_upper=d,
         d_lower=d,

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from .codes import ClassicalGenerator, CodeError, TwoBlockCode
@@ -47,7 +46,6 @@ __all__ = [
     "CodeInstance",
     "instantiate",
     "classical_parity_matrix",
-    "code_dimension",
     "tanner_component_count",
     "write_coordinate_text",
     "write_matrix_market",
@@ -107,25 +105,8 @@ class BinaryMatrix:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def from_dense(cls, dense: Sequence[Sequence[int]]) -> BinaryMatrix:
-        ncols = len(dense[0]) if dense else 0
-        rows = []
-        for dr in dense:
-            if len(dr) != ncols:
-                raise ValueError("ragged dense matrix")
-            rows.append(sum((1 << j) for j, e in enumerate(dr) if e % 2))
-        return cls(rows, ncols)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> BinaryMatrix:
-        return cls([0] * nrows, ncols)
-
-    @classmethod
     def identity(cls, n: int) -> BinaryMatrix:
         return cls([1 << i for i in range(n)], n)
-
-    def to_dense(self) -> list[list[int]]:
-        return [[(r >> j) & 1 for j in range(self.ncols)] for r in self.rows]
 
     # -- basic structure ---------------------------------------------------
 
@@ -338,18 +319,9 @@ class CodeInstance:
         """Number of qubits (two blocks of |G|)."""
         return self.hx.ncols
 
-    @property
-    def group_order(self) -> int:
-        return self.group.order
-
     def k(self) -> int:
-        return code_dimension(self)
-
-    def qubit_label(self, col: int) -> str:
-        block, idx = divmod(col, self.group_order)
-        coords = self.group.index_coords(idx)
-        side = "L" if block == 0 else "R"
-        return f"{side}{coords}"
+        """Number of logical qubits: n - rank(HX) - rank(HZ)."""
+        return self.n - self.hx.rank() - self.hz.rank()
 
 
 def _code_group(code: TwoBlockCode, pres: GroupPresentation) -> QuotientGroup:
@@ -411,11 +383,6 @@ def classical_parity_matrix(
     return _check_matrix(group, (poly,))
 
 
-def code_dimension(inst: CodeInstance) -> int:
-    """Number of logical qubits: n - rank(HX) - rank(HZ)."""
-    return inst.n - inst.hx.rank() - inst.hz.rank()
-
-
 def tanner_component_count(inst: CodeInstance) -> int:
     """Connected components of the Tanner graph: 2^e [G : <A - A, B - B>].
 
@@ -444,39 +411,25 @@ def tanner_component_count(inst: CodeInstance) -> int:
 # -- exports ---------------------------------------------------------------
 
 
-def _open_for_write(dest: str | Path | IO[str]):
-    if isinstance(dest, (str, Path)):
-        return open(dest, "w", encoding="utf-8"), True
-    return dest, False
+def write_coordinate_text(matrix: BinaryMatrix, fh: IO[str]) -> None:
+    """Plain sparse listing: 'nrows ncols' then one 0-based 'row col' per entry,
+    written to an open text stream."""
+    fh.write(f"{matrix.nrows} {matrix.ncols}\n")
+    for i, r in enumerate(matrix.rows):
+        while r:
+            low = r & -r
+            fh.write(f"{i} {low.bit_length() - 1}\n")
+            r ^= low
 
 
-def write_coordinate_text(matrix: BinaryMatrix, dest: str | Path | IO[str]) -> None:
-    """Plain sparse listing: 'nrows ncols' then one 0-based 'row col' per entry."""
-    fh, owned = _open_for_write(dest)
-    try:
-        fh.write(f"{matrix.nrows} {matrix.ncols}\n")
-        for i, r in enumerate(matrix.rows):
-            while r:
-                low = r & -r
-                fh.write(f"{i} {low.bit_length() - 1}\n")
-                r ^= low
-    finally:
-        if owned:
-            fh.close()
-
-
-def write_matrix_market(matrix: BinaryMatrix, dest: str | Path | IO[str]) -> None:
-    """MatrixMarket coordinate format with 1-based indices."""
+def write_matrix_market(matrix: BinaryMatrix, fh: IO[str]) -> None:
+    """MatrixMarket coordinate format with 1-based indices, written to an open
+    text stream."""
     nnz = sum(r.bit_count() for r in matrix.rows)
-    fh, owned = _open_for_write(dest)
-    try:
-        fh.write("%%MatrixMarket matrix coordinate integer general\n")
-        fh.write(f"{matrix.nrows} {matrix.ncols} {nnz}\n")
-        for i, r in enumerate(matrix.rows):
-            while r:
-                low = r & -r
-                fh.write(f"{i + 1} {low.bit_length()} 1\n")
-                r ^= low
-    finally:
-        if owned:
-            fh.close()
+    fh.write("%%MatrixMarket matrix coordinate integer general\n")
+    fh.write(f"{matrix.nrows} {matrix.ncols} {nnz}\n")
+    for i, r in enumerate(matrix.rows):
+        while r:
+            low = r & -r
+            fh.write(f"{i + 1} {low.bit_length()} 1\n")
+            r ^= low

@@ -143,9 +143,6 @@ class LaurentPoly:
     def sorted_terms(self) -> list[Monomial]:
         return sorted(self.terms)
 
-    def contains_one(self) -> bool:
-        return mono_one(self.context.dim) in self.terms
-
     def variables_used(self) -> tuple[str, ...]:
         """Names of variables with a nonzero exponent in some term."""
         d = self.context.dim
@@ -257,12 +254,6 @@ class LaurentPoly:
             raise ValueError(
                 f"context mismatch: {self.context.names} vs {other.context.names}"
             )
-
-
-def extend_to_context(p: LaurentPoly, target: VarContext) -> LaurentPoly:
-    """Re-express ``p`` in a larger context containing all its variables."""
-    images = {n: LaurentPoly.variable(target, n) for n in p.context.names}
-    return p.substitute(images)
 
 
 # -- text parser -----------------------------------------------------------

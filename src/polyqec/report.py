@@ -29,7 +29,6 @@ __all__ = [
     "tool_version",
     "make_document",
     "canonical_json",
-    "strip_timing",
     "support_bits",
     "ReportCache",
     "render_document",
@@ -98,10 +97,6 @@ def make_document(
 
 def canonical_json(doc: Mapping[str, Any]) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def strip_timing(doc: Mapping[str, Any]) -> dict[str, Any]:
-    return {k: v for k, v in doc.items() if k != "timing"}
 
 
 # -- disk cache ------------------------------------------------------------

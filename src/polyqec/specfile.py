@@ -33,7 +33,6 @@ __all__ = [
     "parse_spec_text",
     "parse_spec_file",
     "parse_boundary_equation",
-    "render_spec",
 ]
 
 _SECTIONS = ("meta", "code", "boundary", "lift")
@@ -150,7 +149,7 @@ def parse_spec_text(text: str, *, source: str = "<string>") -> CodeSpec:
     g = _parse_poly_at(code_kv["g"], ctx, source) if "g" in code_kv else None
 
     boundary = tuple(
-        _parse_boundary_line(lineno, line, ctx, source)
+        parse_boundary_equation(line, ctx, source, lineno)
         for lineno, line in sections.get("boundary", ())
     )
 
@@ -206,14 +205,9 @@ def _parse_monomial_at(lineno: int, text: str, ctx: VarContext, source: str) -> 
     return poly.single_term()
 
 
-def parse_boundary_equation(
-    text: str, ctx: VarContext, *, source: str = "<boundary>", lineno: int = 1
-) -> Monomial:
-    """Relation vector of one ``monomial = monomial`` identity."""
-    return _parse_boundary_line(lineno, text, ctx, source)
-
-
-def _parse_boundary_line(lineno: int, line: str, ctx: VarContext, source: str) -> Monomial:
+def parse_boundary_equation(line: str, ctx: VarContext, source: str, lineno: int) -> Monomial:
+    """Relation vector of one ``monomial = monomial`` identity; errors name
+    ``source`` and ``lineno``."""
     kv = _split_key_value(line)
     if kv is None:
         raise _fail(source, lineno, f"boundary line must be 'monomial = monomial', got {line!r}")
@@ -311,37 +305,3 @@ def _parse_lift(lines, ctx: VarContext, source: str) -> LiftSpec:
         substitution=substitution,
         twist_vectors=tuple(twists),
     )
-
-
-def render_spec(spec: CodeSpec) -> str:
-    """Canonical text for a spec; parsing it back yields an equal spec."""
-    out: list[str] = []
-    if spec.name is not None or spec.note is not None:
-        out.append("[meta]")
-        if spec.name is not None:
-            out.append(f"name = {spec.name}")
-        if spec.note is not None:
-            out.append(f"note = {spec.note}")
-        out.append("")
-    out.append("[code]")
-    out.append(f"variables = {' '.join(spec.context.names)}")
-    out.append(f"f = {spec.f}")
-    if spec.g is not None:
-        out.append(f"g = {spec.g}")
-    if spec.boundary:
-        out.append("")
-        out.append("[boundary]")
-        for vec in spec.boundary:
-            pos = tuple(e if e > 0 else 0 for e in vec)
-            neg = tuple(-e if e < 0 else 0 for e in vec)
-            lhs = LaurentPoly.monomial(spec.context, pos)
-            rhs = LaurentPoly.monomial(spec.context, neg)
-            out.append(f"{lhs} = {rhs}")
-    if spec.lift is not None:
-        out.append("")
-        out.append("[lift]")
-        out.append(f"parent_f = {' '.join(spec.lift.f_labels)}")
-        out.append(f"parent_g = {' '.join(spec.lift.g_labels)}")
-        for key, value in spec.lift.assignments:
-            out.append(f"{key} = {value}")
-    return "\n".join(out) + "\n"

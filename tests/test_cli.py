@@ -13,7 +13,7 @@ from polyqec.cli import build_parser, main
 from polyqec.fixtures import data_dir, fixture_names, fixture_path
 from polyqec.instantiate import instantiate
 from polyqec.specfile import parse_spec_file
-from polyqec.report import ReportCache, make_document, strip_timing
+from polyqec.report import ReportCache, make_document
 
 SCHEMA = json.loads((data_dir() / "report.schema.json").read_text(encoding="utf-8"))
 
@@ -34,6 +34,11 @@ def run_json(capsys, *argv) -> tuple[int, dict]:
     doc = json.loads(out)
     jsonschema.validate(doc, SCHEMA)
     return code, doc
+
+
+def _strip_timing(doc: dict) -> dict:
+    """A document without its volatile ``timing`` block."""
+    return {k: v for k, v in doc.items() if k != "timing"}
 
 
 # -- verdict commands ------------------------------------------------------
@@ -357,6 +362,16 @@ def test_bounds_without_block_length_exits_one(capsys, tmp_path):
     assert err == "error: bounds need a block length; add a [boundary] section or pass --n\n"
 
 
+def test_bounds_past_the_float_range_exits_one(capsys):
+    # the scalings are floats: n = 10^308 still has them, 10^400 has none and
+    # ends in one line rather than an OverflowError traceback
+    code, doc = run_json(capsys, "bounds", "gross", "--n", str(10**308), "--no-cache")
+    assert code == 0 and doc["result"]["distance_upper_scaling"] == float(10**154)
+    code, out, err = run(capsys, "bounds", "gross", "--n", str(10**400), "--no-cache")
+    assert (code, out) == (1, "")
+    assert err == "error: block length n is too large to bound (401 digits)\n"
+
+
 # -- reproduce-appendix ----------------------------------------------------
 
 
@@ -416,8 +431,7 @@ def test_cache_round_trip(capsys, tmp_path):
     assert code1 == code2 == 0
     assert doc1["timing"]["cached"] is False
     assert doc2["timing"]["cached"] is True
-    strip = lambda d: {k: v for k, v in d.items() if k != "timing"}
-    assert strip(doc1) == strip(doc2)
+    assert _strip_timing(doc1) == _strip_timing(doc2)
 
 
 def test_no_cache_writes_nothing(capsys, tmp_path):
@@ -509,7 +523,7 @@ def test_reused_parser_matches_fresh_parser(capsys):
         code, doc = run_json(capsys, *argv)
         fresh = build_parser().parse_args(argv)
         assert fresh.func(fresh) == code == 0
-        assert strip_timing(json.loads(capsys.readouterr().out)) == strip_timing(doc)
+        assert _strip_timing(json.loads(capsys.readouterr().out)) == _strip_timing(doc)
     assert doc["result"]["search_seed"] == 0
     assert doc["result"]["workers"] == 1
 
@@ -622,7 +636,7 @@ def test_cached_document_keeps_its_seconds(tmp_path):
     assert loaded == {**doc, "timing": {"seconds": 1.25, "cached": True}}
     # a file written without the stored seconds is still a hit
     (tmp_path / f"{key}.json").write_text(
-        json.dumps(strip_timing(doc)), encoding="utf-8"
+        json.dumps(_strip_timing(doc)), encoding="utf-8"
     )
     loaded = cache.load(key, "params", "a" * 64)
     assert loaded == {**doc, "timing": {"seconds": 0.0, "cached": True}}

@@ -16,12 +16,12 @@ from polyqec.codes import (
     css_commutes_symbolically,
     decomposition_profile,
     family_tree,
-    hgp,
     hgp_split,
     is_indecomposable,
     is_indecomposable_finite,
     lift_to_parent,
     monomial_group_vectors,
+    parent_hgp,
     two_block,
 )
 from polyqec.lattice import GroupPresentation, hermite_basis
@@ -51,15 +51,15 @@ def test_two_block_requires_matching_context():
 
 
 def test_hgp_builds_disjoint_union_context():
-    code = hgp(classical("x", "1 + x"), classical("y", "1 + y"))
+    code = parent_hgp(("x",), ("y",))
     assert code.context.names == ("x", "y")
     assert code.f_vars == ("x",) and code.g_vars == ("y",)
     assert str(code.f) == "1 + x" and str(code.g) == "1 + y"
 
 
 def test_hgp_rejects_shared_variables():
-    with pytest.raises(CodeError, match="disjoint"):
-        hgp(classical("x y", "1 + x"), classical("y", "1 + y"))
+    with pytest.raises(ValueError, match="duplicate variable names"):
+        parent_hgp(("x", "y"), ("y",))
 
 
 def test_hgp_split_detects_blocks():
@@ -273,7 +273,7 @@ def test_lift_roundtrip_on_random_indecomposable_codes():
 
 
 def _surface_parent():
-    return hgp(classical("a1", "1 + a1"), classical("b1", "1 + b1"))
+    return parent_hgp(("a1",), ("b1",))
 
 
 def test_compactify_rejects_non_product_parent():
@@ -335,11 +335,8 @@ def test_family_tree_preserved_by_compactification():
     checked = 0
     while checked < 80:
         k1, k2 = rng.randint(1, 3), rng.randint(1, 3)
-        parent = hgp(
-            classical(" ".join(f"a{i}" for i in range(1, k1 + 1)),
-                      "1 + " + " + ".join(f"a{i}" for i in range(1, k1 + 1))),
-            classical(" ".join(f"b{i}" for i in range(1, k2 + 1)),
-                      "1 + " + " + ".join(f"b{i}" for i in range(1, k2 + 1))),
+        parent = parent_hgp(
+            tuple(f"a{i}" for i in range(1, k1 + 1)), tuple(f"b{i}" for i in range(1, k2 + 1))
         )
         dim = rng.randint(1, 3)
         ctx = VarContext(tuple("xyz"[:dim]))

@@ -14,7 +14,6 @@ from polyqec.distance import (
     DistanceError,
     exact_classical_distance,
     exact_distance,
-    exact_sector_distance,
     logical_space,
     random_upper_bound,
     validate_logical_witness,
@@ -64,6 +63,14 @@ def _random_small_instance(rng, *, max_n=12):
     return inst if inst.k() >= 1 else None
 
 
+def _sector_minimum(inst, sector):
+    """(weight, witness) of a sector's lightest logicals, from the exact
+    search's enumeration credited over the instance's group."""
+    kernel, reps = logical_space(inst, sector)
+    sigs = [reps.times_vector(v) for v in kernel]
+    return distance_mod._bz_minimum(kernel, sigs, inst.n, inst.group)[:2]
+
+
 # -- exact search ----------------------------------------------------------
 
 
@@ -101,10 +108,10 @@ def test_sector_swap_symmetry():
         code = inst.code
         swapped = TwoBlockCode(code.context, code.g.antipode(), code.f.antipode())
         inst_sw = instantiate(swapped, inst.presentation)
-        dx, _ = exact_sector_distance(inst, "X")
-        dz, _ = exact_sector_distance(inst, "Z")
-        sx, _ = exact_sector_distance(inst_sw, "X")
-        sz, _ = exact_sector_distance(inst_sw, "Z")
+        dx, _ = _sector_minimum(inst, "X")
+        dz, _ = _sector_minimum(inst, "Z")
+        sx, _ = _sector_minimum(inst_sw, "X")
+        sz, _ = _sector_minimum(inst_sw, "Z")
         assert (dx, dz) == (sz, sx)
 
 
@@ -130,7 +137,7 @@ def test_unknown_sector_rejected():
     code = two_block("x y", "1 + x", "1 + y")
     inst = instantiate(code, torus(code.context, 2, 2))
     with pytest.raises(DistanceError, match="sector"):
-        exact_sector_distance(inst, "Y")
+        logical_space(inst, "Y")
 
 
 # -- witness validation ----------------------------------------------------
@@ -271,15 +278,15 @@ def test_classical_matches_brute_force():
 
 def test_classical_cap(monkeypatch):
     # every unit vector is a codeword: level 1 finds weight 1 and ends the search
-    got = exact_classical_distance(BinaryMatrix.zeros(1, 30))
+    got = exact_classical_distance(BinaryMatrix([0], 30))
     assert (got.value, got.witness, got.combinations) == (1, 1, 30)
     monkeypatch.setattr(distance_mod, "_COMBINATION_CAP", 29)
     with pytest.raises(DistanceCapError, match="combinations"):
-        exact_classical_distance(BinaryMatrix.zeros(1, 30))
+        exact_classical_distance(BinaryMatrix([0], 30))
 
 
 def test_classical_witness_is_rechecked(monkeypatch):
-    ring = BinaryMatrix.from_dense([[1, 1, 0], [0, 1, 1]])  # codewords 0 and 111
+    ring = BinaryMatrix([0b011, 0b110], 3)  # codewords 0 and 111
     assert exact_classical_distance(ring).witness == 0b111
     for bad in (0b011, 0):
         monkeypatch.setattr(distance_mod, "_bz_minimum", lambda *a, bad=bad: (2, bad, 1))
@@ -514,8 +521,9 @@ def _bundled_small_fixtures():
 
 @pytest.mark.parametrize("credited", [1, 3, None])
 def test_exact_sector_distance_matches_per_state_sweep(monkeypatch, credited):
-    # the search credited over all, three or one of the translations, and the
-    # search without symmetry, on the same kernels
+    # (named for a per-sector entry point that is gone; the enumeration is
+    # called directly) the search credited over all, three or one of the
+    # translations, and the search without symmetry, on the same kernels
     fixtures = _bundled_small_fixtures()
     assert len(fixtures) >= 3
     spreads = _limit_credited_translations(monkeypatch, credited)
@@ -526,8 +534,8 @@ def test_exact_sector_distance_matches_per_state_sweep(monkeypatch, credited):
             dims.add(len(kernel))
             sigs = [reps.times_vector(v) for v in kernel]
             expect = _per_state_gray(kernel, sigs, inst.n)
-            assert exact_sector_distance(inst, sector, cap_n=64) == expect
-            assert distance_mod._bz_minimum(kernel, sigs, inst.n)[:2] == expect
+            for group in (inst.group, None):
+                assert distance_mod._bz_minimum(kernel, sigs, inst.n, group)[:2] == expect
     assert max(dims) > 12
     if credited is not None:
         assert any(s > a for a, s in spreads)
@@ -540,7 +548,7 @@ def test_exact_witness_is_smallest_lightest_logical():
         per_sector = {}
         for sector in ("X", "Z"):
             per_sector[sector] = _brute_sector_minimum(inst, sector)
-            assert exact_sector_distance(inst, sector) == per_sector[sector]
+            assert _sector_minimum(inst, sector) == per_sector[sector]
         res = exact_distance(inst)
         sector = "X" if per_sector["X"][0] <= per_sector["Z"][0] else "Z"
         assert (res.d_upper, res.witness, res.witness_sector) == (*per_sector[sector], sector)

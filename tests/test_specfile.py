@@ -15,7 +15,6 @@ from polyqec.specfile import (
     SpecError,
     parse_spec_file,
     parse_spec_text,
-    render_spec,
 )
 
 GROSS_TEXT = """
@@ -205,15 +204,6 @@ def test_fixture_inventory():
 def test_unknown_fixture():
     with pytest.raises(FileNotFoundError, match="no bundled code"):
         fixture_path("does_not_exist")
-
-
-@pytest.mark.parametrize("name", sorted(fixture_names()))
-def test_fixture_roundtrip(name):
-    spec = load_fixture(name)
-    rendered = render_spec(spec)
-    again = parse_spec_text(rendered, source=spec.source)
-    assert again == spec
-    assert parse_spec_text(render_spec(again)) == again
 
 
 @pytest.mark.parametrize("name", FAMILY_TABLE_ROWS)
