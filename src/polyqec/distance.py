@@ -14,14 +14,23 @@ whatever the basis or the visiting order.  Without a group the bound is
 w + 1.  The work is capped per sector in combinations
 (``_COMBINATION_CAP``), checked before each level starts.
 
-At practical sizes a seeded information-set walk gives upper bounds: each
+At practical sizes the randomized search gives upper bounds.  It first looks
+for logicals on one block (``_one_block_logical``): HZ = [Ḡ | F̄], so the
+codewords of the classical codes of ḡ and f̄ on G, placed on the left or the
+right block, lie in the X kernel, and those with a nonzero signature are
+logicals.  In a hypergraph product, which the paper takes as the parent of
+every two-block code, a lightest logical is of this kind; on a compactified
+code they bound d from above (Wang & Pryadko 2022 bound GB-code distances
+through the same cyclic codes).  Then a seeded information-set walk: each
 worker stream keeps the kernel basis of each sector in Gauss–Jordan form,
 moves it to a neighbouring information set by random pivot swaps every round
 (``_InformationSetWalk``), and inspects the rows (and sums of light row
-pairs) for low-weight logical operators.  The worker streams run in parallel
-processes once the job is large enough to pay for the round trip; they are
-merged in worker order, so the result is the one a sequential run of the
-streams gives.
+pairs, ``_candidates``) for low-weight logical operators.  A first round
+given fewer trials than the kernel dimension reduces only the rows it
+examines, and ends the stream.  The worker streams run in parallel processes
+once the job is large enough to pay for the round trip; they are merged in
+worker order after the one-block candidate, so the result is the one a
+sequential run of the streams gives.
 
 Sector conventions, held by ``_sector_checks`` alone: an X-type logical is v
 with HZ*v = 0 and v outside the row space of HX; symmetrically for Z.  Both
@@ -41,7 +50,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .instantiate import BinaryMatrix, CodeInstance, _translates
+from .instantiate import BinaryMatrix, CodeInstance, _check_matrix, _translates
 from .lattice import QuotientGroup
 
 __all__ = [
@@ -81,7 +90,7 @@ class DistanceResult:
     d_lower: int | None
     witness: int | None
     witness_sector: str | None
-    method: str  # "exact-brouwer-zimmermann" | "random-information-set-walk"
+    method: str  # "exact-brouwer-zimmermann" | "random-one-block-information-set-walk"
     trials: int | None = None
     seed: int | None = None
     workers: int | None = None
@@ -304,6 +313,49 @@ def exact_distance(inst: CodeInstance, *, cap_n: int = EXACT_CAP_DEFAULT) -> Dis
     )
 
 
+def _candidates(rows: list[int], n: int) -> list[int]:
+    """The candidates of one Gauss–Jordan basis, in fixed order: the rows,
+    then the sums of pairs of the ``_PAIR_POOL`` rows lightest on the ``n``
+    qubit columns."""
+    full = (1 << n) - 1
+    light = sorted(rows, key=lambda x: (x & full).bit_count())[:_PAIR_POOL]
+    return rows + [a ^ b for a, b in combinations(light, 2)]
+
+
+def _lightest_logical(found: list[int], n: int) -> tuple[int, int | None]:
+    """(weight, qubit mask) of the first lightest packed candidate with a
+    nonzero signature, i.e. a logical; (n, None) when none has one."""
+    full = (1 << n) - 1
+    weights = [(x & full).bit_count() if x >> n else n for x in found]
+    w = min(weights, default=n)
+    return (w, found[weights.index(w)] & full) if w < n else (n, None)
+
+
+def _one_block_logical(
+    inst: CodeInstance, reps: BinaryMatrix
+) -> tuple[int, int | None, str | None]:
+    """(weight, witness, "X") of the lightest X logical supported on one block
+    among the candidates of each block's classical kernel; (n, None, None)
+    when none of them is a logical.
+
+    HZ = [Ḡ | F̄], so (u, 0) lies in ker HZ exactly when ḡu = 0 in F2[G], and
+    (0, v) exactly when f̄v = 0: the codewords of the classical codes of ḡ
+    and f̄ on G.  Each kernel is reduced to Gauss–Jordan form in column order
+    and gives the candidates of one walk round (``_candidates``); ``reps``
+    are the X sector's representatives from ``logical_space``.
+    """
+    n, size = inst.n, inst.group.order
+    best_w, best = n, None
+    for offset, poly in ((0, inst.code.g), (size, inst.code.f)):
+        kernel = _check_matrix(inst.group, (poly.antipode(),)).nullspace()
+        rows = [u << offset | reps.times_vector(u << offset) << n for u in kernel]
+        _eliminate(rows, list(range(offset, offset + size)))
+        w, mask = _lightest_logical(_candidates(rows, n), n)
+        if w < best_w:
+            best_w, best = w, mask
+    return best_w, best, None if best is None else "X"
+
+
 class _InformationSetWalk:
     """A walk over information sets of one sector's kernel (Canteaut &
     Chabaud 1998).
@@ -324,16 +376,27 @@ class _InformationSetWalk:
         self.rng, self.n = rng, n
         self.rows = [v | s << n for v, s in zip(kernel, sigs)]
         self.pivots = 0
-        self.free: list[int] | None = None  # None until the first round
+        self.free: list[int] | None = None  # None until the first full round
 
-    def round(self) -> list[int]:
-        """Move to the next information set and return its candidates in
-        fixed order: the m rows, then the sums of pairs of the ``_PAIR_POOL``
-        lightest rows.  Each is a packed kernel element."""
+    def round(self, limit: int) -> list[int]:
+        """Move to the next information set and return at most ``limit`` of
+        its candidates (``_candidates``), each a packed kernel element.
+
+        A first round with ``limit`` below the kernel dimension m reduces the
+        first ``limit`` rows among themselves along the shuffled order and
+        returns them, each holding exactly one of ``limit`` pivot columns.
+        The caller examines no more candidates, so eliminating the whole
+        basis would be wasted work; the walk stays unstarted.
+        """
         rows, n, rng, free = self.rows, self.n, self.rng, self.free
         if free is None:
             order = list(range(n))
             rng.shuffle(order)
+            if limit < len(rows):
+                head = rows[:limit]
+                self.pivots = _eliminate(head, order)
+                rows[:limit] = head
+                return head
             self.pivots = _eliminate(rows, order)
             support = 0
             for x in rows:
@@ -351,9 +414,7 @@ class _InformationSetWalk:
                 self.pivots ^= old | bit
                 free[u] = old.bit_length() - 1
                 _pivot(rows, i, bit)
-        full = (1 << n) - 1
-        light = sorted(rows, key=lambda x: (x & full).bit_count())[:_PAIR_POOL]
-        return rows + [a ^ b for a, b in combinations(light, 2)]
+        return _candidates(rows, n)[:limit]
 
 
 def _stream(
@@ -366,25 +427,22 @@ def _stream(
     """(best_w, best, best_sector) of one worker stream of ``budget`` trials.
 
     The stream walks each sector's information sets, the sectors taking
-    rounds in turn.  The first candidate of the lowest weight wins; weights
-    of n and above never count, so a stream that finds nothing returns
-    (n, None, None).
+    rounds in turn, each round given the budget left.  The first candidate
+    of the lowest weight wins; weights of n and above never count, so a
+    stream that finds nothing returns (n, None, None).
     """
     rng = random.Random(seed * 0x9E3779B1 + widx)
     walks = {s: _InformationSetWalk(rng, *spaces[s], n) for s in ("X", "Z")}
-    full = (1 << n) - 1
     best_w, best, best_sector = n, None, None
     examined = 0
     round_idx = 0
     while examined < budget:
         sector = "X" if round_idx % 2 == 0 else "Z"
-        found = walks[sector].round()[: budget - examined]
+        found = walks[sector].round(budget - examined)
         examined += len(found)
-        # a candidate counts only with a nonzero signature, i.e. as a logical
-        weights = [(x & full).bit_count() if x >> n else n for x in found]
-        w = min(weights)
+        w, mask = _lightest_logical(found, n)
         if w < best_w:
-            best_w, best, best_sector = w, found[weights.index(w)] & full, sector
+            best_w, best, best_sector = w, mask, sector
         round_idx += 1
     return best_w, best, best_sector
 
@@ -426,30 +484,43 @@ def random_upper_bound(
     *,
     workers: int = 1,
 ) -> DistanceResult:
-    """Randomized upper bound on the code distance by information-set walks.
+    """Randomized upper bound on the code distance: one-block logicals, then
+    information-set walks.
 
-    A trial is one candidate codeword examined.  The search is deterministic
-    given (seed, trials, workers): each worker runs an independent stream
-    derived from the seed, examining its share of the trial budget in a fixed
-    order, so enlarging the budget only extends each stream.  The X and Z
-    sectors alternate round by round within a stream.
+    With a nonzero budget the one-block candidates come first
+    (``_one_block_logical``): the rows of each block's classical kernel in
+    Gauss–Jordan form, and sums of light row pairs.  They are deterministic
+    and are not trials; the lightest of them that is a logical seeds the
+    best.
+
+    A trial is one candidate codeword examined by a walk.  The search is
+    deterministic given (seed, trials, workers): each worker runs an
+    independent stream derived from the seed, examining its share of the
+    trial budget in a fixed order.  The X and Z sectors alternate round by
+    round within a stream, each round given the trials left.  A sector's
+    first round given fewer trials than its kernel dimension m is the
+    stream's last: it reduces only the rows it examines, among themselves,
+    so its candidates depend on the budget.  Enlarging the budget only
+    extends a stream whose first rounds had at least m trials left.
 
     Above ``_POOL_MIN_WORK`` (trials times the larger kernel dimension) the
     streams run in parallel processes, at most one per core.  They are merged
-    in worker order and a later stream replaces the best only when strictly
-    lighter, so the result is that of running the streams one after another:
-    lowest weight, then lowest worker index, then earliest in the stream.
+    after the one-block candidate, in worker order, and each replaces the
+    best only when strictly lighter, so the result is that of running the
+    streams one after another: lowest weight, then the one-block candidate,
+    then lowest worker index, then earliest in the stream.
     """
     if trials < 0:
         raise DistanceError("trials must be nonnegative")
     if workers < 1:
         raise DistanceError("workers must be >= 1")
-    spaces = {}
+    spaces, reps = {}, {}
     for sector in ("X", "Z"):
-        kernel, reps = logical_space(inst, sector)
-        if not reps.rows:
+        kernel, reps[sector] = logical_space(inst, sector)
+        if not reps[sector].rows:
             raise DistanceError("code has no logical operators (k = 0)")
-        spaces[sector] = (kernel, [reps.times_vector(v) for v in kernel])
+        spaces[sector] = (kernel, [reps[sector].times_vector(v) for v in kernel])
+    seeded = [_one_block_logical(inst, reps["X"])] if trials else []
     share, remainder = divmod(trials, workers)
     jobs = [
         (spaces, inst.n, seed, widx, share + (1 if widx < remainder else 0))
@@ -462,7 +533,7 @@ def random_upper_bound(
     else:
         streams = _run_streams(jobs, processes)
     best_w, best, best_sector = inst.n, None, None
-    for w, mask, sector in streams:
+    for w, mask, sector in seeded + streams:
         if w < best_w:
             best_w, best, best_sector = w, mask, sector
     if best is not None:
@@ -472,7 +543,7 @@ def random_upper_bound(
         d_lower=None,
         witness=best,
         witness_sector=best_sector,
-        method="random-information-set-walk",
+        method="random-one-block-information-set-walk",
         trials=trials,
         seed=seed,
         workers=workers,

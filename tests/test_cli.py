@@ -167,8 +167,9 @@ def test_pinned_params_and_seeded_witness(capsys):
     code, doc = run_json(capsys, "distance", "checkerboard", "--method", "exact")
     assert code == 0
     assert doc["result"]["witness"] == {"sector": "X", "support": [0, 8], "weight": 2}
-    # the randomized stream re-eliminates the kernel each round; its witness
-    # pins the seeded candidate order
+    # the one-block candidate already has weight d = 12 and wins the tie with
+    # every stream: its witness lies on the left block (columns below
+    # |G| = 72) and pins the candidate order of the one-block step
     code, doc = run_json(
         capsys, "distance", "gross", "--method", "random", "--trials", "2000", "--seed", "1"
     )
@@ -176,7 +177,7 @@ def test_pinned_params_and_seeded_witness(capsys):
     assert doc["result"]["d_upper"] == 12
     assert doc["result"]["witness"] == {
         "sector": "X",
-        "support": [5, 6, 31, 73, 80, 81, 88, 95, 97, 112, 113, 129],
+        "support": [0, 15, 18, 24, 27, 30, 36, 51, 54, 60, 63, 66],
         "weight": 12,
     }
 
@@ -238,7 +239,7 @@ def test_distance_randomized_carries_seed_and_trials(capsys):
     )
     assert code == 0
     res = doc["result"]
-    assert res["method"] == "random-information-set-walk"
+    assert res["method"] == "random-one-block-information-set-walk"
     assert "combinations" not in res
     assert res["trials"] == 400
     assert res["search_seed"] == 3
@@ -260,7 +261,7 @@ def test_distance_randomized_when_both_generators_cancel(capsys, tmp_path):
     )
     assert code == 0
     assert doc["result"]["d_upper"] == 1
-    assert doc["result"]["method"] == "random-information-set-walk"
+    assert doc["result"]["method"] == "random-one-block-information-set-walk"
 
 
 def test_distance_classical(capsys):

@@ -567,14 +567,17 @@ def test_exact_witness_is_smallest_lightest_logical():
 
 
 def _sequential_upper_bound(inst, trials, seed, workers):
-    """Reference: the worker streams run one after another in one loop, with
-    the best weight carried from each stream into the next."""
-    spaces = {}
+    """Reference: the one-block candidate seeds the best, then the worker
+    streams run one after another in one loop, with the best weight carried
+    from each stream into the next."""
+    spaces, reps = {}, {}
     for sector in ("X", "Z"):
-        kernel, reps = logical_space(inst, sector)
-        spaces[sector] = (kernel, [reps.times_vector(v) for v in kernel])
+        kernel, reps[sector] = logical_space(inst, sector)
+        spaces[sector] = (kernel, [reps[sector].times_vector(v) for v in kernel])
     n = inst.n
     best_w, best, best_sector = n, None, None
+    if trials:
+        best_w, best, best_sector = distance_mod._one_block_logical(inst, reps["X"])
     share, remainder = divmod(trials, workers)
     for widx in range(workers):
         budget = share + (1 if widx < remainder else 0)
@@ -588,7 +591,7 @@ def _sequential_upper_bound(inst, trials, seed, workers):
         examined = round_idx = 0
         while examined < budget:
             sector = "X" if round_idx % 2 == 0 else "Z"
-            for packed in walks[sector].round():
+            for packed in walks[sector].round(budget - examined):
                 mask, sig = packed & ((1 << n) - 1), packed >> n
                 examined += 1
                 if sig and mask and mask.bit_count() < best_w:
@@ -598,7 +601,8 @@ def _sequential_upper_bound(inst, trials, seed, workers):
             round_idx += 1
     return distance_mod.DistanceResult(
         d_upper=best_w, d_lower=None, witness=best, witness_sector=best_sector,
-        method="random-information-set-walk", trials=trials, seed=seed, workers=workers,
+        method="random-one-block-information-set-walk", trials=trials, seed=seed,
+        workers=workers,
     )
 
 
@@ -673,8 +677,40 @@ def test_walk_rounds_stay_systematic_kernel_bases():
             sigs = [reps.times_vector(v) for v in kernel]
             walk = distance_mod._InformationSetWalk(random.Random(idx), kernel, sigs, inst.n)
             for _ in range(4):
-                found = walk.round()
+                found = walk.round(len(kernel) + 200)
                 assert found[: len(kernel)] == walk.rows
+                _assert_walk_invariants(walk, inst, sector)
+
+
+def test_budget_below_the_kernel_dimension_reduces_only_what_is_examined():
+    # a first round given fewer candidates than the kernel dimension m returns
+    # exactly that many kernel elements, each with its true signature and
+    # holding exactly one of as many pivot columns; the walk stays unstarted,
+    # and a later full round still leaves a systematic kernel basis
+    instances = _search_instances()
+    rng = random.Random(1998)
+    while len(instances) < 24:
+        inst = _random_small_instance(rng)
+        if inst is not None:
+            instances.append(inst)
+    for idx, inst in enumerate(instances):
+        for sector in ("X", "Z"):
+            checks, _ = distance_mod._sector_checks(inst, sector)
+            kernel, reps = logical_space(inst, sector)
+            if len(kernel) < 2:
+                continue
+            sigs = [reps.times_vector(v) for v in kernel]
+            for limit in {1, len(kernel) // 2, len(kernel) - 1}:
+                walk = distance_mod._InformationSetWalk(random.Random(idx), kernel, sigs, inst.n)
+                found = walk.round(limit)
+                assert len(found) == limit == walk.pivots.bit_count()
+                held = [x & walk.pivots for x in found]
+                assert all(h.bit_count() == 1 for h in held) and sum(held) == walk.pivots
+                for x in found:
+                    v = x & ((1 << inst.n) - 1)
+                    assert not checks.times_vector(v) and x >> inst.n == reps.times_vector(v)
+                assert walk.free is None
+                walk.round(len(kernel))
                 _assert_walk_invariants(walk, inst, sector)
 
 
@@ -682,9 +718,9 @@ def test_walk_without_a_legal_swap_stays_put():
     # column 2 is no pivot, but no kernel vector holds it: no swap can bring
     # it in, so the walk must stop swapping rather than look for one
     walk = distance_mod._InformationSetWalk(random.Random(0), [0b001, 0b010], [1, 2], 3)
-    first = walk.round()
+    first = walk.round(3)
     assert walk.pivots == 0b011 and walk.free == []
-    assert walk.round() == first == [0b1001, 0b10010, 0b11011]
+    assert walk.round(3) == first == [0b1001, 0b10010, 0b11011]
 
 
 def _full_logical_space(inst, sector):
@@ -753,3 +789,77 @@ def test_logical_space_matches_check_row_reduction_on_random_tori():
             assert reps.nrows == inst.k()
         big += inst.n > 256 and inst.k() > 0
     assert big >= 4
+
+
+# -- one-block logicals ahead of the walk -------------------------------------
+
+
+def _catalogue_tori(dim):
+    """The small tori of the exact-small benchmark catalogue (every side >= 2,
+    4 <= |G| <= 14), plain and twisted."""
+    if dim == 2:
+        sides = [(a, b) for a in range(2, 8) for b in range(2, 8) if 4 <= a * b <= 14]
+    else:
+        sides = [s for s in product(range(2, 4), repeat=3) if 4 <= s[0] * s[1] * s[2] <= 14]
+    for side in sides:
+        rels = [[side[i] if j == i else 0 for j in range(dim)] for i in range(dim)]
+        yield tuple(map(tuple, rels))
+        rels[1][0] = 1  # x y^b = 1
+        if dim == 3:
+            rels[2][1] = 1  # y z^c = 1
+        yield tuple(map(tuple, rels))
+
+
+def test_one_block_candidate_is_a_logical_no_lighter_than_d():
+    # every X sector with k > 0 of the two-block catalogue, plus its three
+    # heavy exact jobs: the candidate is a validated logical of weight >= d
+    presentations = []
+    for name in fixture_names():
+        spec = specfile.parse_spec_file(fixture_path(name))
+        if not spec.is_classical:
+            presentations += [(spec, rels) for rels in _catalogue_tori(spec.context.dim)]
+    for name, sides in (("toric", (4, 4)), ("toric", (4, 5)), ("gross", (3, 6))):
+        spec = specfile.parse_spec_file(fixture_path(name))
+        presentations.append((spec, ((sides[0], 0), (0, sides[1]))))
+    checked = equal = twisted = 0
+    for spec, rels in presentations:
+        inst = instantiate(spec.two_block(), GroupPresentation(spec.context, rels))
+        if inst.k() == 0:
+            continue
+        _, reps = logical_space(inst, "X")
+        w, witness, sector = distance_mod._one_block_logical(inst, reps)
+        assert sector == "X" and witness.bit_count() == w
+        validate_logical_witness(inst, witness, sector)
+        d = exact_distance(inst, cap_n=inst.n).d_upper
+        assert w >= d
+        checked += 1
+        equal += w == d
+        twisted += any(r[j] for i, r in enumerate(rels) for j in range(i))
+    assert checked >= 60 and twisted >= 20 and 0 < equal < checked
+
+
+# (f, g, l, m, one-block weight) of the published bivariate-bicycle codes on
+# x^l = y^m = 1; the one-block weight is the published d except on bb108
+# (d = 10) and bb756 (d <= 34), where the walk has to find d
+_PUBLISHED_ONE_BLOCK = {
+    "bb72": ("x^3 + y + y^2", "y^3 + x + x^2", 6, 6, 6),
+    "bb90": ("x^9 + y + y^2", "1 + x^2 + x^7", 15, 3, 10),
+    "bb108": ("x^3 + y + y^2", "y^3 + x + x^2", 9, 6, 12),
+    "bb144": ("x^3 + y + y^2", "y^3 + x + x^2", 12, 6, 12),
+    "bb288": ("x^3 + y^2 + y^7", "y^3 + x + x^2", 12, 12, 18),
+    "bb756": ("x^3 + y^10 + y^17", "y^5 + x^3 + x^19", 21, 18, 52),
+    "bb784": ("x^26 + y^6 + y^8", "y^7 + x^9 + x^20", 28, 14, 24),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PUBLISHED_ONE_BLOCK))
+def test_one_block_bound_on_the_published_codes(name):
+    f, g, l, m, expect = _PUBLISHED_ONE_BLOCK[name]
+    code = two_block("x y", f, g)
+    inst = instantiate(code, torus(code.context, l, m))
+    _, reps = logical_space(inst, "X")
+    w, witness, sector = distance_mod._one_block_logical(inst, reps)
+    assert w == witness.bit_count() == expect
+    validate_logical_witness(inst, witness, sector)
+    size = inst.group.order
+    assert witness < 1 << size or witness % (1 << size) == 0  # on one block
