@@ -22,8 +22,8 @@ logicals.  In a hypergraph product, which the paper takes as the parent of
 every two-block code, a lightest logical is of this kind; on a compactified
 code they bound d from above (Wang & Pryadko 2022 bound GB-code distances
 through the same cyclic codes).  Then a seeded information-set walk: each
-worker stream keeps the kernel basis of each sector in Gauss–Jordan form,
-moves it to a neighbouring information set by random pivot swaps every round
+worker stream keeps the X kernel basis in Gauss–Jordan form, moves it to a
+neighbouring information set by random pivot swaps every round
 (``_InformationSetWalk``), and inspects the rows (and sums of light row
 pairs, ``_candidates``) for low-weight logical operators.  A first round
 given fewer trials than the kernel dimension reduces only the rows it
@@ -33,8 +33,9 @@ worker order after the one-block candidate, so the result is the one a
 sequential run of the streams gives.
 
 Sector conventions, held by ``_sector_checks`` alone: an X-type logical is v
-with HZ*v = 0 and v outside the row space of HX; symmetrically for Z.  Both
-sectors have the same distance, so ``exact_distance`` searches X only.  A
+with HZ*v = 0 and v outside the row space of HX; symmetrically for Z.  The
+block swap (a, b) -> (b̄, ā) maps HX onto HZ and back, so both sectors have
+the same distance, and every search here runs on the X sector alone.  A
 logical's signature is its pairing with the representative rows of
 ``logical_space``.  A classical codeword is a logical with unit signatures:
 each kernel basis vector gets its own signature bit, so any nonzero
@@ -90,7 +91,7 @@ class DistanceResult:
     d_lower: int | None
     witness: int | None
     witness_sector: str | None
-    method: str  # "exact-brouwer-zimmermann" | "random-one-block-information-set-walk"
+    method: str  # "exact-brouwer-zimmermann" | "random-x-one-block-information-set-walk"
     trials: int | None = None
     seed: int | None = None
     workers: int | None = None
@@ -155,6 +156,15 @@ def logical_space(inst: CodeInstance, sector: str) -> tuple[list[int], BinaryMat
             reps.append(v)
             piv[res.bit_length() - 1] = res
     return kernel, BinaryMatrix(reps, inst.n)
+
+
+def _x_logicals(inst: CodeInstance) -> tuple[list[int], BinaryMatrix, list[int]]:
+    """(kernel basis, representatives, kernel signatures) of the X sector,
+    from ``logical_space``; raises ``DistanceError`` when k = 0."""
+    kernel, reps = logical_space(inst, "X")
+    if not reps.rows:
+        raise DistanceError("code has no logical operators (k = 0)")
+    return kernel, reps, [reps.times_vector(v) for v in kernel]
 
 
 def validate_logical_witness(inst: CodeInstance, witness: int, sector: str) -> None:
@@ -291,15 +301,12 @@ def _bz_minimum(
 
 
 def exact_distance(inst: CodeInstance, *, cap_n: int = EXACT_CAP_DEFAULT) -> DistanceResult:
-    """Exact code distance from the X sector: the block swap (a, b) -> (b̄, ā)
-    maps HX onto HZ and back, so d_X = d_Z.  The witness is the smallest
-    integer among the X sector's minimum-weight logicals."""
+    """Exact code distance from the X sector, which has the code's distance
+    (module docstring).  The witness is the smallest integer among the X
+    sector's minimum-weight logicals."""
     if inst.n > cap_n:
         raise DistanceCapError(f"n={inst.n} exceeds the exact-search cap {cap_n}")
-    kernel, reps = logical_space(inst, "X")
-    if not reps.rows:
-        raise DistanceError("code has no logical operators (k = 0)")
-    sigs = [reps.times_vector(v) for v in kernel]
+    kernel, _, sigs = _x_logicals(inst)
     d, witness, visited = _bz_minimum(kernel, sigs, inst.n, inst.group)
     assert witness is not None  # reps nonempty guarantees a logical element exists
     validate_logical_witness(inst, witness, "X")
@@ -331,12 +338,10 @@ def _lightest_logical(found: list[int], n: int) -> tuple[int, int | None]:
     return (w, found[weights.index(w)] & full) if w < n else (n, None)
 
 
-def _one_block_logical(
-    inst: CodeInstance, reps: BinaryMatrix
-) -> tuple[int, int | None, str | None]:
-    """(weight, witness, "X") of the lightest X logical supported on one block
-    among the candidates of each block's classical kernel; (n, None, None)
-    when none of them is a logical.
+def _one_block_logical(inst: CodeInstance, reps: BinaryMatrix) -> tuple[int, int | None]:
+    """(weight, witness) of the lightest X logical supported on one block
+    among the candidates of each block's classical kernel; (n, None) when
+    none of them is a logical.
 
     HZ = [Ḡ | F̄], so (u, 0) lies in ker HZ exactly when ḡu = 0 in F2[G], and
     (0, v) exactly when f̄v = 0: the codewords of the classical codes of ḡ
@@ -353,12 +358,12 @@ def _one_block_logical(
         w, mask = _lightest_logical(_candidates(rows, n), n)
         if w < best_w:
             best_w, best = w, mask
-    return best_w, best, None if best is None else "X"
+    return best_w, best
 
 
 class _InformationSetWalk:
     """A walk over information sets of one sector's kernel (Canteaut &
-    Chabaud 1998).
+    Chabaud 1998); the search walks the X sector's.
 
     ``rows`` is a basis of ker(checks), each vector v packed with its
     signature as v | R*v << n, in Gauss–Jordan form on the columns of
@@ -418,33 +423,25 @@ class _InformationSetWalk:
 
 
 def _stream(
-    spaces: dict[str, tuple[list[int], list[int]]],
-    n: int,
-    seed: int,
-    widx: int,
-    budget: int,
-) -> tuple[int, int | None, str | None]:
-    """(best_w, best, best_sector) of one worker stream of ``budget`` trials.
+    kernel: list[int], sigs: list[int], n: int, seed: int, widx: int, budget: int
+) -> tuple[int, int | None]:
+    """(best_w, best) of one worker stream of ``budget`` trials.
 
-    The stream walks each sector's information sets, the sectors taking
-    rounds in turn, each round given the budget left.  The first candidate
-    of the lowest weight wins; weights of n and above never count, so a
-    stream that finds nothing returns (n, None, None).
+    The stream walks the information sets of the X kernel, each round given
+    the budget left.  The first candidate of the lowest weight wins; weights
+    of n and above never count, so a stream that finds nothing returns
+    (n, None).
     """
-    rng = random.Random(seed * 0x9E3779B1 + widx)
-    walks = {s: _InformationSetWalk(rng, *spaces[s], n) for s in ("X", "Z")}
-    best_w, best, best_sector = n, None, None
+    walk = _InformationSetWalk(random.Random(seed * 0x9E3779B1 + widx), kernel, sigs, n)
+    best_w, best = n, None
     examined = 0
-    round_idx = 0
     while examined < budget:
-        sector = "X" if round_idx % 2 == 0 else "Z"
-        found = walks[sector].round(budget - examined)
+        found = walk.round(budget - examined)
         examined += len(found)
         w, mask = _lightest_logical(found, n)
         if w < best_w:
-            best_w, best, best_sector = w, mask, sector
-        round_idx += 1
-    return best_w, best, best_sector
+            best_w, best = w, mask
+    return best_w, best
 
 
 _pool = None  # (pid, processes, pool): one lazily forked pool per process
@@ -496,14 +493,15 @@ def random_upper_bound(
     A trial is one candidate codeword examined by a walk.  The search is
     deterministic given (seed, trials, workers): each worker runs an
     independent stream derived from the seed, examining its share of the
-    trial budget in a fixed order.  The X and Z sectors alternate round by
-    round within a stream, each round given the trials left.  A sector's
-    first round given fewer trials than its kernel dimension m is the
-    stream's last: it reduces only the rows it examines, among themselves,
-    so its candidates depend on the budget.  Enlarging the budget only
-    extends a stream whose first rounds had at least m trials left.
+    trial budget in a fixed order.  Every stream walks the X sector, which
+    has the code's distance (module docstring), each round given the trials
+    left.  A first round given fewer trials than the kernel dimension m is
+    the stream's last: it reduces only the rows it examines, among
+    themselves, so its candidates depend on the budget.  Enlarging the
+    budget only extends a stream whose first round had at least m trials
+    left.
 
-    Above ``_POOL_MIN_WORK`` (trials times the larger kernel dimension) the
+    Above ``_POOL_MIN_WORK`` (trials times the kernel dimension) the
     streams run in parallel processes, at most one per core.  They are merged
     after the one-block candidate, in worker order, and each replaces the
     best only when strictly lighter, so the result is that of running the
@@ -514,36 +512,30 @@ def random_upper_bound(
         raise DistanceError("trials must be nonnegative")
     if workers < 1:
         raise DistanceError("workers must be >= 1")
-    spaces, reps = {}, {}
-    for sector in ("X", "Z"):
-        kernel, reps[sector] = logical_space(inst, sector)
-        if not reps[sector].rows:
-            raise DistanceError("code has no logical operators (k = 0)")
-        spaces[sector] = (kernel, [reps[sector].times_vector(v) for v in kernel])
-    seeded = [_one_block_logical(inst, reps["X"])] if trials else []
+    kernel, reps, sigs = _x_logicals(inst)
+    seeded = [_one_block_logical(inst, reps)] if trials else []
     share, remainder = divmod(trials, workers)
     jobs = [
-        (spaces, inst.n, seed, widx, share + (1 if widx < remainder else 0))
+        (kernel, sigs, inst.n, seed, widx, share + (1 if widx < remainder else 0))
         for widx in range(min(workers, trials))
     ]
     processes = min(len(jobs), os.cpu_count() or 1)
-    work = trials * max(len(kernel) for kernel, _ in spaces.values())
-    if processes < 2 or work < _POOL_MIN_WORK or not hasattr(os, "fork"):
+    if processes < 2 or trials * len(kernel) < _POOL_MIN_WORK or not hasattr(os, "fork"):
         streams = [_stream(*job) for job in jobs]
     else:
         streams = _run_streams(jobs, processes)
-    best_w, best, best_sector = inst.n, None, None
-    for w, mask, sector in seeded + streams:
+    best_w, best = inst.n, None
+    for w, mask in seeded + streams:
         if w < best_w:
-            best_w, best, best_sector = w, mask, sector
+            best_w, best = w, mask
     if best is not None:
-        validate_logical_witness(inst, best, best_sector)
+        validate_logical_witness(inst, best, "X")
     return DistanceResult(
         d_upper=best_w,
         d_lower=None,
         witness=best,
-        witness_sector=best_sector,
-        method="random-one-block-information-set-walk",
+        witness_sector=None if best is None else "X",
+        method="random-x-one-block-information-set-walk",
         trials=trials,
         seed=seed,
         workers=workers,

@@ -212,7 +212,9 @@ def quotient_shape(vectors: Iterable[Sequence[int]], d: int) -> tuple[int, tuple
             raise ValueError("vector arity mismatch")
     if not rows:
         return d, ()
-    snf = smith_normal_form(rows)
+    # past d rows, the at most d Hermite rows of the same lattice keep the
+    # Smith form's row transform d x d
+    snf = smith_normal_form(hermite_basis(rows, d) if len(rows) > d else rows)
     diag = list(snf.diagonal) + [0] * (d - len(snf.diagonal))
     free = sum(1 for s in diag if s == 0)
     torsion = tuple(s for s in diag if s > 1)

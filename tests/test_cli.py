@@ -239,7 +239,7 @@ def test_distance_randomized_carries_seed_and_trials(capsys):
     )
     assert code == 0
     res = doc["result"]
-    assert res["method"] == "random-one-block-information-set-walk"
+    assert res["method"] == "random-x-one-block-information-set-walk"
     assert "combinations" not in res
     assert res["trials"] == 400
     assert res["search_seed"] == 3
@@ -261,7 +261,7 @@ def test_distance_randomized_when_both_generators_cancel(capsys, tmp_path):
     )
     assert code == 0
     assert doc["result"]["d_upper"] == 1
-    assert doc["result"]["method"] == "random-one-block-information-set-walk"
+    assert doc["result"]["method"] == "random-x-one-block-information-set-walk"
 
 
 def test_distance_classical(capsys):

@@ -193,9 +193,10 @@ def test_randomized_never_beats_exact_and_usually_matches():
     equal = 0
     for inst in instances:
         exact = exact_distance(inst).d_upper
-        upper = random_upper_bound(inst, 10_000, seed=11).d_upper
-        assert upper >= exact
-        equal += upper == exact
+        res = random_upper_bound(inst, 10_000, seed=11)
+        assert res.witness_sector == "X"
+        assert res.d_upper >= exact
+        equal += res.d_upper == exact
     assert equal / len(instances) >= 0.95
 
 
@@ -209,6 +210,19 @@ def test_worker_split_is_deterministic():
     # a worker count larger than the budget leaves some workers idle
     res = random_upper_bound(inst, 2, seed=9, workers=8)
     assert res.d_upper <= inst.n
+
+
+def test_randomized_search_computes_the_x_sector_only(monkeypatch):
+    # the block swap gives d_X = d_Z, so the Z logical space is never needed
+    sectors = []
+    space = distance_mod.logical_space
+    monkeypatch.setattr(
+        distance_mod, "logical_space", lambda inst, s: sectors.append(s) or space(inst, s)
+    )
+    instances = _search_instances()
+    for inst in instances:
+        assert random_upper_bound(inst, 300, seed=5, workers=2).witness_sector == "X"
+    assert sectors == ["X"] * len(instances)
 
 
 def test_randomized_input_validation():
@@ -568,40 +582,34 @@ def test_exact_witness_is_smallest_lightest_logical():
 
 def _sequential_upper_bound(inst, trials, seed, workers):
     """Reference: the one-block candidate seeds the best, then the worker
-    streams run one after another in one loop, with the best weight carried
-    from each stream into the next."""
-    spaces, reps = {}, {}
-    for sector in ("X", "Z"):
-        kernel, reps[sector] = logical_space(inst, sector)
-        spaces[sector] = (kernel, [reps[sector].times_vector(v) for v in kernel])
+    streams walk the X sector one after another in one loop, with the best
+    weight carried from each stream into the next."""
+    kernel, reps = logical_space(inst, "X")
+    sigs = [reps.times_vector(v) for v in kernel]
     n = inst.n
-    best_w, best, best_sector = n, None, None
+    best_w, best = n, None
     if trials:
-        best_w, best, best_sector = distance_mod._one_block_logical(inst, reps["X"])
+        best_w, best = distance_mod._one_block_logical(inst, reps)
     share, remainder = divmod(trials, workers)
     for widx in range(workers):
         budget = share + (1 if widx < remainder else 0)
         if budget == 0:
             continue
         rng = random.Random(seed * 0x9E3779B1 + widx)
-        walks = {
-            sector: distance_mod._InformationSetWalk(rng, *spaces[sector], n)
-            for sector in ("X", "Z")
-        }
-        examined = round_idx = 0
+        walk = distance_mod._InformationSetWalk(rng, kernel, sigs, n)
+        examined = 0
         while examined < budget:
-            sector = "X" if round_idx % 2 == 0 else "Z"
-            for packed in walks[sector].round(budget - examined):
+            for packed in walk.round(budget - examined):
                 mask, sig = packed & ((1 << n) - 1), packed >> n
                 examined += 1
                 if sig and mask and mask.bit_count() < best_w:
-                    best_w, best, best_sector = mask.bit_count(), mask, sector
+                    best_w, best = mask.bit_count(), mask
                 if examined >= budget:
                     break
-            round_idx += 1
     return distance_mod.DistanceResult(
-        d_upper=best_w, d_lower=None, witness=best, witness_sector=best_sector,
-        method="random-one-block-information-set-walk", trials=trials, seed=seed,
+        d_upper=best_w, d_lower=None, witness=best,
+        witness_sector=None if best is None else "X",
+        method="random-x-one-block-information-set-walk", trials=trials, seed=seed,
         workers=workers,
     )
 
@@ -827,9 +835,9 @@ def test_one_block_candidate_is_a_logical_no_lighter_than_d():
         if inst.k() == 0:
             continue
         _, reps = logical_space(inst, "X")
-        w, witness, sector = distance_mod._one_block_logical(inst, reps)
-        assert sector == "X" and witness.bit_count() == w
-        validate_logical_witness(inst, witness, sector)
+        w, witness = distance_mod._one_block_logical(inst, reps)
+        assert witness.bit_count() == w
+        validate_logical_witness(inst, witness, "X")
         d = exact_distance(inst, cap_n=inst.n).d_upper
         assert w >= d
         checked += 1
@@ -858,8 +866,8 @@ def test_one_block_bound_on_the_published_codes(name):
     code = two_block("x y", f, g)
     inst = instantiate(code, torus(code.context, l, m))
     _, reps = logical_space(inst, "X")
-    w, witness, sector = distance_mod._one_block_logical(inst, reps)
+    w, witness = distance_mod._one_block_logical(inst, reps)
     assert w == witness.bit_count() == expect
-    validate_logical_witness(inst, witness, sector)
+    validate_logical_witness(inst, witness, "X")
     size = inst.group.order
     assert witness < 1 << size or witness % (1 << size) == 0  # on one block

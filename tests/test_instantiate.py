@@ -369,6 +369,56 @@ def test_bivariate_bicycle_144_12():
     assert tanner_component_count(inst) == 1
 
 
+def _groebner_k(code, sides):
+    """Second derivation of k on a plain torus, without GF(2) elimination:
+    k = 2 dim R/(f, g) for R = F2[G] (Bravyi et al., arXiv:2308.07915,
+    Lemma 1), and dim R/(f, g) is the number of standard monomials of a
+    Gröbner basis of (f, g, x_i^{L_i} - 1).  Exponents are taken mod L_i,
+    which turns inverses into polynomials."""
+    import sympy
+
+    gens = sympy.symbols(f"v0:{len(sides)}")
+
+    def expr(poly):
+        return sum(
+            (sympy.prod(v ** (e % L) for v, e, L in zip(gens, t, sides))
+             for t in poly.sorted_terms()),
+            sympy.Integer(0),
+        )
+
+    ideal = [expr(code.f), expr(code.g)] + [v**L - 1 for v, L in zip(gens, sides)]
+    basis = sympy.groebner(ideal, *gens, modulus=2, order="grevlex")
+    leads = [p.monoms(order="grevlex")[0] for p in basis.polys]
+    return 2 * sum(
+        not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)
+        for m in itertools.product(*map(range, sides))
+    )
+
+
+def test_k_matches_the_groebner_count_on_plain_tori():
+    cases = []
+    for name in fixture_names():
+        spec = load_fixture(name)
+        if not spec.is_classical:
+            dim = spec.context.dim
+            cases += [(spec.two_block(), s) for s in ((3,) * dim, (4,) * dim, (2, 3, 4)[:dim])]
+    # the published bivariate-bicycle codes bb72 ... bb784 on x^l = y^m = 1
+    for f, g, l, m in (
+        ("x^3 + y + y^2", "y^3 + x + x^2", 6, 6),
+        ("x^9 + y + y^2", "1 + x^2 + x^7", 15, 3),
+        ("x^3 + y + y^2", "y^3 + x + x^2", 9, 6),
+        ("x^3 + y + y^2", "y^3 + x + x^2", 12, 6),
+        ("x^3 + y^2 + y^7", "y^3 + x + x^2", 12, 12),
+        ("x^3 + y^10 + y^17", "y^5 + x^3 + x^19", 21, 18),
+        ("x^26 + y^6 + y^8", "y^7 + x^9 + x^20", 28, 14),
+    ):
+        cases.append((two_block("x y", f, g), (l, m)))
+    assert len(cases) >= 40
+    for code, sides in cases:
+        inst = instantiate(code, torus(code.context, *sides))
+        assert inst.k() == _groebner_k(code, sides), (code, sides)
+
+
 def test_instantiation_matches_direct_modular_construction():
     rng = random.Random(2718)
     for _ in range(10):

@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+import polyqec.lattice as lattice_mod
 from polyqec.lattice import (
     GroupPresentation,
     InfiniteQuotientError,
@@ -168,6 +169,20 @@ def test_quotient_shape_examples():
     assert quotient_shape([(2, 0), (0, 2)], 2) == (0, (2, 2))
     assert quotient_shape([(12, 0), (0, 6)], 2) == (0, (6, 12))
     assert quotient_shape([], 2) == (2, ())
+
+
+def test_quotient_shape_builds_no_transform_larger_than_d(monkeypatch):
+    # the monomial vectors of a large generator number in the tens of
+    # thousands; a rows x rows transform of them does not fit in memory
+    rng = random.Random(20)
+    vectors = rand_matrix(rng, 300, 2, span=40)
+    diag = list(smith_normal_form(vectors).diagonal)
+    expect = (diag.count(0), tuple(s for s in diag if s > 1))
+    sizes = []
+    identity = lattice_mod._identity
+    monkeypatch.setattr(lattice_mod, "_identity", lambda n: sizes.append(n) or identity(n))
+    assert quotient_shape(vectors, 2) == expect
+    assert sizes and max(sizes) <= 2
 
 
 def test_solve_in_lattice():
