@@ -35,7 +35,6 @@ from .lattice import (
     lattice_saturates,
     quotient_shape,
     smith_normal_form,
-    solve_in_lattice,
 )
 from .poly import (
     LaurentPoly,
@@ -329,6 +328,23 @@ def _fresh_names(count: int, base: str, taken: set[str]) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(1, count + 1))
 
 
+def _pair_reaches(a: Sequence[int], b: Sequence[int], ell: int) -> bool:
+    """Whether p*a + q*b == e_ell has an integer solution (p, q).
+
+    If some column k != ell is nonzero, p*a[k] + q*b[k] == 0 forces (p, q) to
+    be a multiple of (b[k], -a[k]) / gcd(a[k], b[k]); the other columns off ell
+    must then vanish with it and the value at ell must be +-1.  Otherwise only
+    column ell is nonzero and gcd(a[ell], b[ell]) must be 1.
+    """
+    others = [k for k in range(len(a)) if k != ell and (a[k] or b[k])]
+    if not others:
+        return math.gcd(a[ell], b[ell]) == 1
+    ak, bk = a[others[0]], b[others[0]]
+    if any(a[m] * bk != b[m] * ak for m in others):
+        return False
+    return abs(a[ell] * bk - b[ell] * ak) == math.gcd(ak, bk)
+
+
 def lift_to_parent(code: TwoBlockCode) -> ParentLift:
     """Lift an indecomposable code to its hypergraph-product parent.
 
@@ -384,36 +400,33 @@ def lift_to_parent(code: TwoBlockCode) -> ParentLift:
         return False
 
     def step_pair() -> bool:
+        rs = [restricted(v) for v in vectors]
         for i in range(K):
-            ri = restricted(vectors[i])
+            ri = rs[i]
             if not any(ri):
                 continue
             for j in range(i + 1, K):
-                rj = restricted(vectors[j])
+                rj = rs[j]
                 if not any(rj):
                     continue
-                snf = smith_normal_form([ri, rj])
                 for ell in range(d):
-                    if ell in witness:
+                    if ell in witness or not _pair_reaches(ri, rj, ell):
                         continue
                     target = tuple(int(k == ell) for k in range(d))
-                    sol = snf.solve(target)
-                    if sol is not None:
-                        comb = [0] * K
-                        comb[i], comb[j] = sol
-                        resolve(ell, comb)
-                        return True
+                    comb = [0] * K
+                    comb[i], comb[j] = smith_normal_form([ri, rj]).solve(target)
+                    resolve(ell, comb)
+                    return True
         return False
 
     def step_full() -> bool:
-        rs = [restricted(v) for v in vectors]
+        snf = smith_normal_form([restricted(v) for v in vectors])
         for ell in range(d):
             if ell in witness:
                 continue
-            target = tuple(int(k == ell) for k in range(d))
-            sol = solve_in_lattice(rs, target)
+            sol = snf.solve(tuple(int(k == ell) for k in range(d)))
             if sol is not None:
-                resolve(ell, list(sol))
+                resolve(ell, sol)
                 return True
         return False
 

@@ -20,7 +20,6 @@ __all__ = [
     "hermite_basis",
     "lattice_saturates",
     "quotient_shape",
-    "solve_in_lattice",
     "GroupPresentation",
     "QuotientGroup",
     "quotient",
@@ -227,17 +226,6 @@ def lattice_saturates(vectors: Iterable[Sequence[int]], d: int) -> bool:
     return free == 0 and not torsion
 
 
-def solve_in_lattice(
-    vectors: Sequence[Sequence[int]], target: Sequence[int]
-) -> list[int] | None:
-    """Integer coefficients c with sum(c_i * vectors_i) == target, if any."""
-    rows = [list(map(int, v)) for v in vectors]
-    tgt = list(map(int, target))
-    if not rows:
-        return None if any(tgt) else []
-    return smith_normal_form(rows).solve(tgt)
-
-
 # -- abelian quotient groups ----------------------------------------------
 
 
@@ -380,15 +368,6 @@ class QuotientGroup:
 def quotient(pres: GroupPresentation) -> QuotientGroup:
     """Quotient Z^d by the relation lattice of a presentation."""
     d = pres.dim
-    free, torsion = quotient_shape(pres.relations, d) if pres.relations else (d, ())
-    if free > 0:
-        return QuotientGroup(
-            presentation=pres,
-            free_rank=free,
-            invariant_factors=torsion,
-            _radices=(),
-            _coord_rows=(),
-        )
     radices = _product_radices(pres)
     if radices is not None:
         # plain torus: coordinates are the exponents mod the per-variable period
@@ -398,19 +377,27 @@ def quotient(pres: GroupPresentation) -> QuotientGroup:
         return QuotientGroup(
             presentation=pres,
             free_rank=0,
-            invariant_factors=torsion,
+            invariant_factors=quotient_shape(pres.relations, d)[1],
             _radices=radices,
             _coord_rows=coord_rows,
         )
+    # one Smith form of the raw relations gives the shape and the coordinate rows
     snf = smith_normal_form([list(rel) for rel in pres.relations])
     diag = list(snf.diagonal) + [0] * (d - len(snf.diagonal))
+    torsion = tuple(s for s in diag if s > 1)
+    if 0 in diag:
+        return QuotientGroup(
+            presentation=pres,
+            free_rank=diag.count(0),
+            invariant_factors=torsion,
+            _radices=(),
+            _coord_rows=(),
+        )
     keep = [j for j in range(d) if diag[j] > 1]
-    moduli = tuple(diag[j] for j in keep)
-    coord_rows = tuple(tuple(snf.V[i][j] for j in keep) for i in range(d))
     return QuotientGroup(
         presentation=pres,
         free_rank=0,
         invariant_factors=torsion,
-        _radices=moduli,
-        _coord_rows=coord_rows,
+        _radices=tuple(diag[j] for j in keep),
+        _coord_rows=tuple(tuple(snf.V[i][j] for j in keep) for i in range(d)),
     )

@@ -391,6 +391,37 @@ class _Parser:
         raise PolyParseError(f"unexpected token {tok.value!r}")
 
 
+# A factor the fast path reads: a whole identifier and an optional exponent.
+_FACTOR_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\^\s*(-?)\s*([0-9]+)\s*)?")
+
+
+def _parse_monomial_sum(text: str, context: VarContext) -> LaurentPoly | None:
+    """Read a '+'-sum of '1' and '*'-products of declared ``name^int`` factors.
+
+    Each term becomes one exponent vector and repeated terms cancel, exactly
+    as the full grammar reads the same text.  Returns None for anything else
+    (``0``, parentheses, juxtaposition such as ``xy``, empty terms, malformed
+    text), which the full parser then reads or rejects with its own message.
+    """
+    index = {name: i for i, name in enumerate(context.names)}
+    terms: set[Monomial] = set()
+    for term in text.split("+"):
+        exps = [0] * context.dim
+        if term.strip() != "1":
+            for factor in term.split("*"):
+                m = _FACTOR_RE.fullmatch(factor)
+                i = index.get(m.group(1)) if m else None
+                if i is None:
+                    return None
+                try:
+                    e = int(m.group(3) or 1)
+                except ValueError:  # past the interpreter's integer digit limit
+                    return None
+                exps[i] += -e if m.group(2) else e
+        terms ^= {tuple(exps)}
+    return LaurentPoly(context, frozenset(terms))
+
+
 def parse_poly(text: str, context: VarContext | None = None) -> LaurentPoly:
     """Parse polynomial text like ``1 + x^-1*y + x^2*y``.
 
@@ -409,6 +440,9 @@ def parse_poly(text: str, context: VarContext | None = None) -> LaurentPoly:
                 "cannot infer a variable context from constant-only text; pass one"
             )
         context = VarContext(tuple(seen))
+    fast = _parse_monomial_sum(text, context)
+    if fast is not None:
+        return fast
     toks = list(_tokenize(text, context.names))
     if not toks:
         raise PolyParseError("empty polynomial text")

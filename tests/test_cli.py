@@ -106,6 +106,60 @@ def test_lift_decomposable_exits_one(capsys):
     assert "decomposable" in err
 
 
+# witnesses, twist vectors and twist basis of lift --json; past gross, these
+# pairs resolve their variables by pair solves and full Smith solves
+LIFT_PINS = [
+    ("gross", {"x": "a1^3*b1", "y": "a1"},
+     [[8, -1, 3, 0], [3, 0, 2, -1]], [[1, 1, 3, -3], [0, 3, 7, -8]]),
+    (("x y", "1 + x^2 + y^3", "1 + x^3 + y^2"), {"x": "a1^-1*b2", "y": "a2*b1^-1"},
+     [[-3, 0, 0, 2], [0, 2, -3, 0], [0, 2, -3, 0], [-3, 0, 0, 2]],
+     [[3, 0, 0, -2], [0, 2, -3, 0]]),
+    (("x y", "1 + x^-2*y^-3", "1 + y^2 + x^3*y^-1"),
+     {"x": "a1^-1*b1*b2^2", "y": "a1^-3*b1^2*b2^6"}, [[-12, 8, 22], [-6, 4, 11]],
+     [[6, -4, -11]]),
+    (("x y", "1 + x*y + x^-2*y^2", "1 + y^3"),
+     {"x": "a1^2*a2^-1*b1", "y": "a1^6*a2^-4*b1^3"}, [[-9, 6, -4], [18, -12, 8]],
+     [[9, -6, 4]]),
+    (("x y z", "1 + x^2*y^-2*z^-3 + x^-1*y^-3*z^2", "1 + x^3*z^-3 + x*y^3"),
+     {"x": "a1^33*a2^-39*b1^-29*b2^28", "y": "a1^7957*a2^-9283*b1^-7073*b2^6631",
+      "z": "a1^-39753*a2^46378*b1^35336*b2^-33127"},
+     [[206820, -241290, -183840, 172350], [103410, -120645, -91920, 86175],
+      [119358, -139251, -106096, 99465], [23904, -27888, -21248, 19920]],
+     [[18, -21, -16, 15]]),
+    (("x y z", "1 + x^-2*z^-3 + x^-3*y^2*z", "1 + x^-2*y^-1*z^-3 + x^3*y^-2*z^3"),
+     {"x": "a1^31*a2^-34*b1^6*b2^12", "y": "a1^-307*a2^340*b1^-54*b2^-121",
+      "z": "a1^707*a2^-783*b1^126*b2^278"},
+     [[-2184, 2418, -390, -858], [1876, -2077, 335, 737], [4704, -5208, 840, 1848]],
+     [[28, -31, 5, 11]]),
+]
+
+
+def _pair_spec(tmp_path: Path, variables: str, f: str, g: str) -> str:
+    path = tmp_path / "pair.code"
+    path.write_text(f"[meta]\nname = pair\n\n[code]\nvariables = {variables}\nf = {f}\ng = {g}\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("spec, witnesses, twists, basis", LIFT_PINS)
+def test_lift_documents_are_pinned(capsys, tmp_path, spec, witnesses, twists, basis):
+    arg = spec if isinstance(spec, str) else _pair_spec(tmp_path, *spec)
+    code, doc = run_json(capsys, "lift", arg)
+    assert code == 0
+    res = doc["result"]
+    assert res["witnesses"] == witnesses
+    assert [t["vector"] for t in res["twists"]] == twists
+    assert res["twist_basis"] == basis
+
+
+def test_lift_decomposable_pair_message_is_pinned(capsys, tmp_path):
+    code, out, err = run(capsys, "lift", _pair_spec(tmp_path, "x y", "1 + x^2", "1 + y^2"))
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: code is decomposable; monomials span a proper sublattice "
+        "(free rank 0, torsion (2, 2), index 4)\n"
+    )
+
+
 def test_compactify_matches_declared_child(capsys):
     code, doc = run_json(capsys, "compactify", "haah")
     assert code == 0

@@ -1,6 +1,7 @@
 """Tests for two-block code algebra: lifts, compactification, profiles."""
 
 import random
+from itertools import product
 
 import pytest
 
@@ -24,7 +25,8 @@ from polyqec.codes import (
     parent_hgp,
     two_block,
 )
-from polyqec.lattice import GroupPresentation, hermite_basis
+from polyqec.codes import _pair_reaches
+from polyqec.lattice import GroupPresentation, hermite_basis, smith_normal_form
 from polyqec.poly import LaurentPoly, VarContext, parse_poly
 
 # the central worked example used throughout: cubic/quadratic pair on x,y,z
@@ -267,6 +269,25 @@ def test_lift_roundtrip_on_random_indecomposable_codes():
         assert len(lift.twist_basis) == len(lift.labels) - dim
         back = compactify(lift.parent, lift.substitution, [t.vector for t in lift.twists])
         assert back.normalized() == code.normalized()
+
+
+def test_pair_pretest_agrees_with_smith_solve():
+    # every (a, b, ell) with a, b in {-3..3}^d; (+-a, +-b) and (b, a) span the
+    # same lattice, so one Smith form answers for all eight sign/order variants
+    verdicts = set()
+    for d in (1, 2, 3):
+        units = [tuple(int(k == ell) for k in range(d)) for ell in range(d)]
+        reps = [v for v in product(range(-3, 4), repeat=d) if v >= tuple(-x for x in v)]
+        for i, a in enumerate(reps):
+            for b in reps[i:]:
+                snf = smith_normal_form([a, b])
+                want = [snf.solve(e) is not None for e in units]
+                verdicts.update(want)
+                na, nb = tuple(-x for x in a), tuple(-x for x in b)
+                for u, v in ((a, b), (na, b), (a, nb), (na, nb)):
+                    for s, t in ((u, v), (v, u)):
+                        assert [_pair_reaches(s, t, ell) for ell in range(d)] == want, (s, t)
+    assert verdicts == {True, False}
 
 
 # -- compactify validation -------------------------------------------------

@@ -12,7 +12,6 @@ from polyqec.lattice import (
     quotient,
     quotient_shape,
     smith_normal_form,
-    solve_in_lattice,
 )
 from polyqec.poly import VarContext
 
@@ -185,32 +184,31 @@ def test_quotient_shape_builds_no_transform_larger_than_d(monkeypatch):
     assert sizes and max(sizes) <= 2
 
 
-def test_solve_in_lattice():
+def test_smith_form_solve():
     vectors = [(1, 1, 0), (2, 1, 0), (1, 0, 1)]
+    snf = smith_normal_form(vectors)
     for target in [(1, 0, 0), (0, 1, 0), (0, 0, 1), (5, -3, 2)]:
-        c = solve_in_lattice(vectors, target)
+        c = snf.solve(target)
         assert c is not None
         got = [sum(ci * v[j] for ci, v in zip(c, vectors)) for j in range(3)]
         assert got == list(target)
-    assert solve_in_lattice([(2, 0), (0, 2)], (1, 0)) is None
-    assert solve_in_lattice([], (0, 0)) == []
-    assert solve_in_lattice([], (1, 0)) is None
+    assert smith_normal_form([(2, 0), (0, 2)]).solve((1, 0)) is None
 
 
-def test_solve_in_lattice_randomized():
+def test_smith_form_solve_randomized():
     rng = random.Random(31)
     for _ in range(200):
         d = rng.randint(1, 3)
         vectors = rand_matrix(rng, rng.randint(1, 4), d, span=4)
         coeffs = [rng.randint(-3, 3) for _ in vectors]
         target = [sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(d)]
-        c = solve_in_lattice(vectors, target)
+        c = smith_normal_form(vectors).solve(target)
         assert c is not None
         got = [sum(ci * v[j] for ci, v in zip(c, vectors)) for j in range(d)]
         assert got == target
 
 
-def test_smith_form_solve_matches_solve_in_lattice():
+def test_smith_form_solve_matches_hermite_membership():
     # membership oracle independent of the Smith form: t lies in the lattice
     # iff adding it leaves the Hermite basis unchanged
     rng = random.Random(47)
@@ -225,7 +223,6 @@ def test_smith_form_solve_matches_solve_in_lattice():
         targets.append(tuple(sum(c * r[j] for c, r in zip(coeffs, rows)) for j in range(d)))
         for t in targets:
             sol = snf.solve(t)
-            assert sol == solve_in_lattice(rows, t)
             member = hermite_basis(rows + [t], d) == hermite_basis(rows, d)
             if sol is None:
                 assert not member
@@ -280,6 +277,21 @@ def test_quotient_infinite_first_class():
         g.reduce((0, 0))
     g = quotient(GroupPresentation(XYZ, ()))
     assert g.free_rank == 3
+
+
+def test_quotient_makes_one_smith_form(monkeypatch):
+    calls = []
+    snf = lattice_mod.smith_normal_form
+    monkeypatch.setattr(lattice_mod, "smith_normal_form", lambda m: calls.append(1) or snf(m))
+    for rels, order in [
+        (((12, -3), (0, 6)), 72),  # twisted: x^12 = y^3, y^6 = 1
+        (((12, 0), (0, 6)), 72),  # plain 12 x 6 torus
+        (((2, -2),), None),  # infinite: x^2 = y^2
+    ]:
+        calls.clear()
+        g = quotient(GroupPresentation(XY, rels))
+        assert len(calls) == 1
+        assert (g.order if g.is_finite else None) == order
 
 
 def test_quotient_element_arithmetic():

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import polyqec.poly as poly_mod
 from polyqec.poly import (
     LaurentPoly,
     PolyParseError,
@@ -241,6 +242,130 @@ def test_parse_error_messages():
 def test_parse_error_reports_position():
     with pytest.raises(PolyParseError, match="position"):
         p("1 + x & y")
+
+
+# -- plain monomial sums are read without the parser ------------------------
+
+
+def full_grammar(text, ctx):
+    """The tokenizer and recursive-descent parser, without the fast path."""
+    toks = list(poly_mod._tokenize(text, ctx.names))
+    if not toks:
+        raise PolyParseError("empty polynomial text")
+    parser = poly_mod._Parser(toks, ctx)
+    q = parser.parse_expr()
+    tail = parser.peek()
+    if tail is not None:
+        raise PolyParseError(f"trailing input {tail.value!r} at position {tail.pos}")
+    return q
+
+
+def rand_monomial_sum(rng, names):
+    """'+'-sum of '1' and '*'-products of name^int factors, spaced at random."""
+    space = lambda: rng.choice(("", "", " ", "  "))
+    terms = []
+    for _ in range(rng.randint(1, 6)):
+        if rng.random() < 0.15:
+            terms.append(f"{space()}1{space()}")
+            continue
+        factors = []
+        for _ in range(rng.randint(1, 3)):
+            name = rng.choice(names)  # the same name may repeat, as in x*x
+            if rng.random() < 0.3:
+                factors.append(f"{space()}{name}{space()}")
+            else:
+                sign = rng.choice(("", "-" + space()))
+                factors.append(f"{space()}{name}{space()}^{space()}{sign}{rng.randint(0, 12)}")
+        terms.append("*".join(factors))
+    if rng.random() < 0.4:
+        terms.append(rng.choice(terms))  # a repeated term cancels
+    rng.shuffle(terms)
+    return "+".join(terms)
+
+
+@pytest.mark.parametrize(
+    "seed, names",
+    [(1, ("x", "y")), (2, ("x", "x1", "y")), (3, ("a1", "a10", "a2", "b1")), (4, ("x_", "_y", "z"))],
+)
+def test_monomial_sum_fast_path_matches_full_grammar(seed, names):
+    ctx = VarContext(names)
+    rng = random.Random(seed)
+    cancelled = 0
+    for _ in range(400):
+        text = rand_monomial_sum(rng, names)
+        fast = poly_mod._parse_monomial_sum(text, ctx)
+        assert fast is not None, text
+        assert fast == full_grammar(text, ctx) == parse_poly(text, ctx), text
+        cancelled += fast.weight < text.count("+") + 1
+    assert cancelled
+
+
+def test_fast_path_inferred_context_matches_full_grammar():
+    rng = random.Random(61)
+    for _ in range(100):
+        text = rand_monomial_sum(rng, ("u", "v", "w"))
+        if not any(ch.isalpha() for ch in text):
+            continue  # constant-only text has no context to infer
+        q = parse_poly(text)
+        assert q == full_grammar(text, q.context)
+
+
+def test_fast_path_declines_other_grammar():
+    one_x = VarContext(("x",))
+    for text, ctx in [("x1", one_x), ("xy", XY), ("x + 0", XY), ("(x+y)^2", XY),
+                      ("1*x", XY), ("x y", XY), ("", XY), ("x +", XY), ("x^²", XY)]:
+        assert poly_mod._parse_monomial_sum(text, ctx) is None, text
+    # with only x declared, x1 is juxtaposition: x times 1
+    assert parse_poly("x1", one_x) == parse_poly("x", one_x)
+    assert parse_poly("x1", VarContext(("x", "x1"))).single_term() == (0, 1)
+    for text in ["x + 0", "x*x + x^2", "1 + 1 + x", "(x+y)^2", "xy", "x^2y + y"]:
+        assert parse_poly(text, XY) == full_grammar(text, XY), text
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "empty polynomial text"),
+        ("   ", "empty polynomial text"),
+        ("+", "unexpected token '+'"),
+        ("x +", "unexpected end of polynomial text"),
+        ("x + + y", "unexpected token '+'"),
+        ("x^", "unexpected end of polynomial text"),
+        ("x ^ -", "unexpected end of polynomial text"),
+        ("2x", "coefficient 2 not supported (only implicit 1 over GF(2))"),
+        ("x*(y", "unexpected end of polynomial text"),
+        ("xy + q", "unknown variable 'q' at position 5"),
+        ("x^-y", "expected integer exponent after '^' at position 3"),
+        ("x**y", "unexpected token '*'"),
+        ("x*", "unexpected end of polynomial text"),
+        ("x^2^3", "trailing input '^' at position 3"),
+        ("1 + x & y", "unexpected character '&' at position 6"),
+        ("(x+y)^-1", "negative powers are only defined for single monomials (position 7)"),
+        ("x^1.5", "unexpected character '.' at position 3"),
+        ("x ^ - - 1", "expected integer exponent after '^' at position 6"),
+        ("x^\u00b2", "invalid literal for int() with base 10: '\u00b2' (position 2)"),
+        ("x + \u00e9", "unknown variable '\u00e9' at position 4"),
+    ],
+)
+def test_malformed_text_keeps_its_message(text, message):
+    with pytest.raises(PolyParseError) as exc:
+        p(text)
+    assert str(exc.value) == message
+    with pytest.raises(PolyParseError) as slow:
+        full_grammar(text, XY)
+    assert str(slow.value) == message
+
+
+def test_exponent_past_the_digit_limit_matches_full_grammar():
+    # whether int() refuses 5000 digits depends on the interpreter
+    text = "x^" + "9" * 5000
+    outcomes = []
+    for parse in (p, lambda t: full_grammar(t, XY)):
+        try:
+            outcomes.append(parse(text))
+        except PolyParseError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_print_parse_roundtrip():
