@@ -8,14 +8,14 @@ the code barrier is the minimum over all logical targets of a sector.
 
 Search is bottleneck Dijkstra over the implicit 2^n flip graph with
 bit-packed states and incremental syndromes, run one bottleneck level at a
-time.  States pop in nondecreasing bottleneck order, and in increasing state
-order within a level, so the first logical state popped settles the sector
-barrier without enumerating targets.  A neighbour whose energy is above the
-current level is not stored: memory holds the settled states and the
-pending states of one level, and each new level starts with a rescan of the
-settled states for their lowest-energy unsettled neighbours.  CSS sectors
-decouple (X flips only trigger Z checks and vice versa), so each sector is a
-classical search.
+time.  Every lower level is finished before a level starts, so the first
+logical state to join a level settles the sector barrier without
+enumerating targets; that state is the reported target.  A neighbour whose
+energy is above the current level is not stored: memory holds the settled
+states and the pending states of one level, and each new level starts with
+a rescan of the settled states for their lowest-energy unsettled
+neighbours.  CSS sectors decouple (X flips only trigger Z checks and vice
+versa), so each sector is a classical search.
 
 One runner serves every search: a state carries its syndrome and its
 signature, the pairings with the rows of a logical matrix.  A CSS sector
@@ -64,7 +64,7 @@ class BarrierResult:
     sector: str  # "X" | "Z" | "classical"
     target: int
     path: tuple[int, ...] | None  # bit indices flipped in order, when requested
-    explored: int  # states popped before settling (diagnostic)
+    explored: int  # states settled before the target joined (diagnostic)
 
 
 @dataclass(frozen=True)
@@ -90,68 +90,67 @@ def _dijkstra(
     sig_cols: list[int] | None = None,
     want_path: bool = False,
 ):
-    """Bottleneck-shortest-path from 0; returns at the first goal pop.
+    """Bottleneck-shortest-path from 0; returns when a goal state joins a level.
 
     Settles states one bottleneck level at a time.  Within a level the
     smallest pending state pops next and its neighbours with energy at most
     the level join the level; a neighbour above the level is not stored.
     When the level empties, a rescan of the settled states in pop order finds
     the next level, the lowest energy among their unsettled neighbours, and
-    starts it with those neighbours.  A state's predecessor is its first
-    settled neighbour in pop order.
+    starts it with those neighbours.  Every lower level is finished before a
+    state joins level L, so a goal state that joins it has bottleneck L.  A
+    state's predecessor is the settled neighbour it joined from.
     """
     if sig_cols is None:
         sig_cols = [0] * n
     settled: list[tuple[int, int, int]] = []  # (state, syn, sig) in pop order
-    pending: dict[int, tuple[int, int]] = {0: (0, 0)}  # state -> (syn, sig)
-    known = {0}  # settled or pending
-    prev: dict[int, tuple[int, int] | None] | None = {0: None} if want_path else None
+    pending: dict[int, tuple[int, int]] = {}  # state -> (syn, sig)
+    prev: dict[int, int | None] = {}  # settled or pending state -> bit it joined by
     level = 0
+
+    def join(state, syn, sig, step):
+        pending[state] = (syn, sig)
+        prev[state] = step
+        if not goal(state, syn, sig):
+            return None
+        path = None
+        if want_path:
+            flips, cur = [], state
+            while prev[cur] is not None:
+                flips.append(prev[cur])
+                cur ^= 1 << prev[cur]
+            path = tuple(reversed(flips))
+        return level, state, len(settled), path
 
     def unsettled_neighbours():
         for state, syn, sig in settled:
             for j, scol in enumerate(syn_cols):
                 nstate = state ^ (1 << j)
-                if nstate not in known:
-                    yield state, j, nstate, syn ^ scol, sig ^ sig_cols[j]
+                if nstate not in prev:
+                    yield j, nstate, syn ^ scol, sig ^ sig_cols[j]
 
+    if found := join(0, 0, 0, None):
+        return found
     while True:
         heap = sorted(pending)
         while heap:
             state = heapq.heappop(heap)
             syn, sig = pending.pop(state)
             settled.append((state, syn, sig))
-            if goal(state, syn, sig):
-                path = None
-                if want_path:
-                    flips = []
-                    cur = state
-                    while prev[cur] is not None:
-                        cur, j = prev[cur]
-                        flips.append(j)
-                    path = tuple(reversed(flips))
-                return level, state, len(settled), path
             for j in [
                 j for j, scol in enumerate(syn_cols) if (syn ^ scol).bit_count() <= level
             ]:
                 nstate = state ^ (1 << j)
-                if nstate not in known:
-                    known.add(nstate)
-                    pending[nstate] = (syn ^ syn_cols[j], sig ^ sig_cols[j])
+                if nstate not in prev:
+                    if found := join(nstate, syn ^ syn_cols[j], sig ^ sig_cols[j], j):
+                        return found
                     heapq.heappush(heap, nstate)
-                    if want_path:
-                        prev[nstate] = (state, j)
-        level = min(
-            (nsyn.bit_count() for *_, nsyn, _nsig in unsettled_neighbours()), default=None
-        )
+        level = min((nsyn.bit_count() for _, _, nsyn, _ in unsettled_neighbours()), default=None)
         if level is None:
             raise BarrierError("search exhausted without reaching a goal state")
-        for state, j, nstate, nsyn, nsig in unsettled_neighbours():
-            if nsyn.bit_count() == level and nstate not in pending:
-                pending[nstate] = (nsyn, nsig)
-                if want_path:
-                    prev[nstate] = (state, j)
-        known.update(pending)
+        for j, nstate, nsyn, nsig in unsettled_neighbours():
+            if nsyn.bit_count() == level and (found := join(nstate, nsyn, nsig, j)):
+                return found
 
 
 def _reaches_logical(_state: int, syn: int, sig: int) -> bool:
@@ -165,7 +164,7 @@ def _search(
     want_path: bool,
     logicals: BinaryMatrix | None = None,
 ) -> BarrierResult:
-    """Flip search against ``checks`` up to the first goal state popped.
+    """Flip search against ``checks`` up to the first goal state to join a level.
 
     Bit i of a state's signature is its pairing with row i of ``logicals``.
     """
