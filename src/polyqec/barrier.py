@@ -10,12 +10,17 @@ Search is bottleneck Dijkstra over the implicit 2^n flip graph with
 bit-packed states and incremental syndromes, run one bottleneck level at a
 time.  Every lower level is finished before a level starts, so the first
 logical state to join a level settles the sector barrier without
-enumerating targets; that state is the reported target.  A neighbour whose
-energy is above the current level is not stored: memory holds the settled
-states and the pending states of one level, and each new level starts with
-a rescan of the settled states for their lowest-energy unsettled
-neighbours.  CSS sectors decouple (X flips only trigger Z checks and vice
-versa), so each sector is a classical search.
+enumerating targets; that state is the reported target.  Inside a level
+the search only tests reachability, so any pop order is exact: pops
+alternate between the smallest pending state and the heaviest one, which
+reaches a goal early both where goals are light and where they are heavy.
+A target can be heavy: on haah 3x3x4 the X target is the all-ones logical,
+reached by a 114-flip path that revisits bits.  A neighbour whose energy is
+above the current level is not stored: memory holds the settled states and
+the pending states of one level, and each new level starts with one rescan
+of the settled states for their lowest-energy unsettled neighbours.  CSS
+sectors decouple (X flips only trigger Z checks and vice versa), so each
+sector is a classical search.
 
 One runner serves every search: a state carries its syndrome and its
 signature, the pairings with the rows of a logical matrix.  A CSS sector
@@ -38,7 +43,6 @@ __all__ = [
     "BarrierCapError",
     "BarrierResult",
     "CodeBarrierResult",
-    "energy",
     "barrier",
     "sector_barrier",
     "classical_code_barrier",
@@ -76,13 +80,6 @@ class CodeBarrierResult:
     z_result: BarrierResult
 
 
-def energy(H: BinaryMatrix, v: int) -> int:
-    """Number of violated checks: wt(H*v)."""
-    if v < 0 or v >> H.ncols:
-        raise BarrierError("state has bits outside the matrix width")
-    return H.times_vector(v).bit_count()
-
-
 def _dijkstra(
     syn_cols: list[int],
     n: int,
@@ -92,25 +89,33 @@ def _dijkstra(
 ):
     """Bottleneck-shortest-path from 0; returns when a goal state joins a level.
 
-    Settles states one bottleneck level at a time.  Within a level the
-    smallest pending state pops next and its neighbours with energy at most
-    the level join the level; a neighbour above the level is not stored.
-    When the level empties, a rescan of the settled states in pop order finds
-    the next level, the lowest energy among their unsettled neighbours, and
-    starts it with those neighbours.  Every lower level is finished before a
-    state joins level L, so a goal state that joins it has bottleneck L.  A
-    state's predecessor is the settled neighbour it joined from.
+    Settles states one bottleneck level at a time.  Within a level the pops
+    alternate between the smallest pending state and the heaviest one (ties
+    to the smaller state), two heaps over one ``pending`` dict; a popped
+    state's neighbours with energy at most the level join the level, and a
+    neighbour above the level is not stored.  When the level empties, one
+    rescan of the settled states in pop order finds the next level, the
+    lowest energy among their unsettled neighbours, and starts it with
+    those neighbours in scan order.  Every lower level is finished before a
+    state joins level L, so a goal state that joins it has bottleneck L,
+    whatever order the level pops in; the order only changes which goal
+    state joins first and how much work that takes.  A state's predecessor
+    is the settled neighbour it joined from.
     """
     if sig_cols is None:
         sig_cols = [0] * n
     settled: list[tuple[int, int, int]] = []  # (state, syn, sig) in pop order
     pending: dict[int, tuple[int, int]] = {}  # state -> (syn, sig)
     prev: dict[int, int | None] = {}  # settled or pending state -> bit it joined by
+    smallest: list[int] = []  # heap of pending states
+    heaviest: list[tuple[int, int]] = []  # heap of (-weight, state) of pending states
     level = 0
 
     def join(state, syn, sig, step):
         pending[state] = (syn, sig)
         prev[state] = step
+        heapq.heappush(smallest, state)
+        heapq.heappush(heaviest, (-state.bit_count(), state))
         if not goal(state, syn, sig):
             return None
         path = None
@@ -122,19 +127,15 @@ def _dijkstra(
             path = tuple(reversed(flips))
         return level, state, len(settled), path
 
-    def unsettled_neighbours():
-        for state, syn, sig in settled:
-            for j, scol in enumerate(syn_cols):
-                nstate = state ^ (1 << j)
-                if nstate not in prev:
-                    yield j, nstate, syn ^ scol, sig ^ sig_cols[j]
-
     if found := join(0, 0, 0, None):
         return found
     while True:
-        heap = sorted(pending)
-        while heap:
-            state = heapq.heappop(heap)
+        heavy = False
+        while pending:
+            state = heapq.heappop(heaviest)[1] if heavy else heapq.heappop(smallest)
+            heavy = not heavy
+            if state not in pending:
+                continue
             syn, sig = pending.pop(state)
             settled.append((state, syn, sig))
             for j in [
@@ -144,12 +145,24 @@ def _dijkstra(
                 if nstate not in prev:
                     if found := join(nstate, syn ^ syn_cols[j], sig ^ sig_cols[j], j):
                         return found
-                    heapq.heappush(heap, nstate)
-        level = min((nsyn.bit_count() for _, _, nsyn, _ in unsettled_neighbours()), default=None)
+        smallest.clear()
+        heaviest.clear()
+        level, frontier = None, []  # the next level and its joins in scan order
+        for state, syn, sig in settled:
+            for j, scol in enumerate(syn_cols):
+                nstate = state ^ (1 << j)
+                if nstate in prev:
+                    continue
+                nsyn = syn ^ scol
+                cost = nsyn.bit_count()
+                if level is None or cost < level:
+                    level, frontier = cost, []
+                if cost == level:
+                    frontier.append((nstate, nsyn, sig ^ sig_cols[j], j))
         if level is None:
             raise BarrierError("search exhausted without reaching a goal state")
-        for j, nstate, nsyn, nsig in unsettled_neighbours():
-            if nsyn.bit_count() == level and (found := join(nstate, nsyn, nsig, j)):
+        for nstate, nsyn, nsig, j in frontier:
+            if nstate not in prev and (found := join(nstate, nsyn, nsig, j)):
                 return found
 
 

@@ -65,7 +65,6 @@ __all__ = [
     "BoundReport",
     "bound_report",
     "two_block",
-    "classical",
 ]
 
 
@@ -170,11 +169,6 @@ def two_block(variables: str, f_text: str, g_text: str) -> TwoBlockCode:
     """Convenience constructor from whitespace-separated names and poly text."""
     ctx = VarContext(tuple(variables.split()))
     return TwoBlockCode(ctx, parse_poly(f_text, ctx), parse_poly(g_text, ctx))
-
-
-def classical(variables: str, text: str) -> ClassicalGenerator:
-    ctx = VarContext(tuple(variables.split()))
-    return ClassicalGenerator(parse_poly(text, ctx))
 
 
 def parent_hgp(f_vars: tuple[str, ...], g_vars: tuple[str, ...]) -> HGPCode:

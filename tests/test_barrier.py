@@ -15,10 +15,9 @@ from polyqec.barrier import (
     barrier,
     classical_code_barrier,
     code_barrier,
-    energy,
     sector_barrier,
 )
-from polyqec.codes import TwoBlockCode, classical, two_block
+from polyqec.codes import ClassicalGenerator, TwoBlockCode, two_block
 from polyqec.distance import (
     DistanceError,
     exact_distance,
@@ -28,7 +27,7 @@ from polyqec.distance import (
 from polyqec.fixtures import fixture_names, fixture_path
 from polyqec.instantiate import BinaryMatrix, classical_parity_matrix, instantiate
 from polyqec.lattice import GroupPresentation
-from polyqec.poly import LaurentPoly, VarContext
+from polyqec.poly import LaurentPoly, VarContext, parse_poly
 
 
 def torus(ctx: VarContext, *sizes: int) -> GroupPresentation:
@@ -63,13 +62,13 @@ def _brute_bottleneck(H: BinaryMatrix, targets: set[int]) -> int:
 
 
 def test_energy_examples():
-    ising = classical("x", "1 + x")
+    ising = ClassicalGenerator(parse_poly("1 + x"))
     m8 = classical_parity_matrix(ising, torus(ising.poly.context, 8))
-    assert energy(m8, 0) == 0
-    assert energy(m8, 1) == 2
-    nm = classical("x y", "1 + x + y")
+    assert m8.times_vector(0).bit_count() == 0
+    assert m8.times_vector(1).bit_count() == 2
+    nm = ClassicalGenerator(parse_poly("1 + x + y"))
     m3 = classical_parity_matrix(nm, torus(nm.poly.context, 3, 3))
-    assert energy(m3, 1) == 3
+    assert m3.times_vector(1).bit_count() == 3
 
 
 def test_energy_matches_direct_count():
@@ -79,20 +78,14 @@ def test_energy_matches_direct_count():
         mat = BinaryMatrix([rng.getrandbits(cols) for _ in range(rows)], cols)
         v = rng.getrandbits(cols)
         expect = sum((r & v).bit_count() % 2 for r in mat.rows)
-        assert energy(mat, v) == expect
-
-
-def test_energy_rejects_out_of_range():
-    m = BinaryMatrix.identity(3)
-    with pytest.raises(BarrierError):
-        energy(m, 1 << 3)
+        assert mat.times_vector(v).bit_count() == expect
 
 
 # -- single-target barrier -------------------------------------------------
 
 
 def test_domain_wall_pair_walks_the_ring():
-    ising = classical("x", "1 + x")
+    ising = ClassicalGenerator(parse_poly("1 + x"))
     for L in (4, 8, 12, 16):
         m = classical_parity_matrix(ising, torus(ising.poly.context, L))
         res = barrier(m, (1 << L) - 1)
@@ -101,21 +94,21 @@ def test_domain_wall_pair_walks_the_ring():
 
 
 def test_barrier_path_is_valid():
-    ising = classical("x", "1 + x")
+    ising = ClassicalGenerator(parse_poly("1 + x"))
     m = classical_parity_matrix(ising, torus(ising.poly.context, 6))
     res = barrier(m, (1 << 6) - 1, want_path=True)
     state = 0
     peak = 0
     for j in res.path:
         state ^= 1 << j
-        peak = max(peak, energy(m, state))
+        peak = max(peak, m.times_vector(state).bit_count())
     assert state == res.target
     assert peak == res.barrier
     assert barrier(m, (1 << 6) - 1).path is None
 
 
 def test_barrier_input_validation():
-    ising = classical("x", "1 + x")
+    ising = ClassicalGenerator(parse_poly("1 + x"))
     m = classical_parity_matrix(ising, torus(ising.poly.context, 5))
     with pytest.raises(BarrierError, match="nonzero"):
         barrier(m, 0)
@@ -143,7 +136,7 @@ def test_barrier_matches_brute_force_oracle():
 
 
 def test_barrier_translation_invariance():
-    nm = classical("x y", "1 + x + y")
+    nm = ClassicalGenerator(parse_poly("1 + x + y"))
     pres = torus(nm.poly.context, 3, 3)
     m = classical_parity_matrix(nm, pres)
     from polyqec.lattice import quotient
@@ -164,7 +157,7 @@ def test_barrier_translation_invariance():
 
 
 def test_triangle_generator_barrier_and_trivial_cases():
-    nm = classical("x y", "1 + x + y")
+    nm = ClassicalGenerator(parse_poly("1 + x + y"))
     m3 = classical_parity_matrix(nm, torus(nm.poly.context, 3, 3))
     res = classical_code_barrier(m3)
     assert res.barrier == 4
@@ -189,14 +182,14 @@ def test_classical_code_barrier_matches_brute_force():
 
 
 def test_barrier_at_least_one_when_checks_cover_all_bits():
-    ising = classical("x", "1 + x")
+    ising = ClassicalGenerator(parse_poly("1 + x"))
     for L in (4, 6, 8):
         m = classical_parity_matrix(ising, torus(ising.poly.context, L))
         assert classical_code_barrier(m).barrier >= 1
 
 
 def test_cap_increase_does_not_change_value():
-    ising = classical("x", "1 + x")
+    ising = ClassicalGenerator(parse_poly("1 + x"))
     m = classical_parity_matrix(ising, torus(ising.poly.context, 8))
     assert classical_code_barrier(m, cap_n=8).barrier == classical_code_barrier(m, cap_n=20).barrier
 
@@ -268,7 +261,7 @@ def test_reported_targets_are_rechecked(monkeypatch):
     for sector in ("X", "Z"):
         with pytest.raises(DistanceError, match="kernel condition"):
             sector_barrier(inst, sector)
-    ising = classical("x", "1 + x")
+    ising = ClassicalGenerator(parse_poly("1 + x"))
     ring = classical_parity_matrix(ising, torus(ising.poly.context, 4))
     with pytest.raises(BarrierError, match="not a nonzero codeword"):
         classical_code_barrier(ring)
@@ -497,9 +490,33 @@ def test_bundled_barriers_match_heap_reference(monkeypatch):
 
 def test_newman_moore_search_stops_when_a_codeword_joins():
     # settling the whole barrier level before the first codeword pops took
-    # 34,096 states; stopping when one joins the level takes 8,850
-    nm = classical("x y", "1 + x + y")
+    # 34,096 states; stopping when one joins the level took 8,850 popping
+    # the smallest state first, and alternating with the heaviest takes 674
+    nm = ClassicalGenerator(parse_poly("1 + x + y"))
     m = classical_parity_matrix(nm, torus(nm.poly.context, 6, 6))
     res = classical_code_barrier(m, cap_n=64, want_path=True)
-    assert (res.barrier, res.explored) == (5, 8850)
+    assert (res.barrier, res.explored) == (5, 674)
     assert _replay(m.transpose().rows, res.path) == (res.target, 5)
+
+
+def _haah_x_barrier(*sizes):
+    spec = specfile.parse_spec_file(fixture_path("haah"))
+    inst = instantiate(spec.two_block(), torus(spec.context, *sizes))
+    res = sector_barrier(inst, "X", cap_n=inst.n, want_path=True)
+    checks = distance_mod._sector_checks(inst, "X")[0]
+    assert _replay(checks.transpose().rows, res.path) == (res.target, res.barrier)
+    return res
+
+
+def test_haah_barrier_where_smallest_first_settles_a_million_states():
+    # smallest-first settled 1,213,951 states here; the target is the
+    # all-ones logical, reached by a 114-flip path that revisits bits
+    res = _haah_x_barrier(3, 3, 4)
+    assert (res.barrier, res.explored, res.target) == (4, 316, (1 << 72) - 1)
+    assert len(res.path) == 114
+
+
+def test_haah_barrier_where_heaviest_first_settles_half_a_million_states():
+    # smallest-first needs 149 states here, heaviest-first alone 475k
+    res = _haah_x_barrier(3, 4, 4)
+    assert (res.barrier, res.explored) == (4, 291)

@@ -12,7 +12,6 @@ from polyqec.codes import (
     LiftError,
     TwistError,
     bound_report,
-    classical,
     compactify,
     css_commutes_symbolically,
     decomposition_profile,

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 import polyqec.distance as distance_mod
-from polyqec.codes import TwoBlockCode, classical, two_block
+from polyqec.codes import ClassicalGenerator, TwoBlockCode, two_block
 from polyqec import specfile
 from polyqec.distance import (
     ClassicalDistance,
@@ -22,7 +22,7 @@ from polyqec.fixtures import fixture_names, fixture_path
 from polyqec.instantiate import BinaryMatrix
 from polyqec.instantiate import classical_parity_matrix, instantiate
 from polyqec.lattice import GroupPresentation, quotient
-from polyqec.poly import LaurentPoly, VarContext
+from polyqec.poly import LaurentPoly, VarContext, parse_poly
 
 
 def torus(ctx: VarContext, *sizes: int) -> GroupPresentation:
@@ -247,7 +247,7 @@ def test_randomized_witness_is_validated():
 
 
 def test_repetition_code_distance_is_ring_length():
-    gen = classical("x", "1 + x")
+    gen = ClassicalGenerator(parse_poly("1 + x"))
     for L in (3, 5, 7):
         mat = classical_parity_matrix(gen, torus(gen.poly.context, L))
         res = exact_classical_distance(mat)
@@ -258,7 +258,7 @@ def test_repetition_code_distance_is_ring_length():
 
 
 def test_triangle_generator_distances():
-    gen = classical("x y", "1 + x + y")
+    gen = ClassicalGenerator(parse_poly("1 + x + y"))
     m3 = classical_parity_matrix(gen, torus(gen.poly.context, 3, 3))
     res = exact_classical_distance(m3)
     assert res.value == 6

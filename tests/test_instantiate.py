@@ -11,7 +11,6 @@ from polyqec.codes import (
     CodeError,
     ClassicalGenerator,
     TwoBlockCode,
-    classical,
     is_indecomposable_finite,
     two_block,
 )
@@ -496,7 +495,7 @@ def _builder_cases():
     ]
     for code, rels in plain_and_twisted:
         yield code, GroupPresentation(code.context, rels)
-    yield classical("x y", "1 + x + y"), torus(xy, 5, 3)
+    yield ClassicalGenerator(parse_poly("1 + x + y")), torus(xy, 5, 3)
     rng = random.Random(1303)
     ctx = VarContext(("w", "x", "y", "z"))
     for _ in range(12):
@@ -592,7 +591,7 @@ def test_random_instances_commute():
 
 
 def test_monomial_collisions_cancel_mod_2():
-    gen = classical("x", "1 + x + x^3")
+    gen = ClassicalGenerator(parse_poly("1 + x + x^3"))
     pres = torus(gen.poly.context, 2)
     mat = classical_parity_matrix(gen, pres)
     # x and x^3 coincide on the 2-cycle and cancel, leaving the constant term
@@ -717,7 +716,7 @@ def test_tanner_components_agree_with_indecomposability():
 
 
 def test_classical_triangle_generator_kernels():
-    gen = classical("x y", "1 + x + y")
+    gen = ClassicalGenerator(parse_poly("1 + x + y"))
     m3 = classical_parity_matrix(gen, torus(gen.poly.context, 3, 3))
     assert m3.rank() == 7
     assert len(m3.nullspace()) == 2
@@ -739,7 +738,7 @@ def test_instantiate_rejects_bad_inputs():
 
 def test_group_order_cap(monkeypatch):
     code = two_block("x y", "1 + x", "1 + y")
-    gen = classical("x y", "1 + x + y")
+    gen = ClassicalGenerator(parse_poly("1 + x + y"))
     monkeypatch.setattr(instantiate_mod, "GROUP_ORDER_CAP", 9)
     assert instantiate(code, torus(code.context, 3, 3)).group.order == 9
     assert classical_parity_matrix(gen, torus(gen.poly.context, 3, 3)).ncols == 9
