@@ -26,21 +26,17 @@ from . import barrier as barrier_mod
 from . import codes, distance, specfile
 from .fixtures import FAMILY_TABLE_ROWS, fixture_names, fixture_path
 from .instantiate import (
-    classical_parity_matrix,
+    _check_matrix,
+    _classical_group,
     _code_group,
     instantiate as build_instance,
+    support_bits,
     tanner_component_count,
     write_coordinate_text,
     write_matrix_market,
 )
-from .lattice import lattice_saturates, quotient, quotient_shape
-from .report import (
-    ReportCache,
-    canonical_json,
-    make_document,
-    render_document,
-    support_bits,
-)
+from .lattice import lattice_saturates, quotient_shape
+from .report import ReportCache, canonical_json, make_document, render_document
 
 __all__ = ["main", "build_parser"]
 
@@ -93,7 +89,7 @@ def _spec_block(spec: specfile.CodeSpec, text: str) -> dict[str, Any]:
 
 def _on_boundary(spec: specfile.CodeSpec):
     """The classical parity matrix, or the two-block instance, on the spec's
-    finite translation group."""
+    finite translation group, and that group."""
     pres = spec.presentation()
     if pres is None:
         raise codes.CodeError(
@@ -101,8 +97,12 @@ def _on_boundary(spec: specfile.CodeSpec):
             "section or pass --boundary"
         )
     if spec.is_classical:
-        return classical_parity_matrix(spec.classical_generator(), pres)
-    return build_instance(spec.two_block(), pres)
+        # the steps of classical_parity_matrix, keeping the group it builds
+        poly = spec.classical_generator().poly
+        group = _classical_group(poly, pres)
+        return _check_matrix(group, (poly,)), group
+    built = build_instance(spec.two_block(), pres)
+    return built, built.group
 
 
 def _compare_lift(spec: specfile.CodeSpec, missing: str):
@@ -229,7 +229,7 @@ def _result_compactify(spec: specfile.CodeSpec, args) -> dict[str, Any]:
 
 
 def _result_instantiate(spec: specfile.CodeSpec, args) -> dict[str, Any]:
-    built = _on_boundary(spec)
+    built, _ = _on_boundary(spec)
     if spec.is_classical:
         rank = built.rank()
         return {
@@ -268,9 +268,9 @@ def _result_params(spec: specfile.CodeSpec, args) -> dict[str, Any]:
 
 
 def _result_distance(spec: specfile.CodeSpec, args) -> dict[str, Any]:
-    built = _on_boundary(spec)
+    built, group = _on_boundary(spec)
     if spec.is_classical:
-        res = distance.exact_classical_distance(built, quotient(spec.presentation()))
+        res = distance.exact_classical_distance(built, group)
         return {
             "kind": "classical",
             "d_upper": res.value,
@@ -305,7 +305,7 @@ def _result_distance(spec: specfile.CodeSpec, args) -> dict[str, Any]:
 
 
 def _result_barrier(spec: specfile.CodeSpec, args) -> dict[str, Any]:
-    built = _on_boundary(spec)
+    built, _ = _on_boundary(spec)
     if spec.is_classical:
         res = barrier_mod.classical_code_barrier(
             built, cap_n=args.cap, want_path=args.emit_path
@@ -342,17 +342,7 @@ def _result_bounds(spec: specfile.CodeSpec, args) -> dict[str, Any]:
         # degrees of freedom across both sectors: columns of HX plus HZ
         n_eval = 4 * _code_group(code, pres).order
     rep = codes.bound_report(code, n_eval)
-    return {
-        "check_weight": rep.check_weight,
-        "variable_count": rep.variable_count,
-        "locality_dimension": rep.locality_dimension,
-        "n": rep.n,
-        "indecomposable": rep.indecomposable,
-        "variables_within_weight_cap": rep.variables_within_weight_cap,
-        "distance_upper_scaling": rep.distance_upper_scaling,
-        "distance_lower_scaling": rep.distance_lower_scaling,
-        "lines": list(rep.lines),
-    }
+    return {**dataclasses.asdict(rep), "lines": list(rep.lines)}
 
 
 def _result_reproduce_appendix(spec: None, args) -> dict[str, Any]:
@@ -396,21 +386,10 @@ def _render_appendix_table(result: dict[str, Any]) -> str:
 # -- command plumbing ------------------------------------------------------
 
 
-# command -> (result builder, argparse dests that enter the cache key)
-_COMMANDS = {
-    "check": (_result_check, ()),
-    "classify": (_result_classify, ()),
-    "lift": (_result_lift, ()),
-    "compactify": (_result_compactify, ()),
-    "instantiate": (_result_instantiate, ()),
-    "params": (_result_params, ()),
-    "distance": (
-        _result_distance, ("method", "exact_cap", "trials", "seed", "threads")
-    ),
-    "barrier": (_result_barrier, ("cap", "sector", "emit_path")),
-    "bounds": (_result_bounds, ("n",)),
-    "reproduce-appendix": (_result_reproduce_appendix, ()),
-}
+# argparse dests every command shares; every other option enters the cache key
+_SHARED_DESTS = frozenset(
+    ("command", "func", "build", "json", "no_cache", "cache_dir", "spec", "boundary")
+)
 
 
 def _emit(args, doc: dict[str, Any]) -> None:
@@ -452,10 +431,9 @@ def _document(
 
 
 def _run_command(args) -> int:
-    """Shared flow of every command in ``_COMMANDS``: load the spec, apply
-    ``--boundary``, get the document, print it."""
-    build, dests = _COMMANDS[args.command]
-    params = {dest: getattr(args, dest) for dest in dests}
+    """Shared flow of every command with a result builder (``args.build``):
+    load the spec, apply ``--boundary``, get the document, print it."""
+    params = {k: v for k, v in vars(args).items() if k not in _SHARED_DESTS}
     spec = text = info = None
     # reproduce-appendix names no code file; its bundled table files are in
     # the cache key's source digest
@@ -463,7 +441,7 @@ def _run_command(args) -> int:
         spec, text = _load_spec(args)
         info = _spec_block(spec, text)
         params["boundary_override"] = [list(v) for v in spec.boundary]
-    doc = _document(args, text, info, params, lambda: build(spec, args))
+    doc = _document(args, text, info, params, lambda: args.build(spec, args))
     _emit(args, doc)
     # reproduce-appendix exits 1 when a table row fails
     return 0 if doc["result"].get("all_pass", True) else 1
@@ -471,7 +449,7 @@ def _run_command(args) -> int:
 
 def _export_matrix(args) -> int:
     spec, text = _load_spec(args)
-    built = _on_boundary(spec)
+    built, _ = _on_boundary(spec)
     which = args.which
     if which == "auto":
         which = "classical" if spec.is_classical else "hx"
@@ -532,20 +510,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, help_text: str, *, func=_run_command, with_spec: bool = True):
+    def add(name: str, help_text: str, build, *, func=_run_command, with_spec: bool = True):
         parents = [common, spec_arg] if with_spec else [common]
         p = sub.add_parser(name, parents=parents, help=help_text)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, build=build)
         return p
 
-    add("check", "symbolic validity, commutation, and indecomposability")
-    add("classify", "family-tree tag (parity pair of generator weights)")
-    add("lift", "lift to the hypergraph-product parent")
-    add("compactify", "apply the file's [lift] data and compare")
-    add("instantiate", "build parity-check matrices on the boundary")
-    add("params", "code parameters n, k on the boundary")
+    add("check", "symbolic validity, commutation, and indecomposability", _result_check)
+    add("classify", "family-tree tag (parity pair of generator weights)", _result_classify)
+    add("lift", "lift to the hypergraph-product parent", _result_lift)
+    add("compactify", "apply the file's [lift] data and compare", _result_compactify)
+    add("instantiate", "build parity-check matrices on the boundary", _result_instantiate)
+    add("params", "code parameters n, k on the boundary", _result_params)
 
-    p = add("distance", "exact or randomized distance search")
+    p = add("distance", "exact or randomized distance search", _result_distance)
     p.add_argument(
         "--method",
         choices=("auto", "exact", "random"),
@@ -569,7 +547,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker streams for the randomized search, run in parallel processes",
     )
 
-    p = add("barrier", "exact energy barrier under the state cap")
+    p = add("barrier", "exact energy barrier under the state cap", _result_barrier)
     p.add_argument(
         "--cap",
         type=int,
@@ -586,7 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--emit-path", action="store_true", help="include an optimal flip sequence"
     )
 
-    p = add("bounds", "locality-driven distance-bound summary")
+    p = add("bounds", "locality-driven distance-bound summary", _result_bounds)
     p.add_argument(
         "--n",
         type=int,
@@ -597,10 +575,11 @@ def build_parser() -> argparse.ArgumentParser:
     add(
         "reproduce-appendix",
         "re-derive every bundled family-tree table row",
+        _result_reproduce_appendix,
         with_spec=False,
     )
 
-    p = add("export-matrix", "write a parity-check matrix", func=_export_matrix)
+    p = add("export-matrix", "write a parity-check matrix", None, func=_export_matrix)
     p.add_argument(
         "--which",
         choices=("auto", "hx", "hz", "classical"),

@@ -23,6 +23,8 @@ entry in column j, so a row operation is one big-int XOR.  Columns are read
 without a per-bit walk: a block of rows is written as one binary string, and
 column j of the block is a strided slice of it, parsed back with ``int``
 (``_columns``).  ``transpose`` and ``nullspace`` both read columns this way.
+The set bits of one row are listed by ``support_bits``, the one bit walk that
+``matmul``, the Tanner count, the exports and the documents' witnesses share.
 
 Elimination takes pivots at each row's top bit.  The rank reads a cached
 forward echelon; residues and kernels read the reduced row-echelon form that
@@ -43,6 +45,7 @@ from .poly import LaurentPoly
 __all__ = [
     "BinaryMatrix",
     "parity_dot",
+    "support_bits",
     "CodeInstance",
     "instantiate",
     "classical_parity_matrix",
@@ -60,6 +63,16 @@ GROUP_ORDER_CAP = 1 << 14
 def parity_dot(a: int, b: int) -> int:
     """GF(2) inner product of two bit-packed vectors."""
     return (a & b).bit_count() & 1
+
+
+def support_bits(mask: int) -> list[int]:
+    """Indices of the set bits, ascending; JSON-friendly witness encoding."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 _COLUMN_BLOCK = 256  # rows written to one string by ``_columns``
@@ -235,11 +248,8 @@ class BinaryMatrix:
         out = []
         for r in self.rows:
             acc = 0
-            rr = r
-            while rr:
-                low = rr & -rr
-                acc ^= other.rows[low.bit_length() - 1]
-                rr ^= low
+            for j in support_bits(r):
+                acc ^= other.rows[j]
             out.append(acc)
         return BinaryMatrix(out, other.ncols)
 
@@ -370,17 +380,22 @@ def _verify_commutation(inst: CodeInstance) -> None:
             )
 
 
+def _classical_group(poly: LaurentPoly, pres: GroupPresentation) -> QuotientGroup:
+    """The group a classical generator is instantiated on, with every check
+    ``classical_parity_matrix`` makes before it builds the matrix."""
+    if pres.context != poly.context:
+        raise CodeError("presentation context differs from the generator context")
+    if poly.is_zero:
+        raise CodeError("cannot instantiate a zero generator")
+    return _finite_group(pres)
+
+
 def classical_parity_matrix(
     gen: ClassicalGenerator | LaurentPoly, pres: GroupPresentation
 ) -> BinaryMatrix:
     """One check per group element for a single classical generator."""
     poly = gen.poly if isinstance(gen, ClassicalGenerator) else gen
-    if pres.context != poly.context:
-        raise CodeError("presentation context differs from the generator context")
-    if poly.is_zero:
-        raise CodeError("cannot instantiate a zero generator")
-    group = _finite_group(pres)
-    return _check_matrix(group, (poly,))
+    return _check_matrix(_classical_group(poly, pres), (poly,))
 
 
 def tanner_component_count(inst: CodeInstance) -> int:
@@ -395,12 +410,9 @@ def tanner_component_count(inst: CodeInstance) -> int:
     """
     group = inst.group
     supports: tuple[list, list] = ([], [])
-    row = inst.hx.rows[0]
-    while row:
-        low = row & -row
-        block, idx = divmod(low.bit_length() - 1, group.order)
+    for q in support_bits(inst.hx.rows[0]):
+        block, idx = divmod(q, group.order)
         supports[block].append(group.index_coords(idx))
-        row ^= low
     radices = group._radices
     vectors = [[r * (i == j) for j in range(len(radices))] for i, r in enumerate(radices)]
     for elems in supports:
@@ -416,10 +428,8 @@ def write_coordinate_text(matrix: BinaryMatrix, fh: IO[str]) -> None:
     written to an open text stream."""
     fh.write(f"{matrix.nrows} {matrix.ncols}\n")
     for i, r in enumerate(matrix.rows):
-        while r:
-            low = r & -r
-            fh.write(f"{i} {low.bit_length() - 1}\n")
-            r ^= low
+        for j in support_bits(r):
+            fh.write(f"{i} {j}\n")
 
 
 def write_matrix_market(matrix: BinaryMatrix, fh: IO[str]) -> None:
@@ -429,7 +439,5 @@ def write_matrix_market(matrix: BinaryMatrix, fh: IO[str]) -> None:
     fh.write("%%MatrixMarket matrix coordinate integer general\n")
     fh.write(f"{matrix.nrows} {matrix.ncols} {nnz}\n")
     for i, r in enumerate(matrix.rows):
-        while r:
-            low = r & -r
-            fh.write(f"{i + 1} {low.bit_length()} 1\n")
-            r ^= low
+        for j in support_bits(r):
+            fh.write(f"{i + 1} {j + 1} 1\n")

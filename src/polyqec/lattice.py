@@ -316,13 +316,16 @@ class QuotientGroup:
         ]
         return tuple(x % m for x, m in zip(raw, self._radices))
 
-    def reduce(self, mono: Monomial) -> int:
-        """Element index of a monomial's class."""
-        coords = self.coords(mono)
+    def _index(self, coords: Iterable[int]) -> int:
+        """Element index of mixed-radix coordinates, each taken mod its radix."""
         idx = 0
         for x, m in zip(coords, self._radices):
-            idx = idx * m + x
+            idx = idx * m + x % m
         return idx
+
+    def reduce(self, mono: Monomial) -> int:
+        """Element index of a monomial's class."""
+        return self._index(self.coords(mono))
 
     def index_coords(self, index: int) -> tuple[int, ...]:
         self._require_finite()
@@ -335,18 +338,10 @@ class QuotientGroup:
         return tuple(reversed(out))
 
     def add(self, a: int, b: int) -> int:
-        ca, cb = self.index_coords(a), self.index_coords(b)
-        idx = 0
-        for x, y, m in zip(ca, cb, self._radices):
-            idx = idx * m + (x + y) % m
-        return idx
+        return self._index(map(sum, zip(self.index_coords(a), self.index_coords(b))))
 
     def neg(self, a: int) -> int:
-        ca = self.index_coords(a)
-        idx = 0
-        for x, m in zip(ca, self._radices):
-            idx = idx * m + (-x) % m
-        return idx
+        return self._index(-x for x in self.index_coords(a))
 
     def elements(self) -> range:
         self._require_finite()

@@ -9,7 +9,9 @@ same input and seed produce byte-identical canonical JSON once it is
 removed.  Documents are cached on disk keyed by a content hash of the
 command, the code-file text, all result-affecting parameters, and the
 package's own sources, so a changed algorithm never serves an old document.
-A cached document keeps the seconds of the run that computed it.
+A cached document keeps the seconds of the run that computed it; a stored
+file with no ``result`` object is a miss.  Bit supports inside a result are
+listed by ``instantiate.support_bits``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ __all__ = [
     "tool_version",
     "make_document",
     "canonical_json",
-    "support_bits",
     "ReportCache",
     "render_document",
 ]
@@ -63,17 +64,6 @@ def _source_digest() -> str:
         h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
         h.update(data)
     return h.hexdigest()
-
-
-def support_bits(mask: int) -> list[int]:
-    """Indices of the set bits, ascending; JSON-friendly witness encoding."""
-    out = []
-    m = mask
-    while m:
-        low = m & -m
-        out.append(low.bit_length() - 1)
-        m ^= low
-    return out
 
 
 def make_document(
@@ -138,13 +128,16 @@ class ReportCache:
         """The stored document, or None on a miss.
 
         An unreadable or truncated file is a miss, and so is a document
-        whose command or code-file hash differs from the request's.
+        with no ``result`` object or whose command or code-file hash differs
+        from the request's.
         """
         try:
             doc = json.loads(self._path(key).read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
         if not isinstance(doc, dict) or doc.get("command") != command:
+            return None
+        if not isinstance(doc.get("result"), dict):
             return None
         spec = doc.get("spec")
         if (spec.get("sha256") if isinstance(spec, dict) else None) != spec_sha256:

@@ -101,10 +101,10 @@ def _fail(source: str, lineno: int, message: str) -> SpecError:
     return SpecError(f"{source}:{lineno}: {message}")
 
 
-def _split_key_value(line: str):
+def _key_value(lineno: int, line: str, source: str) -> tuple[str, str]:
     key, sep, value = line.partition("=")
     if not sep:
-        return None
+        raise _fail(source, lineno, f"expected 'key = value', got {line!r}")
     return key.strip(), value.strip()
 
 
@@ -145,8 +145,8 @@ def parse_spec_text(text: str, *, source: str = "<string>") -> CodeSpec:
         raise _fail(source, code_kv["variables"][0], str(exc)) from exc
     if "f" not in code_kv:
         raise SpecError(f"{source}: [code] must declare f")
-    f = _parse_poly_at(code_kv["f"], ctx, source)
-    g = _parse_poly_at(code_kv["g"], ctx, source) if "g" in code_kv else None
+    f = _parse_poly_at(*code_kv["f"], ctx, source)
+    g = _parse_poly_at(*code_kv["g"], ctx, source) if "g" in code_kv else None
 
     boundary = tuple(
         parse_boundary_equation(line, ctx, source, lineno)
@@ -175,10 +175,7 @@ def parse_spec_text(text: str, *, source: str = "<string>") -> CodeSpec:
 def _parse_keyed(lines, source: str, *, allowed: tuple[str, ...]):
     out: dict[str, tuple[int, str]] = {}
     for lineno, line in lines:
-        kv = _split_key_value(line)
-        if kv is None:
-            raise _fail(source, lineno, f"expected 'key = value', got {line!r}")
-        key, value = kv
+        key, value = _key_value(lineno, line, source)
         if key not in allowed:
             raise _fail(source, lineno, f"unknown key {key!r} (allowed: {', '.join(allowed)})")
         if key in out:
@@ -187,8 +184,7 @@ def _parse_keyed(lines, source: str, *, allowed: tuple[str, ...]):
     return out
 
 
-def _parse_poly_at(entry: tuple[int, str], ctx: VarContext, source: str) -> LaurentPoly:
-    lineno, text = entry
+def _parse_poly_at(lineno: int, text: str, ctx: VarContext, source: str) -> LaurentPoly:
     try:
         return parse_poly(text, ctx)
     except PolyParseError as exc:
@@ -196,24 +192,20 @@ def _parse_poly_at(entry: tuple[int, str], ctx: VarContext, source: str) -> Laur
 
 
 def _parse_monomial_at(lineno: int, text: str, ctx: VarContext, source: str) -> Monomial:
-    try:
-        poly = parse_poly(text, ctx)
-    except PolyParseError as exc:
-        raise _fail(source, lineno, str(exc)) from exc
+    poly = _parse_poly_at(lineno, text, ctx, source)
     if poly.weight != 1:
-        raise _fail(source, lineno, f"{text.strip()!r} is not a single monomial")
+        raise _fail(source, lineno, f"{text!r} is not a single monomial")
     return poly.single_term()
 
 
 def parse_boundary_equation(line: str, ctx: VarContext, source: str, lineno: int) -> Monomial:
     """Relation vector of one ``monomial = monomial`` identity; errors name
     ``source`` and ``lineno``."""
-    kv = _split_key_value(line)
-    if kv is None:
+    lhs, sep, rhs = line.partition("=")
+    if not sep:
         raise _fail(source, lineno, f"boundary line must be 'monomial = monomial', got {line!r}")
-    lhs, rhs = kv
-    lv = _parse_monomial_at(lineno, lhs, ctx, source)
-    rv = _parse_monomial_at(lineno, rhs, ctx, source)
+    lv = _parse_monomial_at(lineno, lhs.strip(), ctx, source)
+    rv = _parse_monomial_at(lineno, rhs.strip(), ctx, source)
     vec = tuple(a - b for a, b in zip(lv, rv))
     if not any(vec):
         raise _fail(source, lineno, "boundary relation is trivial (both sides equal)")
@@ -225,10 +217,7 @@ def _parse_lift(lines, ctx: VarContext, source: str) -> LiftSpec:
     g_labels: tuple[str, ...] | None = None
     assignments: list[tuple[int, str, str]] = []
     for lineno, line in lines:
-        kv = _split_key_value(line)
-        if kv is None:
-            raise _fail(source, lineno, f"expected 'key = value', got {line!r}")
-        key, value = kv
+        key, value = _key_value(lineno, line, source)
         if key == "parent_f":
             if f_labels is not None:
                 raise _fail(source, lineno, "duplicate parent_f")

@@ -1,5 +1,6 @@
 """End-to-end tests of the command-line interface."""
 
+import argparse
 import json
 import shlex
 from pathlib import Path
@@ -8,7 +9,8 @@ import jsonschema
 import pytest
 
 from polyqec import cli as cli_mod
-from polyqec import report
+from polyqec import instantiate as instantiate_mod
+from polyqec import lattice, report
 from polyqec.cli import build_parser, main
 from polyqec.fixtures import data_dir, fixture_names, fixture_path
 from polyqec.instantiate import instantiate
@@ -325,6 +327,31 @@ def test_distance_classical(capsys):
     assert doc["result"]["method"] == "exact-brouwer-zimmermann"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("ising",),
+        ("newman_moore",),
+        ("newman_moore", "--boundary", "x^3 = y", "--boundary", "y^3 = 1"),
+    ],
+)
+def test_classical_distance_builds_its_group_once(capsys, monkeypatch, argv):
+    calls = []
+    real = lattice.quotient
+
+    def counted(pres):
+        calls.append(pres)
+        return real(pres)
+
+    for module in (lattice, instantiate_mod, cli_mod):
+        if hasattr(module, "quotient"):
+            monkeypatch.setattr(module, "quotient", counted)
+    code, doc = run_json(capsys, "distance", *argv, "--no-cache")
+    assert code == 0
+    assert doc["result"]["kind"] == "classical"
+    assert len(calls) == 1
+
+
 def test_exact_combinations_repeat(capsys):
     # the work counter is deterministic, for two-block and classical codes
     for argv in (
@@ -496,19 +523,51 @@ def test_no_cache_writes_nothing(capsys, tmp_path):
     assert not cache.exists() or not list(cache.iterdir())
 
 
-def test_cache_key_distinguishes_parameters(capsys, tmp_path):
-    cache = str(tmp_path / "c3")
-    _, doc1 = run_json(
-        capsys, "distance", "toric", "--method", "random", "--trials", "100",
-        "--cache-dir", cache,
-    )
-    _, doc2 = run_json(
-        capsys, "distance", "toric", "--method", "random", "--trials", "200",
-        "--cache-dir", cache,
-    )
-    assert doc1["result"]["trials"] == 100
-    assert doc2["result"]["trials"] == 200
-    assert doc2["timing"]["cached"] is False
+# options every command shares: output and cache control, and --boundary, which
+# enters the cache key as the relations it sets
+_OUTPUT_OPTIONS = {"-h", "--json", "--no-cache", "--cache-dir", "--boundary"}
+
+
+def _cached_command_options():
+    """(command, option action) for every other option of a cached command,
+    read from the parser."""
+    parser = build_parser()
+    [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for name, command in sub.choices.items():
+        if command.get_default("build") is None:
+            continue
+        for action in command._actions:
+            if action.option_strings and not _OUTPUT_OPTIONS & set(action.option_strings):
+                yield pytest.param(name, action, id=f"{name}{action.option_strings[0]}")
+
+
+def _other_value(action) -> list[str]:
+    """Arguments that set ``action`` to a value other than its default."""
+    if action.nargs == 0:  # a flag
+        return [action.option_strings[0]]
+    if action.choices:
+        value = next(c for c in action.choices if c != action.default)
+    else:
+        value = 2 if action.default is None else action.default + 1
+    return [action.option_strings[0], str(value)]
+
+
+def test_cached_command_options_are_found():
+    found = {(name, action.dest) for name, action in (p.values for p in _cached_command_options())}
+    assert {("distance", "trials"), ("barrier", "cap"), ("bounds", "n")} <= found
+
+
+@pytest.mark.parametrize("command, action", list(_cached_command_options()))
+def test_cache_key_distinguishes_parameters(capsys, tmp_path, command, action):
+    torus = ("--boundary", "x^2 = 1", "--boundary", "y^2 = 1")
+    base = (command, "toric", *torus, "--cache-dir", str(tmp_path / "c3"))
+    _, doc = run_json(capsys, *base)
+    assert doc["timing"]["cached"] is False
+    # --json only changes how the document is printed: a hit
+    code, out, _ = run(capsys, *base)
+    assert code == 0 and "(cached)" in out
+    _, doc = run_json(capsys, *base, *_other_value(action))
+    assert doc["timing"]["cached"] is False
 
 
 def test_cache_misses_after_source_change(capsys, tmp_path, monkeypatch):
@@ -530,6 +589,14 @@ def test_cache_load_checks_command_and_spec_hash(tmp_path):
     assert cache.load(key, "params", "a" * 64)["result"] == {"n": 1}
     assert cache.load(key, "check", "a" * 64) is None
     assert cache.load(key, "params", "b" * 64) is None
+    # a document with no result object is a miss
+    for bad in (_without_result(doc), {**doc, "result": [1, 2]}, {**doc, "result": None}):
+        cache.store(key, bad)
+        assert cache.load(key, "params", "a" * 64) is None
+
+
+def _without_result(doc: dict) -> dict:
+    return {k: v for k, v in doc.items() if k != "result"}
 
 
 def test_truncated_cache_file_is_a_miss(capsys, tmp_path):
@@ -544,6 +611,22 @@ def test_truncated_cache_file_is_a_miss(capsys, tmp_path):
     assert doc["timing"]["cached"] is False
     assert [p.name for p in cache.iterdir()] == [path.name]
     assert json.loads(path.read_text(encoding="utf-8")) == doc
+
+
+@pytest.mark.parametrize("json_flag", [("--json",), ()])
+@pytest.mark.parametrize("damage", [_without_result, lambda d: {**d, "result": [1, 2]}])
+def test_cache_file_without_a_result_object_is_a_miss(capsys, tmp_path, damage, json_flag):
+    cache = tmp_path / "c6"
+    args = ("params", "toric", "--cache-dir", str(cache))
+    _, doc = run_json(capsys, *args)
+    [path] = cache.iterdir()
+    path.write_text(json.dumps(damage(doc)), encoding="utf-8")
+    code, out, err = run(capsys, *args, *json_flag)
+    assert code == 0 and err == ""
+    assert "(cached)" not in out
+    assert json.loads(path.read_text(encoding="utf-8"))["result"] == doc["result"]
+    if json_flag:
+        assert _strip_timing(json.loads(out)) == _strip_timing(doc)
 
 
 def test_randomized_report_deterministic(capsys):
