@@ -18,16 +18,17 @@ A target can be heavy: on haah 3x3x4 the X target is the all-ones logical,
 reached by a 114-flip path that revisits bits.  A neighbour whose energy is
 above the current level is not stored: memory holds the settled states and
 the pending states of one level, and each new level starts with one rescan
-of the settled states for their lowest-energy unsettled neighbours.  CSS
-sectors decouple (X flips only trigger Z checks and vice versa), so each
-sector is a classical search.
+of the settled states for their lowest-energy unsettled neighbours.
 
+CSS sectors decouple (X flips only trigger Z checks and vice versa), and
+only the X sector is searched.  HZ = P*HX*Q, P sending check h to -h and Q
+swapping the blocks and sending qubit q to -q, so the block swap ψ(a, b) =
+(b̄, ā) maps X logicals onto Z logicals with wt(HX*Q*v) = wt(HZ*v): a Z
+result is the ψ image of the X search, target and path mapped bit by bit.
 One runner serves every search: a state carries its syndrome and its
-signature, the pairings with the rows of a logical matrix.  A CSS sector
-takes its checks from ``distance._sector_checks`` and its logical matrix from
-``logical_space``, the same ones the distance search uses; a classical
-codeword is a logical whose signature columns are unit vectors, so its
-signature is the state itself.
+signature, its pairings with the rows of a logical matrix (for the X sector,
+the ``logical_space`` representatives the distance search uses); a
+classical codeword is a logical whose signature columns are unit vectors.
 """
 
 from __future__ import annotations
@@ -36,17 +37,17 @@ import heapq
 from dataclasses import dataclass
 
 from .distance import _sector_checks, logical_space, validate_logical_witness
-from .instantiate import BinaryMatrix, CodeInstance
+from .instantiate import BinaryMatrix, CodeInstance, support_bits
 
 __all__ = [
     "BarrierError",
     "BarrierCapError",
     "BarrierResult",
-    "CodeBarrierResult",
     "barrier",
     "sector_barrier",
     "classical_code_barrier",
     "code_barrier",
+    "psi_image",
 ]
 
 BARRIER_CAP_DEFAULT = 20
@@ -69,15 +70,6 @@ class BarrierResult:
     target: int
     path: tuple[int, ...] | None  # bit indices flipped in order, when requested
     explored: int  # states settled before the target joined (diagnostic)
-
-
-@dataclass(frozen=True)
-class CodeBarrierResult:
-    """Code barrier = min over sectors, plus per-sector results."""
-
-    barrier: int
-    x_result: BarrierResult
-    z_result: BarrierResult
 
 
 def _dijkstra(
@@ -221,37 +213,44 @@ def classical_code_barrier(
     return res
 
 
+def _psi_bits(inst: CodeInstance) -> list[int]:
+    """ψ as a bit map: qubit h of either block goes to -h of the other."""
+    order = inst.group.order
+    neg = [inst.group.neg(h) for h in range(order)]
+    return [order + j for j in neg] + neg
+
+
+def psi_image(inst: CodeInstance, res: BarrierResult) -> BarrierResult:
+    """The Z-sector result that ψ makes of an X-sector one: the target maps
+    bit by bit and the path flip by flip, each step at the energy it had.
+    The mapped target is re-checked as a Z logical."""
+    psi = _psi_bits(inst)
+    target = sum(1 << psi[q] for q in support_bits(res.target))
+    path = None if res.path is None else tuple(psi[j] for j in res.path)
+    validate_logical_witness(inst, target, "Z")
+    return BarrierResult(res.barrier, "Z", target, path, res.explored)
+
+
 def sector_barrier(
-    inst: CodeInstance,
-    sector: str,
-    *,
-    cap_n: int = BARRIER_CAP_DEFAULT,
-    want_path: bool = False,
+    inst: CodeInstance, sector: str, *, cap_n: int = BARRIER_CAP_DEFAULT, want_path: bool = False
 ) -> BarrierResult:
-    """Minimum barrier over all logical operators of one CSS sector."""
-    n = inst.n
-    if n > cap_n:
-        raise BarrierCapError(f"n={n} exceeds the barrier cap {cap_n}")
-    _, reps = logical_space(inst, sector)
+    """Minimum barrier over all logical operators of one CSS sector: the X
+    search against HZ, or its ``psi_image`` for Z."""
+    if inst.n > cap_n:
+        raise BarrierCapError(f"n={inst.n} exceeds the barrier cap {cap_n}")
+    _sector_checks(inst, sector)  # refuses an unknown sector
+    _, reps = logical_space(inst, "X")
     if not reps.rows:
         raise BarrierError("code has no logical operators (k = 0)")
-    checks, _ = _sector_checks(inst, sector)
-    res = _search(checks, sector, _reaches_logical, want_path, reps)
-    validate_logical_witness(inst, res.target, sector)
+    res = _search(inst.hz, "X", _reaches_logical, want_path, reps)
+    if sector == "Z":
+        return psi_image(inst, res)
+    validate_logical_witness(inst, res.target, "X")
     return res
 
 
 def code_barrier(
-    inst: CodeInstance,
-    *,
-    cap_n: int = BARRIER_CAP_DEFAULT,
-    want_path: bool = False,
-) -> CodeBarrierResult:
-    """Code barrier: minimum over the X and Z sector barriers."""
-    x_res = sector_barrier(inst, "X", cap_n=cap_n, want_path=want_path)
-    z_res = sector_barrier(inst, "Z", cap_n=cap_n, want_path=want_path)
-    return CodeBarrierResult(
-        barrier=min(x_res.barrier, z_res.barrier),
-        x_result=x_res,
-        z_result=z_res,
-    )
+    inst: CodeInstance, *, cap_n: int = BARRIER_CAP_DEFAULT, want_path: bool = False
+) -> BarrierResult:
+    """Code barrier: the X sector barrier, which ψ makes the Z one too."""
+    return sector_barrier(inst, "X", cap_n=cap_n, want_path=want_path)

@@ -247,7 +247,7 @@ def _result_instantiate(spec: specfile.CodeSpec, args) -> dict[str, Any]:
         "hx_shape": list(built.hx.shape),
         "hz_shape": list(built.hz.shape),
         "rank_hx": built.hx.rank(),
-        "rank_hz": built.hz.rank(),
+        "rank_hz": built.hx.rank(),  # equal by ψ, see ``CodeInstance.k``
         "k": built.k(),
         "tanner_components": tanner_component_count(built),
     }
@@ -316,16 +316,15 @@ def _result_barrier(spec: specfile.CodeSpec, args) -> dict[str, Any]:
             "cap": args.cap,
             "classical": _barrier_result_json(res),
         }
-    sectors = ("X", "Z") if args.sector == "both" else (args.sector,)
-    results = [
-        barrier_mod.sector_barrier(built, s, cap_n=args.cap, want_path=args.emit_path)
-        for s in sectors
-    ]
+    res = barrier_mod.sector_barrier(
+        built, "Z" if args.sector == "Z" else "X", cap_n=args.cap, want_path=args.emit_path
+    )
+    results = [res, barrier_mod.psi_image(built, res)] if args.sector == "both" else [res]
     return {
         "kind": "two-block",
-        "barrier": min(res.barrier for res in results),
+        "barrier": res.barrier,
         "cap": args.cap,
-        "sectors": {res.sector: _barrier_result_json(res) for res in results},
+        "sectors": {r.sector: _barrier_result_json(r) for r in results},
     }
 
 
@@ -378,8 +377,7 @@ def _render_appendix_table(result: dict[str, Any]) -> str:
             f"{row['status']:4s} {row['name'].ljust(width)}  "
             f"weights {pw} -> {cw}  twists={row['twist_count']}{note}"
         )
-    verdict = "ALL ROWS PASS" if result["all_pass"] else "SOME ROWS FAIL"
-    lines.append(verdict)
+    lines.append("ALL ROWS PASS" if result["all_pass"] else "SOME ROWS FAIL")
     return "\n".join(lines) + "\n"
 
 
@@ -456,11 +454,7 @@ def _export_matrix(args) -> int:
     # a matrix of the other kind fails with the accessor's one-line error
     (spec.classical_generator if which == "classical" else spec.two_block)()
     mat = built if which == "classical" else getattr(built, which)
-    writer = (
-        write_coordinate_text
-        if args.format == "coordinate"
-        else write_matrix_market
-    )
+    writer = write_coordinate_text if args.format == "coordinate" else write_matrix_market
     if args.out is None:
         writer(mat, sys.stdout)
         return 0

@@ -51,7 +51,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .instantiate import BinaryMatrix, CodeInstance, _check_matrix, _translates
+from .instantiate import BinaryMatrix, CodeInstance, _check_matrix, _reduce, _translates
 from .lattice import QuotientGroup
 
 __all__ = [
@@ -136,22 +136,12 @@ def logical_space(inst: CodeInstance, sector: str) -> tuple[list[int], BinaryMat
     # representatives: kernel of the stabilizers modulo the check rows, reduced
     # against the checks' own reduced rows (``nullspace`` has just built them)
     piv = dict(checks._pivots())
-
-    def reduce_top(v: int) -> int:
-        cur = v
-        while cur:
-            c = cur.bit_length() - 1
-            if c not in piv:
-                return cur
-            cur ^= piv[c]
-        return 0
-
     reps = []
     k = inst.k()
     for v in stabilizers.nullspace():
         if len(reps) == k:  # the quotient has dimension k: nothing more to add
             break
-        res = reduce_top(v)
+        res = _reduce(piv, v)
         if res:
             reps.append(v)
             piv[res.bit_length() - 1] = res

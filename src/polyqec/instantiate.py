@@ -75,6 +75,13 @@ def support_bits(mask: int) -> list[int]:
     return out
 
 
+def _reduce(rows: dict[int, int], vec: int) -> int:
+    """``vec`` with the top bit cleared by the row keyed by it, while one is."""
+    while vec and (c := vec.bit_length() - 1) in rows:
+        vec ^= rows[c]
+    return vec
+
+
 _COLUMN_BLOCK = 256  # rows written to one string by ``_columns``
 
 
@@ -203,14 +210,7 @@ class BinaryMatrix:
 
     def residue(self, vec: int) -> int:
         """Reduce a bit-packed vector against this matrix's row space."""
-        piv = self._pivots()
-        cur = int(vec)
-        while cur:
-            c = cur.bit_length() - 1
-            if c not in piv:
-                return cur
-            cur ^= piv[c]
-        return 0
+        return _reduce(self._pivots(), int(vec))
 
     def rowspace_contains(self, vec: int) -> bool:
         return self.residue(vec) == 0
@@ -253,8 +253,7 @@ class BinaryMatrix:
             out.append(acc)
         return BinaryMatrix(out, other.ncols)
 
-    def __matmul__(self, other: BinaryMatrix) -> BinaryMatrix:
-        return self.matmul(other)
+    __matmul__ = matmul
 
 
 # -- instantiation ---------------------------------------------------------
@@ -330,8 +329,9 @@ class CodeInstance:
         return self.hx.ncols
 
     def k(self) -> int:
-        """Number of logical qubits: n - rank(HX) - rank(HZ)."""
-        return self.n - self.hx.rank() - self.hz.rank()
+        """Number of logical qubits: n - rank(HX) - rank(HZ), where rank(HZ) =
+        rank(HX) since HZ = P*HX*Q for the block swap ψ (see ``barrier``)."""
+        return self.n - 2 * self.hx.rank()
 
 
 def _code_group(code: TwoBlockCode, pres: GroupPresentation) -> QuotientGroup:

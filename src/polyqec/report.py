@@ -10,8 +10,9 @@ removed.  Documents are cached on disk keyed by a content hash of the
 command, the code-file text, all result-affecting parameters, and the
 package's own sources, so a changed algorithm never serves an old document.
 A cached document keeps the seconds of the run that computed it; a stored
-file with no ``result`` object is a miss.  Bit supports inside a result are
-listed by ``instantiate.support_bits``.
+``result`` that lacks a key its command's branch of the bundled
+``data/report.schema.json`` requires is a miss.  Bit supports inside a result
+are listed by ``instantiate.support_bits``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ __all__ = [
 
 CACHE_ENV_VAR = "POLYQEC_CACHE_DIR"
 _TOOL = "polyqec"
+_ROOT = Path(__file__).resolve().parent
 
 
 @functools.cache
@@ -54,16 +56,25 @@ def _source_digest() -> str:
     The version string is ``0.0.0`` in every source tree, so the cache keys
     on this digest to drop documents written by any other build of the code.
     """
-    root = Path(__file__).resolve().parent
-    files = sorted(root.glob("*.py")) + sorted(
-        p for p in (root / "data").iterdir() if p.is_file()
+    files = sorted(_ROOT.glob("*.py")) + sorted(
+        p for p in (_ROOT / "data").iterdir() if p.is_file()
     )
     h = hashlib.sha256()
     for path in files:
         data = path.read_bytes()
-        h.update(f"{path.relative_to(root).as_posix()}\0{len(data)}\0".encode())
+        h.update(f"{path.relative_to(_ROOT).as_posix()}\0{len(data)}\0".encode())
         h.update(data)
     return h.hexdigest()
+
+
+@functools.cache
+def _required_result_keys() -> dict[str, list[str]]:
+    """command -> the ``result`` keys its branch of the bundled schema requires."""
+    schema = json.loads((_ROOT / "data" / "report.schema.json").read_text(encoding="utf-8"))
+    return {
+        b["if"]["properties"]["command"]["const"]: b["then"]["properties"]["result"]["required"]
+        for b in schema["allOf"]
+    }
 
 
 def make_document(
@@ -128,7 +139,8 @@ class ReportCache:
         """The stored document, or None on a miss.
 
         An unreadable or truncated file is a miss, and so is a document
-        with no ``result`` object or whose command or code-file hash differs
+        whose ``result`` is not an object holding every key the schema
+        requires of its command, or whose command or code-file hash differs
         from the request's.
         """
         try:
@@ -137,7 +149,9 @@ class ReportCache:
             return None
         if not isinstance(doc, dict) or doc.get("command") != command:
             return None
-        if not isinstance(doc.get("result"), dict):
+        result = doc.get("result")
+        required = _required_result_keys().get(command, ())
+        if not isinstance(result, dict) or any(key not in result for key in required):
             return None
         spec = doc.get("spec")
         if (spec.get("sha256") if isinstance(spec, dict) else None) != spec_sha256:

@@ -201,10 +201,12 @@ def test_surface_code_barrier_is_two():
     code = two_block("x y", "1 + x", "1 + y")
     for L in (2, 3):
         inst = instantiate(code, torus(code.context, L, L))
-        res = code_barrier(inst)
-        assert res.barrier == 2
-        assert res.x_result.barrier == 2
-        assert res.z_result.barrier == 2
+        assert code_barrier(inst).barrier == 2
+        for sector in ("X", "Z"):
+            res = sector_barrier(inst, sector, want_path=True)
+            assert (res.barrier, res.sector) == (2, sector)
+            checks = distance_mod._sector_checks(inst, sector)[0]
+            assert _replay(checks.transpose().rows, res.path) == (res.target, 2)
 
 
 def test_sector_targets_are_genuine_logicals():
@@ -237,6 +239,8 @@ def test_code_barrier_rejects_bad_inputs():
     big = instantiate(code, torus(code.context, 4, 4))
     with pytest.raises(BarrierCapError):
         code_barrier(big)
+    with pytest.raises(DistanceError, match="unknown sector"):
+        sector_barrier(instantiate(code, torus(code.context, 2, 2)), "Y")
     trivial = two_block("x", "1", "1")
     inst = instantiate(trivial, torus(trivial.context, 3))
     with pytest.raises(BarrierError, match="no logical"):
@@ -302,9 +306,26 @@ def _random_symmetry_instance(rng):
     return inst if inst.n <= 24 else None
 
 
+def _direct_z_barrier(inst):
+    """Reference Z barrier that does not go through psi: the heap Dijkstra
+    over HX's columns, with the Z sector's own logical signatures."""
+    _, reps = logical_space(inst, "Z")
+    goal = lambda _s, syn, sig: syn == 0 and sig != 0  # noqa: E731
+    return _heap_dijkstra(inst.hx.transpose().rows, inst.n, goal, reps.transpose().rows)[0]
+
+
+def _check_z_against_direct_search(inst, res):
+    """The psi-derived Z result has the direct search's barrier, and its path
+    replays through HX to its target at peak energy equal to the barrier."""
+    assert res.sector == "Z"
+    assert res.barrier == _direct_z_barrier(inst)
+    validate_logical_witness(inst, res.target, "Z")
+    assert _replay(inst.hx.transpose().rows, res.path) == (res.target, res.barrier)
+
+
 def test_sector_symmetry_swaps_the_blocks_and_inverts():
     # psi is a qubit permutation taking HX rows into rowspace(HZ) and ker HZ
-    # into ker HX, so the two sectors share their distance and barrier
+    # into ker HX, so the two sectors share their rank, distance and barrier
     instances = []
     for name in fixture_names():
         spec = specfile.parse_spec_file(fixture_path(name))
@@ -324,9 +345,14 @@ def test_sector_symmetry_swaps_the_blocks_and_inverts():
         assert _sector_distance(inst, "X") == _sector_distance(inst, "Z")
         if inst.n <= 16:
             barriers += 1
-            assert sector_barrier(inst, "X").barrier == sector_barrier(inst, "Z").barrier
+            _check_z_against_direct_search(inst, sector_barrier(inst, "Z", want_path=True))
     assert barriers >= 200
     for inst in instances:
+        # the certificate for k = n - 2 rank(HX): HZ has the rank of HX
+        assert inst.hz.rank() == inst.hx.rank()
+        assert inst.k() == inst.n - inst.hx.rank() - inst.hz.rank()
+        psi = barrier_mod._psi_bits(inst)
+        assert [1 << p for p in psi] == [_swap_and_invert(inst, 1 << q) for q in range(inst.n)]
         assert all(inst.hz.rowspace_contains(_swap_and_invert(inst, r)) for r in inst.hx.rows)
         assert not any(inst.hx.times_vector(_swap_and_invert(inst, v)) for v in inst.hz.nullspace())
 
@@ -458,16 +484,20 @@ def _bundled_instances():
 
 
 def test_bundled_barriers_match_heap_reference(monkeypatch):
+    # classical and X searches against the heap Dijkstra run in their place;
+    # the psi-derived Z result against a direct Z search
     def searches():
         for name, rels, obj in _bundled_instances():
             if isinstance(obj, BinaryMatrix):
                 yield name, obj, _outcome(classical_code_barrier, obj, want_path=True)
             else:
-                yield name, obj, _outcome(code_barrier, obj, want_path=True)
+                for sector in ("X", "Z"):
+                    yield name, obj, _outcome(sector_barrier, obj, sector, want_path=True)
 
     got = list(searches())
     monkeypatch.setattr(barrier_mod, "_dijkstra", _heap_dijkstra)
     expect = list(searches())
+    z_checked = 0
     for (name, obj, res), (_, _, ref) in zip(got, expect, strict=True):
         if isinstance(ref, tuple):
             assert res == ref, name
@@ -475,17 +505,17 @@ def test_bundled_barriers_match_heap_reference(monkeypatch):
         assert not isinstance(res, tuple) and res.barrier == ref.barrier, (name, res)
         if isinstance(obj, BinaryMatrix):
             assert res.target != 0 and obj.times_vector(res.target) == 0, name
-            sectors = [(obj, res, ref)]
+            checks = obj
+        elif res.sector == "Z":
+            _check_z_against_direct_search(obj, res)
+            z_checked += 1
+            continue
         else:
-            sectors = []
-            pairs = (("X", res.x_result, ref.x_result), ("Z", res.z_result, ref.z_result))
-            for sector, r, rr in pairs:
-                validate_logical_witness(obj, r.target, sector)
-                sectors.append((distance_mod._sector_checks(obj, sector)[0], r, rr))
-        for checks, r, rr in sectors:
-            assert r.barrier == rr.barrier, name
-            assert _replay(checks.transpose().rows, r.path) == (r.target, r.barrier), name
+            validate_logical_witness(obj, res.target, "X")
+            checks = obj.hz
+        assert _replay(checks.transpose().rows, res.path) == (res.target, res.barrier), name
     assert {name for name, _, _ in got} == set(fixture_names())
+    assert z_checked > 0
 
 
 def test_newman_moore_search_stops_when_a_codeword_joins():

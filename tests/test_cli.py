@@ -583,20 +583,32 @@ def test_cache_misses_after_source_change(capsys, tmp_path, monkeypatch):
 def test_cache_load_checks_command_and_spec_hash(tmp_path):
     cache = ReportCache(tmp_path)
     key = cache.key("params", "spec text", {})
-    doc = make_document("params", {"sha256": "a" * 64}, {"n": 1}, seconds=1.0)
+    result = {"kind": "two-block", "n": 1}
+    doc = make_document("params", {"sha256": "a" * 64}, result, seconds=1.0)
     cache.store(key, doc)
     assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
-    assert cache.load(key, "params", "a" * 64)["result"] == {"n": 1}
+    assert cache.load(key, "params", "a" * 64)["result"] == result
     assert cache.load(key, "check", "a" * 64) is None
     assert cache.load(key, "params", "b" * 64) is None
-    # a document with no result object is a miss
-    for bad in (_without_result(doc), {**doc, "result": [1, 2]}, {**doc, "result": None}):
+    # a document with no result object, or one that lacks a key the schema
+    # requires of its command, is a miss
+    for bad in (_without_result(doc), {**doc, "result": [1, 2]}, {**doc, "result": None},
+                {**doc, "result": {}}, {**doc, "result": {"n": 1}}):
         cache.store(key, bad)
         assert cache.load(key, "params", "a" * 64) is None
+    distance = {"d_upper": 2, "d_lower": 2, "method": "exact-brouwer-zimmermann",
+                "witness": {"weight": 2, "support": [0, 1]}}
+    for res, hit in ((distance, True), (_without(distance, "witness"), False)):
+        cache.store(key, make_document("distance", {"sha256": "a" * 64}, res))
+        assert (cache.load(key, "distance", "a" * 64) is not None) is hit
+
+
+def _without(mapping: dict, key: str) -> dict:
+    return {k: v for k, v in mapping.items() if k != key}
 
 
 def _without_result(doc: dict) -> dict:
-    return {k: v for k, v in doc.items() if k != "result"}
+    return _without(doc, "result")
 
 
 def test_truncated_cache_file_is_a_miss(capsys, tmp_path):
@@ -768,7 +780,8 @@ def test_cache_dir_that_is_a_file_fails_before_building(capsys, tmp_path, monkey
 def test_cached_document_keeps_its_seconds(tmp_path):
     cache = ReportCache(tmp_path)
     key = cache.key("params", "spec text", {})
-    doc = make_document("params", {"sha256": "a" * 64}, {"n": 1}, seconds=1.25)
+    result = {"kind": "two-block", "n": 1}
+    doc = make_document("params", {"sha256": "a" * 64}, result, seconds=1.25)
     cache.store(key, doc)
     loaded = cache.load(key, "params", "a" * 64)
     assert loaded == {**doc, "timing": {"seconds": 1.25, "cached": True}}
