@@ -414,7 +414,7 @@ def _document(
         # a directory that cannot hold the document fails before the work
         cache.directory.mkdir(parents=True, exist_ok=True)
         key = cache.key(command, spec_text, params)
-        doc = cache.load(key, command, spec_info["sha256"] if spec_info else None)
+        doc = cache.load(key)
         if doc is not None:
             return doc
     t0 = time.perf_counter()
@@ -447,6 +447,7 @@ def _run_command(args) -> int:
 
 def _export_matrix(args) -> int:
     spec, text = _load_spec(args)
+    t0 = time.perf_counter()
     built, _ = _on_boundary(spec)
     which = args.which
     if which == "auto":
@@ -460,6 +461,7 @@ def _export_matrix(args) -> int:
         return 0
     with open(args.out, "w", encoding="utf-8") as fh:
         writer(mat, fh)
+    seconds = time.perf_counter() - t0
     nnz = sum(r.bit_count() for r in mat.rows)
     result = {
         "which": which,
@@ -468,7 +470,7 @@ def _export_matrix(args) -> int:
         "nonzeros": nnz,
         "path": str(args.out),
     }
-    doc = make_document("export-matrix", _spec_block(spec, text), result)
+    doc = make_document("export-matrix", _spec_block(spec, text), result, seconds=seconds)
     _emit(args, doc)
     return 0
 
@@ -591,13 +593,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_DOMAIN_ERRORS = (
-    ValueError,
-    FileNotFoundError,
-    FileExistsError,
-    NotADirectoryError,
-    IsADirectoryError,
-)
+_DOMAIN_ERRORS = (ValueError, OSError)
 
 
 @functools.cache

@@ -9,10 +9,10 @@ same input and seed produce byte-identical canonical JSON once it is
 removed.  Documents are cached on disk keyed by a content hash of the
 command, the code-file text, all result-affecting parameters, and the
 package's own sources, so a changed algorithm never serves an old document.
-A cached document keeps the seconds of the run that computed it; a stored
-``result`` that lacks a key its command's branch of the bundled
-``data/report.schema.json`` requires is a miss.  Bit supports inside a result
-are listed by ``instantiate.support_bits``.
+Each stored document carries a seal, a sha256 over its key and its canonical
+JSON; a file whose document does not match its seal for that key is a miss.
+A cached document keeps the seconds of the run that computed it.  Bit
+supports inside a result are listed by ``instantiate.support_bits``.
 """
 
 from __future__ import annotations
@@ -67,16 +67,6 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
-@functools.cache
-def _required_result_keys() -> dict[str, list[str]]:
-    """command -> the ``result`` keys its branch of the bundled schema requires."""
-    schema = json.loads((_ROOT / "data" / "report.schema.json").read_text(encoding="utf-8"))
-    return {
-        b["if"]["properties"]["command"]["const"]: b["then"]["properties"]["result"]["required"]
-        for b in schema["allOf"]
-    }
-
-
 def make_document(
     command: str,
     spec_info: Mapping[str, Any] | None,
@@ -103,8 +93,13 @@ def canonical_json(doc: Mapping[str, Any]) -> str:
 # -- disk cache ------------------------------------------------------------
 
 
+def _seal(key: str, doc: Mapping[str, Any]) -> str:
+    """sha256 over a cache key and the canonical JSON of the document stored under it."""
+    return hashlib.sha256((key + canonical_json(doc)).encode("utf-8")).hexdigest()
+
+
 class ReportCache:
-    """Content-addressed store of finished documents.
+    """Content-addressed store of finished documents, each sealed to its key.
 
     A stored document keeps the seconds its computation took, and a load
     returns them with ``cached: true``.
@@ -133,34 +128,19 @@ class ReportCache:
     def _path(self, key: str) -> Path:
         return self.directory / f"{key}.json"
 
-    def load(
-        self, key: str, command: str, spec_sha256: str | None
-    ) -> dict[str, Any] | None:
-        """The stored document, or None on a miss.
+    def load(self, key: str) -> dict[str, Any] | None:
+        """The document stored under ``key``, or None on a miss.
 
-        An unreadable or truncated file is a miss, and so is a document
-        whose ``result`` is not an object holding every key the schema
-        requires of its command, or whose command or code-file hash differs
-        from the request's.
+        An unreadable or truncated file is a miss, and so is any file whose
+        document does not match its seal for this key.
         """
         try:
             doc = json.loads(self._path(key).read_text(encoding="utf-8"))
         except (OSError, ValueError):
             return None
-        if not isinstance(doc, dict) or doc.get("command") != command:
+        if not isinstance(doc, dict) or doc.pop("seal", None) != _seal(key, doc):
             return None
-        result = doc.get("result")
-        required = _required_result_keys().get(command, ())
-        if not isinstance(result, dict) or any(key not in result for key in required):
-            return None
-        spec = doc.get("spec")
-        if (spec.get("sha256") if isinstance(spec, dict) else None) != spec_sha256:
-            return None
-        timing = doc.get("timing")
-        seconds = timing.get("seconds") if isinstance(timing, dict) else None
-        if not isinstance(seconds, (int, float)):
-            seconds = 0.0  # written by a build that did not keep the compute time
-        doc["timing"] = {"seconds": seconds, "cached": True}
+        doc["timing"]["cached"] = True
         return doc
 
     def store(self, key: str, doc: Mapping[str, Any]) -> None:
@@ -169,7 +149,7 @@ class ReportCache:
         fd, tmp = tempfile.mkstemp(prefix=f".{key}.", suffix=".tmp", dir=self.directory)
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(canonical_json(doc))
+                fh.write(canonical_json({**doc, "seal": _seal(key, doc)}))
             os.replace(tmp, self._path(key))
         except BaseException:
             with contextlib.suppress(OSError):

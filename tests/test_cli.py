@@ -493,6 +493,8 @@ def test_export_matrix_to_file(capsys, tmp_path):
     assert doc["result"]["nonzeros"] == sum(
         1 for line in text.splitlines()[2:] if line.strip()
     )
+    # the build and the write are timed
+    assert doc["timing"]["seconds"] > 0 and doc["timing"]["cached"] is False
 
 
 def test_export_matrix_stdout_coordinate(capsys):
@@ -580,27 +582,41 @@ def test_cache_misses_after_source_change(capsys, tmp_path, monkeypatch):
     assert doc["timing"]["cached"] is False
 
 
-def test_cache_load_checks_command_and_spec_hash(tmp_path):
+def test_cache_load_needs_the_seal_of_its_key(tmp_path):
     cache = ReportCache(tmp_path)
     key = cache.key("params", "spec text", {})
+    other = cache.key("check", "other text", {})
     result = {"kind": "two-block", "n": 1}
     doc = make_document("params", {"sha256": "a" * 64}, result, seconds=1.0)
     cache.store(key, doc)
     assert [p.name for p in tmp_path.iterdir()] == [f"{key}.json"]
-    assert cache.load(key, "params", "a" * 64)["result"] == result
-    assert cache.load(key, "check", "a" * 64) is None
-    assert cache.load(key, "params", "b" * 64) is None
-    # a document with no result object, or one that lacks a key the schema
-    # requires of its command, is a miss
-    for bad in (_without_result(doc), {**doc, "result": [1, 2]}, {**doc, "result": None},
-                {**doc, "result": {}}, {**doc, "result": {"n": 1}}):
-        cache.store(key, bad)
-        assert cache.load(key, "params", "a" * 64) is None
+    assert cache.load(key)["result"] == result
+    path, other_path = tmp_path / f"{key}.json", tmp_path / f"{other}.json"
+    sealed = json.loads(path.read_text(encoding="utf-8"))
     distance = {"d_upper": 2, "d_lower": 2, "method": "exact-brouwer-zimmermann",
                 "witness": {"weight": 2, "support": [0, 1]}}
-    for res, hit in ((distance, True), (_without(distance, "witness"), False)):
-        cache.store(key, make_document("distance", {"sha256": "a" * 64}, res))
-        assert (cache.load(key, "distance", "a" * 64) is not None) is hit
+    # documents of another command or code file, with no result object, or
+    # with a result the command would not write: each is a miss when its
+    # sealed file is copied under another key, and when it replaces the body
+    # of a file sealed for this key
+    for bad in ({**doc, "command": "check"}, {**doc, "spec": {"sha256": "b" * 64}},
+                _without_result(doc), {**doc, "result": [1, 2]}, {**doc, "result": None},
+                {**doc, "result": {}}, {**doc, "result": {"n": 1}},
+                make_document("distance", {"sha256": "a" * 64}, _without(distance, "witness")),
+                make_document("distance", {"sha256": "a" * 64},
+                              {**distance, "d_upper": "two", "witness": {}})):
+        cache.store(other, bad)
+        assert cache.load(other) is not None
+        path.write_bytes(other_path.read_bytes())
+        assert cache.load(key) is None
+        path.write_text(json.dumps({**bad, "seal": sealed["seal"]}), encoding="utf-8")
+        assert cache.load(key) is None
+    # a file with no seal, a null seal, or no object at all is a miss
+    for stored in (doc, {**doc, "seal": None}, [doc, sealed["seal"]]):
+        path.write_text(json.dumps(stored), encoding="utf-8")
+        assert cache.load(key) is None
+    path.write_text(json.dumps(sealed), encoding="utf-8")
+    assert cache.load(key)["result"] == result
 
 
 def _without(mapping: dict, key: str) -> dict:
@@ -622,7 +638,30 @@ def test_truncated_cache_file_is_a_miss(capsys, tmp_path):
     assert code == 0
     assert doc["timing"]["cached"] is False
     assert [p.name for p in cache.iterdir()] == [path.name]
-    assert json.loads(path.read_text(encoding="utf-8")) == doc
+    assert _without(json.loads(path.read_text(encoding="utf-8")), "seal") == doc
+
+
+@pytest.mark.parametrize("damage", ["edited", "copied"])
+def test_damaged_cache_file_is_recomputed_and_overwritten(capsys, tmp_path, damage):
+    cache = tmp_path / "c7"
+    torus = ("--boundary", "x^2 = 1", "--boundary", "y^2 = 1", "--cache-dir", str(cache))
+    run_json(capsys, "params", "toric", *torus)
+    [params_path] = cache.iterdir()
+    _, doc = run_json(capsys, "distance", "toric", *torus)
+    [path] = set(cache.iterdir()) - {params_path}
+    if damage == "copied":
+        path.write_bytes(params_path.read_bytes())
+    else:
+        # the seal stays; the document it was made for does not
+        stored = json.loads(path.read_text(encoding="utf-8"))
+        stored["result"].update(d_upper="two", witness={})
+        path.write_text(json.dumps(stored), encoding="utf-8")
+    code, again = run_json(capsys, "distance", "toric", *torus)
+    assert code == 0
+    assert again["timing"]["cached"] is False
+    assert _strip_timing(again) == _strip_timing(doc)
+    assert again["result"]["d_upper"] == 2
+    assert _without(json.loads(path.read_text(encoding="utf-8")), "seal") == again
 
 
 @pytest.mark.parametrize("json_flag", [("--json",), ()])
@@ -632,7 +671,9 @@ def test_cache_file_without_a_result_object_is_a_miss(capsys, tmp_path, damage, 
     args = ("params", "toric", "--cache-dir", str(cache))
     _, doc = run_json(capsys, *args)
     [path] = cache.iterdir()
-    path.write_text(json.dumps(damage(doc)), encoding="utf-8")
+    # the stored seal stays with the damaged document
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps(damage(stored)), encoding="utf-8")
     code, out, err = run(capsys, *args, *json_flag)
     assert code == 0 and err == ""
     assert "(cached)" not in out
@@ -783,14 +824,28 @@ def test_cached_document_keeps_its_seconds(tmp_path):
     result = {"kind": "two-block", "n": 1}
     doc = make_document("params", {"sha256": "a" * 64}, result, seconds=1.25)
     cache.store(key, doc)
-    loaded = cache.load(key, "params", "a" * 64)
+    loaded = cache.load(key)
     assert loaded == {**doc, "timing": {"seconds": 1.25, "cached": True}}
-    # a file written without the stored seconds is still a hit
-    (tmp_path / f"{key}.json").write_text(
-        json.dumps(_strip_timing(doc)), encoding="utf-8"
-    )
-    loaded = cache.load(key, "params", "a" * 64)
-    assert loaded == {**doc, "timing": {"seconds": 0.0, "cached": True}}
+    # the seconds are sealed with the rest of the document
+    path = tmp_path / f"{key}.json"
+    stored = json.loads(path.read_text(encoding="utf-8"))
+    stored["timing"]["seconds"] = 0.5
+    path.write_text(json.dumps(stored), encoding="utf-8")
+    assert cache.load(key) is None
+
+
+def test_cache_write_refused_exits_one(capsys, tmp_path, monkeypatch):
+    # a directory the user may not write to; the suite may run as root,
+    # which ignores mode bits, so the refusal is injected where the file is made
+    def refuse(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", kwargs.get("dir"))
+
+    monkeypatch.setattr(report.tempfile, "mkstemp", refuse)
+    code, out, err = run(capsys, "params", "toric", "--cache-dir", str(tmp_path / "c8"))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Permission denied" in err
 
 
 def test_bounds_n_is_four_times_the_group_order(capsys):

@@ -368,29 +368,30 @@ def test_bivariate_bicycle_144_12():
     assert tanner_component_count(inst) == 1
 
 
-def _groebner_k(code, sides):
-    """Second derivation of k on a plain torus, without GF(2) elimination:
-    k = 2 dim R/(f, g) for R = F2[G] (Bravyi et al., arXiv:2308.07915,
-    Lemma 1), and dim R/(f, g) is the number of standard monomials of a
-    Gröbner basis of (f, g, x_i^{L_i} - 1).  Exponents are taken mod L_i,
-    which turns inverses into polynomials."""
+def _groebner_k(code, group):
+    """Second derivation of k without GF(2) elimination: k = 2 dim R/(f, g)
+    for R = F2[G] (Bravyi et al., arXiv:2308.07915, Lemma 1).  G is a product
+    of cyclic groups of orders r_i, so R = F2[u]/(u_i^{r_i} - 1) with each
+    monomial sent to u^coords, and dim R/(f, g) is the number of standard
+    monomials of a Gröbner basis of (f, g, u_i^{r_i} - 1)."""
     import sympy
 
-    gens = sympy.symbols(f"v0:{len(sides)}")
+    radices = group._radices
+    gens = sympy.symbols(f"u0:{len(radices)}")
 
     def expr(poly):
         return sum(
-            (sympy.prod(v ** (e % L) for v, e, L in zip(gens, t, sides))
+            (sympy.prod(u**c for u, c in zip(gens, group.coords(t)))
              for t in poly.sorted_terms()),
             sympy.Integer(0),
         )
 
-    ideal = [expr(code.f), expr(code.g)] + [v**L - 1 for v, L in zip(gens, sides)]
+    ideal = [expr(code.f), expr(code.g)] + [u**r - 1 for u, r in zip(gens, radices)]
     basis = sympy.groebner(ideal, *gens, modulus=2, order="grevlex")
     leads = [p.monoms(order="grevlex")[0] for p in basis.polys]
     return 2 * sum(
         not any(all(a >= b for a, b in zip(m, lead)) for lead in leads)
-        for m in itertools.product(*map(range, sides))
+        for m in itertools.product(*map(range, radices))
     )
 
 
@@ -415,7 +416,26 @@ def test_k_matches_the_groebner_count_on_plain_tori():
     assert len(cases) >= 40
     for code, sides in cases:
         inst = instantiate(code, torus(code.context, *sides))
-        assert inst.k() == _groebner_k(code, sides), (code, sides)
+        assert inst.k() == _groebner_k(code, inst.group), (code, sides)
+
+
+def test_k_matches_the_groebner_count_on_twisted_tori():
+    gross = two_block("x y", "x^3 + y + y^2", "y^3 + x + x^2")
+    cases = [(gross, ((6, -3), (0, 6)))]  # x^6 = y^3, y^6 = 1
+    # seeded bivariate-bicycle-form codes on x^l = y^s, y^m = 1
+    rng = random.Random(2027)
+    while len(cases) < 60:
+        l, m = rng.randint(2, 9), rng.randint(2, 9)
+        a, b, c, d, e, f = (rng.randint(0, 9) for _ in range(6))
+        code = two_block("x y", f"x^{a} + y^{b} + y^{c}", f"y^{d} + x^{e} + x^{f}")
+        if not (code.f.is_zero or code.g.is_zero):
+            cases.append((code, ((l, -rng.randint(1, m - 1)), (0, m))))
+    ks = set()
+    for code, rels in cases:
+        inst = instantiate(code, GroupPresentation(code.context, rels))
+        ks.add(inst.k())
+        assert inst.k() == _groebner_k(code, inst.group), (code, rels)
+    assert 0 in ks and len(ks) >= 3
 
 
 def test_instantiation_matches_direct_modular_construction():
