@@ -297,11 +297,9 @@ class ParentLift:
     """
 
     parent: HGPCode
-    child: TwoBlockCode
     labels: tuple[str, ...]
     substitution: dict[str, LaurentPoly]
     witnesses: dict[str, tuple[tuple[str, int], ...]]
-    witness_vectors: dict[str, tuple[int, ...]]
     twists: tuple[TwistRelation, ...]
     twist_basis: tuple[tuple[int, ...], ...]
 
@@ -448,7 +446,6 @@ def lift_to_parent(code: TwoBlockCode) -> ParentLift:
         names[ell]: tuple((labels[t], w[t]) for t in range(K) if w[t])
         for ell, w in sorted(witness.items())
     }
-    witness_vectors = {names[ell]: tuple(w) for ell, w in sorted(witness.items())}
 
     twists = []
     for t in range(K):
@@ -467,11 +464,9 @@ def lift_to_parent(code: TwoBlockCode) -> ParentLift:
     twist_vectors = [list(t.vector) for t in twists]
     return ParentLift(
         parent=parent,
-        child=child,
         labels=labels,
         substitution=substitution,
         witnesses=witnesses,
-        witness_vectors=witness_vectors,
         twists=tuple(twists),
         twist_basis=hermite_basis(twist_vectors, K),
     )

@@ -73,6 +73,7 @@ _PAIR_POOL = 16  # lightest rows of a walk round whose pairwise sums are candida
 # 10-20 ms of search on bb144 and bb288, where a pool round trip (a few ms)
 # stops paying off; the first elimination of each stream dominates there
 _POOL_MIN_WORK = 1 << 18
+MAX_WORKERS = 1024  # search streams, each a job built before the search starts
 
 
 class DistanceError(ValueError):
@@ -502,6 +503,8 @@ def random_upper_bound(
         raise DistanceError("trials must be nonnegative")
     if workers < 1:
         raise DistanceError("workers must be >= 1")
+    if workers > MAX_WORKERS:
+        raise DistanceError(f"workers must be at most {MAX_WORKERS}, got {workers}")
     kernel, reps, sigs = _x_logicals(inst)
     seeded = [_one_block_logical(inst, reps)] if trials else []
     share, remainder = divmod(trials, workers)

@@ -275,13 +275,12 @@ class QuotientGroup:
 
     Finite groups enumerate their elements 0..order-1 in a deterministic
     mixed-radix order and support index arithmetic; infinite quotients are a
-    first-class result carrying free rank and torsion, but reject element
-    operations.
+    first-class result carrying their free rank, but reject element
+    operations.  ``quotient_shape`` gives the invariant factors.
     """
 
     presentation: GroupPresentation
     free_rank: int
-    invariant_factors: tuple[int, ...]
     _radices: tuple[int, ...] = field(repr=False)
     _coord_rows: tuple[tuple[int, ...], ...] = field(repr=False)  # w -> coords matrix
 
@@ -372,19 +371,16 @@ def quotient(pres: GroupPresentation) -> QuotientGroup:
         return QuotientGroup(
             presentation=pres,
             free_rank=0,
-            invariant_factors=quotient_shape(pres.relations, d)[1],
             _radices=radices,
             _coord_rows=coord_rows,
         )
     # one Smith form of the raw relations gives the shape and the coordinate rows
     snf = smith_normal_form([list(rel) for rel in pres.relations])
     diag = list(snf.diagonal) + [0] * (d - len(snf.diagonal))
-    torsion = tuple(s for s in diag if s > 1)
     if 0 in diag:
         return QuotientGroup(
             presentation=pres,
             free_rank=diag.count(0),
-            invariant_factors=torsion,
             _radices=(),
             _coord_rows=(),
         )
@@ -392,7 +388,6 @@ def quotient(pres: GroupPresentation) -> QuotientGroup:
     return QuotientGroup(
         presentation=pres,
         free_rank=0,
-        invariant_factors=torsion,
         _radices=tuple(diag[j] for j in keep),
         _coord_rows=tuple(tuple(snf.V[i][j] for j in keep) for i in range(d)),
     )

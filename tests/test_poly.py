@@ -244,20 +244,10 @@ def test_parse_error_reports_position():
         p("1 + x & y")
 
 
-# -- plain monomial sums are read without the parser ------------------------
+# -- plain monomial sums are read without the recursive descent --------
 
 
-def full_grammar(text, ctx):
-    """The tokenizer and recursive-descent parser, without the fast path."""
-    toks = list(poly_mod._tokenize(text, ctx.names))
-    if not toks:
-        raise PolyParseError("empty polynomial text")
-    parser = poly_mod._Parser(toks, ctx)
-    q = parser.parse_expr()
-    tail = parser.peek()
-    if tail is not None:
-        raise PolyParseError(f"trailing input {tail.value!r} at position {tail.pos}")
-    return q
+full_grammar = poly_mod._read_grammar  # the recursive descent, without the flat reader
 
 
 def rand_monomial_sum(rng, names):
@@ -293,7 +283,7 @@ def test_monomial_sum_fast_path_matches_full_grammar(seed, names):
     cancelled = 0
     for _ in range(400):
         text = rand_monomial_sum(rng, names)
-        fast = poly_mod._parse_monomial_sum(text, ctx)
+        fast = poly_mod._read_flat(text, ctx)
         assert fast is not None, text
         assert fast == full_grammar(text, ctx) == parse_poly(text, ctx), text
         cancelled += fast.weight < text.count("+") + 1
@@ -313,8 +303,10 @@ def test_fast_path_inferred_context_matches_full_grammar():
 def test_fast_path_declines_other_grammar():
     one_x = VarContext(("x",))
     for text, ctx in [("x1", one_x), ("xy", XY), ("x + 0", XY), ("(x+y)^2", XY),
-                      ("1*x", XY), ("x y", XY), ("", XY), ("x +", XY), ("x^²", XY)]:
-        assert poly_mod._parse_monomial_sum(text, ctx) is None, text
+                      ("x y", XY), ("", XY), ("x +", XY), ("x^²", XY), ("x^2²", XY)]:
+        assert poly_mod._read_flat(text, ctx) is None, text
+    # '1' is a factor like any other
+    assert poly_mod._read_flat("1*x", XY) == full_grammar("1*x", XY) == p("x")
     # with only x declared, x1 is juxtaposition: x times 1
     assert parse_poly("x1", one_x) == parse_poly("x", one_x)
     assert parse_poly("x1", VarContext(("x", "x1"))).single_term() == (0, 1)
@@ -344,6 +336,9 @@ def test_fast_path_declines_other_grammar():
         ("x^1.5", "unexpected character '.' at position 3"),
         ("x ^ - - 1", "expected integer exponent after '^' at position 6"),
         ("x^\u00b2", "invalid literal for int() with base 10: '\u00b2' (position 2)"),
+        ("2\u00b2", "coefficient 2\u00b2 not supported (only implicit 1 over GF(2))"),
+        ("x^2\u00b2", "invalid literal for int() with base 10: '2\u00b2' (position 2)"),
+        ("x^-\u00b2", "invalid literal for int() with base 10: '\u00b2' (position 3)"),
         ("x + \u00e9", "unknown variable '\u00e9' at position 4"),
     ],
 )
