@@ -45,7 +45,6 @@ from .poly import (
 )
 
 __all__ = [
-    "ClassicalGenerator",
     "TwoBlockCode",
     "HGPCode",
     "CodeError",
@@ -53,7 +52,6 @@ __all__ = [
     "TwistError",
     "hgp_split",
     "parent_hgp",
-    "css_commutes_symbolically",
     "monomial_group_vectors",
     "is_indecomposable",
     "decomposition_profile",
@@ -78,31 +76,6 @@ class LiftError(CodeError):
 
 class TwistError(CodeError):
     """Twist relations are inconsistent with a substitution."""
-
-
-@dataclass(frozen=True)
-class ClassicalGenerator:
-    """A single polynomial acting as a classical translation-invariant check."""
-
-    poly: LaurentPoly
-
-    def __post_init__(self) -> None:
-        if self.poly.is_zero:
-            raise CodeError("classical generator must be nonzero")
-
-    @property
-    def context(self) -> VarContext:
-        return self.poly.context
-
-    @property
-    def weight(self) -> int:
-        return self.poly.weight
-
-    def normalized(self) -> ClassicalGenerator:
-        return ClassicalGenerator(self.poly.normalize_to_one()[0])
-
-    def __str__(self) -> str:
-        return str(self.poly)
 
 
 @dataclass(frozen=True)
@@ -201,15 +174,6 @@ def hgp_split(code: TwoBlockCode) -> tuple[tuple[str, ...], tuple[str, ...]] | N
     return f_vars, g_vars
 
 
-def css_commutes_symbolically(code: TwoBlockCode) -> bool:
-    """X/Z commutation in the symbolic algebra: f·g + g·f = 0.
-
-    Trivially true in a commutative ring; kept as a parser/construction
-    integrity check mirroring the finite-instance commutation test.
-    """
-    return (code.f * code.g + code.g * code.f).is_zero
-
-
 # -- indecomposability -----------------------------------------------------
 
 
@@ -232,9 +196,9 @@ def is_indecomposable(code: TwoBlockCode) -> bool:
 
 
 def decomposition_profile(code: TwoBlockCode) -> tuple[int, tuple[int, ...], int | None]:
-    """(free_rank, torsion_factors, sublattice_index) of Z^d / <monomials>.
+    """(free rank, torsion factors, sublattice index) of Z^d / <monomials>.
 
-    ``sublattice_index`` is the number of decoupled sublattices on the
+    The sublattice index is the number of decoupled sublattices on the
     infinite translation group; ``None`` means infinite (positive free rank).
     """
     free, torsion = quotient_shape(monomial_group_vectors(code), code.context.dim)

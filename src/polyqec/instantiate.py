@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from math import prod
 from typing import IO, Iterable, Sequence
 
-from .codes import ClassicalGenerator, CodeError, TwoBlockCode
+from .codes import CodeError, TwoBlockCode
 from .lattice import GroupPresentation, QuotientGroup, quotient, quotient_shape
 from .poly import LaurentPoly
 
@@ -390,11 +390,8 @@ def _classical_group(poly: LaurentPoly, pres: GroupPresentation) -> QuotientGrou
     return _finite_group(pres)
 
 
-def classical_parity_matrix(
-    gen: ClassicalGenerator | LaurentPoly, pres: GroupPresentation
-) -> BinaryMatrix:
+def classical_parity_matrix(poly: LaurentPoly, pres: GroupPresentation) -> BinaryMatrix:
     """One check per group element for a single classical generator."""
-    poly = gen.poly if isinstance(gen, ClassicalGenerator) else gen
     return _check_matrix(_classical_group(poly, pres), (poly,))
 
 

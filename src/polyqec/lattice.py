@@ -1,9 +1,10 @@
 """Integer lattice utilities: Smith/Hermite normal forms and abelian quotients.
 
 Everything here is exact arithmetic on Python ints.  Lattices are given by
-generating row vectors in Z^d; quotients Z^d / <rows> are described by their
-free rank and invariant factor chain, with mixed-radix element indexing for
-the finite case (needed to lay out qubits deterministically).
+generating row vectors in Z^d; ``quotient_shape`` gives the free rank and
+invariant factor chain of Z^d / <rows>.  A ``QuotientGroup`` is always
+finite (``quotient`` refuses the rest), with mixed-radix element indexing to
+lay out qubits deterministically.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ IntMatrix = list[list[int]]
 
 
 class InfiniteQuotientError(ValueError):
-    """A finite-group operation was requested on an infinite quotient."""
+    """A quotient group was requested of relations that leave it infinite."""
 
 
 def _identity(n: int) -> IntMatrix:
@@ -204,7 +205,7 @@ def hermite_basis(vectors: Iterable[Sequence[int]], d: int) -> tuple[tuple[int, 
 
 
 def quotient_shape(vectors: Iterable[Sequence[int]], d: int) -> tuple[int, tuple[int, ...]]:
-    """(free_rank, invariant_factors > 1) of Z^d / <vectors>."""
+    """(free rank, invariant factors > 1) of Z^d / <vectors>."""
     rows = [list(map(int, v)) for v in vectors]
     for v in rows:
         if len(v) != d:
@@ -271,41 +272,23 @@ def _product_radices(pres: GroupPresentation) -> tuple[int, ...] | None:
 
 @dataclass(frozen=True)
 class QuotientGroup:
-    """The abelian group Z^d / <relations>, finite or not.
+    """The finite abelian group Z^d / <relations>.
 
-    Finite groups enumerate their elements 0..order-1 in a deterministic
-    mixed-radix order and support index arithmetic; infinite quotients are a
-    first-class result carrying their free rank, but reject element
-    operations.  ``quotient_shape`` gives the invariant factors.
+    Elements are enumerated 0..order-1 in a deterministic mixed-radix order
+    and support index arithmetic.  ``quotient_shape`` gives the invariant
+    factors.
     """
 
     presentation: GroupPresentation
-    free_rank: int
     _radices: tuple[int, ...] = field(repr=False)
     _coord_rows: tuple[tuple[int, ...], ...] = field(repr=False)  # w -> coords matrix
 
     @property
-    def is_finite(self) -> bool:
-        return self.free_rank == 0
-
-    @property
     def order(self) -> int:
-        if not self.is_finite:
-            raise InfiniteQuotientError(
-                f"quotient of {self.presentation.context} is infinite "
-                f"(free rank {self.free_rank})"
-            )
-        return prod(self._radices) if self._radices else 1
-
-    def _require_finite(self) -> None:
-        if not self.is_finite:
-            raise InfiniteQuotientError(
-                f"element operations need a finite quotient; free rank is {self.free_rank}"
-            )
+        return prod(self._radices)
 
     def coords(self, mono: Monomial) -> tuple[int, ...]:
         """Mixed-radix coordinates of a monomial's class."""
-        self._require_finite()
         w = list(map(int, mono))
         if len(w) != self.presentation.dim:
             raise ValueError("monomial arity mismatch")
@@ -327,7 +310,6 @@ class QuotientGroup:
         return self._index(self.coords(mono))
 
     def index_coords(self, index: int) -> tuple[int, ...]:
-        self._require_finite()
         if not 0 <= index < self.order:
             raise ValueError(f"element index {index} out of range")
         out = []
@@ -343,7 +325,6 @@ class QuotientGroup:
         return self._index(-x for x in self.index_coords(a))
 
     def elements(self) -> range:
-        self._require_finite()
         return range(self.order)
 
     def translation(self, mono: Monomial) -> list[int]:
@@ -360,7 +341,10 @@ class QuotientGroup:
 
 
 def quotient(pres: GroupPresentation) -> QuotientGroup:
-    """Quotient Z^d by the relation lattice of a presentation."""
+    """Quotient Z^d by the relation lattice of a presentation.
+
+    Raises ``InfiniteQuotientError`` when the quotient has positive free rank.
+    """
     d = pres.dim
     radices = _product_radices(pres)
     if radices is not None:
@@ -368,26 +352,17 @@ def quotient(pres: GroupPresentation) -> QuotientGroup:
         coord_rows = tuple(
             tuple(int(i == j) for j in range(d)) for i in range(d)
         )
-        return QuotientGroup(
-            presentation=pres,
-            free_rank=0,
-            _radices=radices,
-            _coord_rows=coord_rows,
-        )
+        return QuotientGroup(presentation=pres, _radices=radices, _coord_rows=coord_rows)
     # one Smith form of the raw relations gives the shape and the coordinate rows
     snf = smith_normal_form([list(rel) for rel in pres.relations])
     diag = list(snf.diagonal) + [0] * (d - len(snf.diagonal))
     if 0 in diag:
-        return QuotientGroup(
-            presentation=pres,
-            free_rank=diag.count(0),
-            _radices=(),
-            _coord_rows=(),
+        raise InfiniteQuotientError(
+            f"quotient of {pres.context} is infinite (free rank {diag.count(0)})"
         )
     keep = [j for j in range(d) if diag[j] > 1]
     return QuotientGroup(
         presentation=pres,
-        free_rank=0,
         _radices=tuple(diag[j] for j in keep),
         _coord_rows=tuple(tuple(snf.V[i][j] for j in keep) for i in range(d)),
     )

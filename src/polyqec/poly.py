@@ -171,13 +171,12 @@ class LaurentPoly:
             return LaurentPoly(self.context, frozenset({mono_pow(self.single_term(), k)}))
         if k < 0:
             raise ValueError("negative powers are only defined for single monomials")
+        # Frobenius: over GF(2), f^(2^i) is the sum of t^(2^i) over the terms t
         result = LaurentPoly.one(self.context)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
+        for i in range(k.bit_length()):
+            if k >> i & 1:
+                frobenius = frozenset(mono_pow(t, 1 << i) for t in self.terms)
+                result = result * LaurentPoly(self.context, frobenius)
         return result
 
     def antipode(self) -> LaurentPoly:
@@ -273,6 +272,14 @@ class LaurentPoly:
 # takes '+'-sums of '*'-products of '1' and NAME['^'['-']digits] factors and
 # adds exponents straight into monomials; the recursive descent reads
 # everything else (0, parentheses, juxtaposition) and reports every error.
+#
+# The recursive descent refuses a product or power whose term count could
+# pass _TERM_CAP: |a|·|b| for a product, w^popcount(k) for the k-th power of a
+# w-term polynomial (one multiplication per set bit of k).  The cap keeps
+# (1 + x + y)^2047 and refuses (1 + x + y)^4095, whose product alone takes
+# seconds and hundreds of megabytes.
+
+_TERM_CAP = 1 << 18
 
 
 @lru_cache(maxsize=256)
@@ -371,9 +378,16 @@ def _read_grammar(text: str, context: VarContext) -> LaurentPoly:
     def term() -> LaurentPoly:
         p = factor()
         while (k := kind()) in ("*", "name", "int", "("):
+            pos = toks[-1][2]
             if k == "*":
                 take()
-            p = p * factor()
+            q = factor()
+            if p.weight * q.weight > _TERM_CAP:
+                raise PolyParseError(
+                    f"product of {p.weight} and {q.weight} terms passes the "
+                    f"{_TERM_CAP}-term limit at position {pos}"
+                )
+            p = p * q
         return p
 
     def factor() -> LaurentPoly:
@@ -389,9 +403,15 @@ def _read_grammar(text: str, context: VarContext) -> LaurentPoly:
         if k != "int":
             raise PolyParseError(f"expected integer exponent after '^' at position {pos}")
         try:
-            return base ** (sign * int(value))
+            e = sign * int(value)
+            if e < 0 or base.weight ** e.bit_count() <= _TERM_CAP:
+                return base ** e
         except ValueError as exc:
             raise PolyParseError(f"{exc} (position {pos})") from None
+        raise PolyParseError(
+            f"power {e} of a {base.weight}-term polynomial passes the "
+            f"{_TERM_CAP}-term limit at position {pos}"
+        )
 
     def atom() -> LaurentPoly:
         k, value, _ = take()

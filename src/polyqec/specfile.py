@@ -2,7 +2,7 @@
 
 A code file has up to four sections:
 
-* ``[meta]`` — ``name`` and free-text ``note``;
+* ``[meta]`` — ``name``, and a free-text ``note`` that is accepted but not kept;
 * ``[code]`` — ``variables`` (whitespace-separated), polynomial ``f``, and
   optionally ``g`` (omitting ``g`` declares a classical generator);
 * ``[boundary]`` — one ``monomial = monomial`` identity per line, each
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .codes import HGPCode, TwoBlockCode, ClassicalGenerator, parent_hgp
+from .codes import CodeError, HGPCode, TwoBlockCode, parent_hgp
 from .lattice import GroupPresentation
 from .poly import LaurentPoly, Monomial, PolyParseError, VarContext, parse_poly
 
@@ -45,18 +45,12 @@ class SpecError(ValueError):
 
 @dataclass(eq=True)
 class LiftSpec:
-    """A declared parent hypergraph product with its compactification data."""
+    """A declared parent hypergraph product with its compactification data;
+    the parent's ``f_vars`` and ``g_vars`` are the declared labels."""
 
-    f_labels: tuple[str, ...]
-    g_labels: tuple[str, ...]
-    assignments: tuple[tuple[str, str], ...]  # (parent var, raw right-hand side)
-    parent: HGPCode = field(compare=False)
-    substitution: dict[str, LaurentPoly] = field(compare=False)
-    twist_vectors: tuple[tuple[int, ...], ...] = field(compare=False)
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.f_labels + self.g_labels
+    parent: HGPCode
+    substitution: dict[str, LaurentPoly]
+    twist_vectors: tuple[tuple[int, ...], ...]
 
 
 @dataclass(eq=True)
@@ -64,7 +58,6 @@ class CodeSpec:
     """Parsed contents of one code file."""
 
     name: str | None
-    note: str | None
     context: VarContext
     f: LaurentPoly
     g: LaurentPoly | None
@@ -81,10 +74,12 @@ class CodeSpec:
             raise SpecError(f"{self.source}: classical generator, not a two-block code")
         return TwoBlockCode(self.context, self.f, self.g)
 
-    def classical_generator(self) -> ClassicalGenerator:
+    def classical_generator(self) -> LaurentPoly:
         if self.g is not None:
             raise SpecError(f"{self.source}: two-block code, not a classical generator")
-        return ClassicalGenerator(self.f)
+        if self.f.is_zero:
+            raise CodeError("classical generator must be nonzero")
+        return self.f
 
     def presentation(self) -> GroupPresentation | None:
         if not self.boundary:
@@ -162,7 +157,6 @@ def parse_spec_text(text: str, *, source: str = "<string>") -> CodeSpec:
 
     return CodeSpec(
         name=meta["name"][1] if "name" in meta else None,
-        note=meta["note"][1] if "note" in meta else None,
         context=ctx,
         f=f,
         g=g,
@@ -286,11 +280,4 @@ def _parse_lift(lines, ctx: VarContext, source: str) -> LiftSpec:
 
     parent = parent_hgp(f_labels, g_labels)
     substitution = {lbl: LaurentPoly.monomial(ctx, images[lbl]) for lbl in labels}
-    return LiftSpec(
-        f_labels=f_labels,
-        g_labels=g_labels,
-        assignments=tuple((key, value) for _, key, value in assignments),
-        parent=parent,
-        substitution=substitution,
-        twist_vectors=tuple(twists),
-    )
+    return LiftSpec(parent=parent, substitution=substitution, twist_vectors=tuple(twists))

@@ -17,7 +17,7 @@ from polyqec.barrier import (
     code_barrier,
     sector_barrier,
 )
-from polyqec.codes import ClassicalGenerator, TwoBlockCode, two_block
+from polyqec.codes import TwoBlockCode, two_block
 from polyqec.distance import (
     DistanceError,
     exact_distance,
@@ -62,12 +62,12 @@ def _brute_bottleneck(H: BinaryMatrix, targets: set[int]) -> int:
 
 
 def test_energy_examples():
-    ising = ClassicalGenerator(parse_poly("1 + x"))
-    m8 = classical_parity_matrix(ising, torus(ising.poly.context, 8))
+    ising = parse_poly("1 + x")
+    m8 = classical_parity_matrix(ising, torus(ising.context, 8))
     assert m8.times_vector(0).bit_count() == 0
     assert m8.times_vector(1).bit_count() == 2
-    nm = ClassicalGenerator(parse_poly("1 + x + y"))
-    m3 = classical_parity_matrix(nm, torus(nm.poly.context, 3, 3))
+    nm = parse_poly("1 + x + y")
+    m3 = classical_parity_matrix(nm, torus(nm.context, 3, 3))
     assert m3.times_vector(1).bit_count() == 3
 
 
@@ -85,17 +85,17 @@ def test_energy_matches_direct_count():
 
 
 def test_domain_wall_pair_walks_the_ring():
-    ising = ClassicalGenerator(parse_poly("1 + x"))
+    ising = parse_poly("1 + x")
     for L in (4, 8, 12, 16):
-        m = classical_parity_matrix(ising, torus(ising.poly.context, L))
+        m = classical_parity_matrix(ising, torus(ising.context, L))
         res = barrier(m, (1 << L) - 1)
         assert res.barrier == 2
         assert res.target == (1 << L) - 1
 
 
 def test_barrier_path_is_valid():
-    ising = ClassicalGenerator(parse_poly("1 + x"))
-    m = classical_parity_matrix(ising, torus(ising.poly.context, 6))
+    ising = parse_poly("1 + x")
+    m = classical_parity_matrix(ising, torus(ising.context, 6))
     res = barrier(m, (1 << 6) - 1, want_path=True)
     state = 0
     peak = 0
@@ -108,8 +108,8 @@ def test_barrier_path_is_valid():
 
 
 def test_barrier_input_validation():
-    ising = ClassicalGenerator(parse_poly("1 + x"))
-    m = classical_parity_matrix(ising, torus(ising.poly.context, 5))
+    ising = parse_poly("1 + x")
+    m = classical_parity_matrix(ising, torus(ising.context, 5))
     with pytest.raises(BarrierError, match="nonzero"):
         barrier(m, 0)
     with pytest.raises(BarrierError, match="nonzero"):
@@ -136,8 +136,8 @@ def test_barrier_matches_brute_force_oracle():
 
 
 def test_barrier_translation_invariance():
-    nm = ClassicalGenerator(parse_poly("1 + x + y"))
-    pres = torus(nm.poly.context, 3, 3)
+    nm = parse_poly("1 + x + y")
+    pres = torus(nm.context, 3, 3)
     m = classical_parity_matrix(nm, pres)
     from polyqec.lattice import quotient
 
@@ -157,13 +157,13 @@ def test_barrier_translation_invariance():
 
 
 def test_triangle_generator_barrier_and_trivial_cases():
-    nm = ClassicalGenerator(parse_poly("1 + x + y"))
-    m3 = classical_parity_matrix(nm, torus(nm.poly.context, 3, 3))
+    nm = parse_poly("1 + x + y")
+    m3 = classical_parity_matrix(nm, torus(nm.context, 3, 3))
     res = classical_code_barrier(m3)
     assert res.barrier == 4
     assert m3.times_vector(res.target) == 0 and res.target != 0
     for L in (2, 4):
-        mm = classical_parity_matrix(nm, torus(nm.poly.context, L, L))
+        mm = classical_parity_matrix(nm, torus(nm.context, L, L))
         with pytest.raises(BarrierError, match="trivial"):
             classical_code_barrier(mm)
 
@@ -182,15 +182,15 @@ def test_classical_code_barrier_matches_brute_force():
 
 
 def test_barrier_at_least_one_when_checks_cover_all_bits():
-    ising = ClassicalGenerator(parse_poly("1 + x"))
+    ising = parse_poly("1 + x")
     for L in (4, 6, 8):
-        m = classical_parity_matrix(ising, torus(ising.poly.context, L))
+        m = classical_parity_matrix(ising, torus(ising.context, L))
         assert classical_code_barrier(m).barrier >= 1
 
 
 def test_cap_increase_does_not_change_value():
-    ising = ClassicalGenerator(parse_poly("1 + x"))
-    m = classical_parity_matrix(ising, torus(ising.poly.context, 8))
+    ising = parse_poly("1 + x")
+    m = classical_parity_matrix(ising, torus(ising.context, 8))
     assert classical_code_barrier(m, cap_n=8).barrier == classical_code_barrier(m, cap_n=20).barrier
 
 
@@ -265,8 +265,8 @@ def test_reported_targets_are_rechecked(monkeypatch):
     for sector in ("X", "Z"):
         with pytest.raises(DistanceError, match="kernel condition"):
             sector_barrier(inst, sector)
-    ising = ClassicalGenerator(parse_poly("1 + x"))
-    ring = classical_parity_matrix(ising, torus(ising.poly.context, 4))
+    ising = parse_poly("1 + x")
+    ring = classical_parity_matrix(ising, torus(ising.context, 4))
     with pytest.raises(BarrierError, match="not a nonzero codeword"):
         classical_code_barrier(ring)
     monkeypatch.setattr(barrier_mod, "_dijkstra", lambda *a, **k: (0, 0, 1, None))
@@ -522,8 +522,8 @@ def test_newman_moore_search_stops_when_a_codeword_joins():
     # settling the whole barrier level before the first codeword pops took
     # 34,096 states; stopping when one joins the level took 8,850 popping
     # the smallest state first, and alternating with the heaviest takes 674
-    nm = ClassicalGenerator(parse_poly("1 + x + y"))
-    m = classical_parity_matrix(nm, torus(nm.poly.context, 6, 6))
+    nm = parse_poly("1 + x + y")
+    m = classical_parity_matrix(nm, torus(nm.context, 6, 6))
     res = classical_code_barrier(m, cap_n=64, want_path=True)
     assert (res.barrier, res.explored) == (5, 674)
     assert _replay(m.transpose().rows, res.path) == (res.target, 5)

@@ -799,6 +799,24 @@ def test_malformed_spec_exits_one(capsys, tmp_path):
     assert "bad.code:3" in err
 
 
+def test_refusals_end_in_one_line(capsys, tmp_path):
+    huge = tmp_path / "huge.code"
+    huge.write_text("[code]\nvariables = x y\nf = (1 + x + y)^4095\ng = 1 + x\n")
+    zero = tmp_path / "zero.code"
+    zero.write_text("[code]\nvariables = x y\nf = x + x\n\n[boundary]\nx^2 = 1\ny^2 = 1\n")
+    for argv, message in [
+        (
+            ("check", str(huge)),
+            "huge.code:3: power 4095 of a 3-term polynomial passes the 262144-term limit "
+            "at position 12",
+        ),
+        (("params", "toric", "--boundary", "x^2 = 1"), "quotient of x y is infinite (free rank 1)"),
+        (("check", str(zero)), "classical generator must be nonzero"),
+        (("params", str(zero)), "classical generator must be nonzero"),
+    ]:
+        assert run(capsys, *argv, "--no-cache") == (1, "", f"error: {message}\n")
+
+
 def test_bad_boundary_override_exits_one(capsys):
     code, out, err = run(capsys, "params", "toric", "--boundary", "x + y = 1")
     assert code == 1

@@ -13,7 +13,6 @@ from polyqec.codes import (
     TwistError,
     bound_report,
     compactify,
-    css_commutes_symbolically,
     decomposition_profile,
     family_tree,
     hgp_split,
@@ -79,17 +78,6 @@ def test_normalized_rejects_zero_generator():
     code = two_block("x y", "x + x", "1 + y")
     with pytest.raises(CodeError):
         code.normalized()
-
-
-def test_css_commutes_symbolically_on_random_codes():
-    rng = random.Random(20260823)
-    ctx = VarContext(("x", "y", "z"))
-    for _ in range(50):
-        code_f = _rand_poly(rng, ctx, rng.randint(1, 4))
-        code_g = _rand_poly(rng, ctx, rng.randint(1, 4))
-        from polyqec.codes import TwoBlockCode
-
-        assert css_commutes_symbolically(TwoBlockCode(ctx, code_f, code_g))
 
 
 # -- indecomposability -----------------------------------------------------

@@ -6,7 +6,7 @@ from itertools import combinations, product
 import pytest
 
 import polyqec.distance as distance_mod
-from polyqec.codes import ClassicalGenerator, TwoBlockCode, two_block
+from polyqec.codes import TwoBlockCode, two_block
 from polyqec import specfile
 from polyqec.distance import (
     ClassicalDistance,
@@ -247,24 +247,24 @@ def test_randomized_witness_is_validated():
 
 
 def test_repetition_code_distance_is_ring_length():
-    gen = ClassicalGenerator(parse_poly("1 + x"))
+    gen = parse_poly("1 + x")
     for L in (3, 5, 7):
-        mat = classical_parity_matrix(gen, torus(gen.poly.context, L))
+        mat = classical_parity_matrix(gen, torus(gen.context, L))
         res = exact_classical_distance(mat)
         assert res == ClassicalDistance(value=L, witness=(1 << L) - 1)
-        assert exact_classical_distance(mat, quotient(torus(gen.poly.context, L))) == res
+        assert exact_classical_distance(mat, quotient(torus(gen.context, L))) == res
         with pytest.raises(DistanceError, match="one column per group element"):
-            exact_classical_distance(mat, quotient(torus(gen.poly.context, L + 1)))
+            exact_classical_distance(mat, quotient(torus(gen.context, L + 1)))
 
 
 def test_triangle_generator_distances():
-    gen = ClassicalGenerator(parse_poly("1 + x + y"))
-    m3 = classical_parity_matrix(gen, torus(gen.poly.context, 3, 3))
+    gen = parse_poly("1 + x + y")
+    m3 = classical_parity_matrix(gen, torus(gen.context, 3, 3))
     res = exact_classical_distance(m3)
     assert res.value == 6
     assert m3.times_vector(res.witness) == 0
     for L in (2, 4):
-        mm = classical_parity_matrix(gen, torus(gen.poly.context, L, L))
+        mm = classical_parity_matrix(gen, torus(gen.context, L, L))
         assert exact_classical_distance(mm) == ClassicalDistance(None, None)
 
 

@@ -1,4 +1,5 @@
-"""Every exported name exists and is used by the package, the README or the
+"""Every exported name exists, and every exported name and every field and
+property of a package class is used by the package, the README or the
 acceptance gates, not only by the tests."""
 
 import ast
@@ -83,3 +84,50 @@ def test_every_exported_name_exists_and_has_a_caller():
                 unused.append(f"{path.stem}.{name}")
     assert checked > 50
     assert unused == []
+
+
+def _attribute_reads(path: Path) -> set[str]:
+    """Attribute names a Python file reads (``obj.name`` in a load)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _class_state(path: Path) -> list[tuple[str, str]]:
+    """(class, name) for each annotated field and property of the classes a
+    package module defines."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    out = []
+    for cls in tree.body:
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        for node in cls.body:
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                out.append((cls.name, node.target.id))
+            elif isinstance(node, ast.FunctionDef) and any(
+                isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list
+            ):
+                out.append((cls.name, node.name))
+    return out
+
+
+# reaches the documents whole, through ``dataclasses.asdict``
+_READ_WHOLE = {"BoundReport"}
+
+
+def test_every_field_and_property_is_read():
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
+        read |= _attribute_reads(path)
+    spans, _ = _readme_names()
+    checked, unread = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls, name in _class_state(path):
+            checked += 1
+            if cls not in _READ_WHOLE and name not in read and name not in spans:
+                unread.append(f"{path.stem}.{cls}.{name}")
+    assert checked > 40
+    assert unread == []

@@ -9,7 +9,6 @@ import pytest
 import polyqec.instantiate as instantiate_mod
 from polyqec.codes import (
     CodeError,
-    ClassicalGenerator,
     TwoBlockCode,
     is_indecomposable_finite,
     two_block,
@@ -489,7 +488,8 @@ def _translation_table_rows(group, blocks):
 
 
 def _builder_cases():
-    """(generators, presentation) pairs: a classical generator or a two-block code."""
+    """(generators, presentation) pairs: a classical generator polynomial or a
+    two-block code."""
     for name in fixture_names():
         spec = load_fixture(name)
         gen = spec.classical_generator() if spec.is_classical else spec.two_block()
@@ -515,7 +515,7 @@ def _builder_cases():
     ]
     for code, rels in plain_and_twisted:
         yield code, GroupPresentation(code.context, rels)
-    yield ClassicalGenerator(parse_poly("1 + x + y")), torus(xy, 5, 3)
+    yield parse_poly("1 + x + y"), torus(xy, 5, 3)
     rng = random.Random(1303)
     ctx = VarContext(("w", "x", "y", "z"))
     for _ in range(12):
@@ -530,8 +530,8 @@ def test_translate_builder_matches_translation_tables():
     for gen, pres in _builder_cases():
         group = quotient(pres)
         seen.add(group.order)
-        if isinstance(gen, ClassicalGenerator):
-            polys = (gen.poly,)
+        if isinstance(gen, LaurentPoly):
+            polys = (gen,)
         else:
             inst = instantiate(gen, pres)
             f, g = gen.f, gen.g
@@ -611,8 +611,8 @@ def test_random_instances_commute():
 
 
 def test_monomial_collisions_cancel_mod_2():
-    gen = ClassicalGenerator(parse_poly("1 + x + x^3"))
-    pres = torus(gen.poly.context, 2)
+    gen = parse_poly("1 + x + x^3")
+    pres = torus(gen.context, 2)
     mat = classical_parity_matrix(gen, pres)
     # x and x^3 coincide on the 2-cycle and cancel, leaving the constant term
     assert _to_dense(mat) == [[1, 0], [0, 1]]
@@ -736,12 +736,12 @@ def test_tanner_components_agree_with_indecomposability():
 
 
 def test_classical_triangle_generator_kernels():
-    gen = ClassicalGenerator(parse_poly("1 + x + y"))
-    m3 = classical_parity_matrix(gen, torus(gen.poly.context, 3, 3))
+    gen = parse_poly("1 + x + y")
+    m3 = classical_parity_matrix(gen, torus(gen.context, 3, 3))
     assert m3.rank() == 7
     assert len(m3.nullspace()) == 2
     for L in (2, 4):
-        m = classical_parity_matrix(gen, torus(gen.poly.context, L, L))
+        m = classical_parity_matrix(gen, torus(gen.context, L, L))
         assert len(m.nullspace()) == 0
 
 
@@ -758,14 +758,14 @@ def test_instantiate_rejects_bad_inputs():
 
 def test_group_order_cap(monkeypatch):
     code = two_block("x y", "1 + x", "1 + y")
-    gen = ClassicalGenerator(parse_poly("1 + x + y"))
+    gen = parse_poly("1 + x + y")
     monkeypatch.setattr(instantiate_mod, "GROUP_ORDER_CAP", 9)
     assert instantiate(code, torus(code.context, 3, 3)).group.order == 9
-    assert classical_parity_matrix(gen, torus(gen.poly.context, 3, 3)).ncols == 9
+    assert classical_parity_matrix(gen, torus(gen.context, 3, 3)).ncols == 9
     with pytest.raises(CodeError, match="group order 12 exceeds the instantiation cap 9"):
         instantiate(code, torus(code.context, 3, 4))
     with pytest.raises(CodeError, match="group order 12 exceeds the instantiation cap 9"):
-        classical_parity_matrix(gen, torus(gen.poly.context, 4, 3))
+        classical_parity_matrix(gen, torus(gen.context, 4, 3))
     with pytest.raises(CodeError, match="group order 12 "):
         instantiate(code, torus(code.context, 3, 4), check=False)
 

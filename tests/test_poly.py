@@ -116,6 +116,33 @@ def test_ring_laws():
         assert (a + a).is_zero
 
 
+def test_mul_commutes_on_random_pairs():
+    # HX HZ^T of a two-block code is f g + g f, so commutation is what makes
+    # every such code a CSS code
+    rng = random.Random(20260823)
+    for _ in range(50):
+        f = rand_poly(rng, XYZ, max_terms=4, span=2)
+        g = rand_poly(rng, XYZ, max_terms=4, span=2)
+        assert (f * g + g * f).is_zero
+
+
+def test_pow_matches_repeated_multiplication():
+    rng = random.Random(29)
+    for _ in range(200):
+        a = rand_poly(rng, XY)
+        k = rng.randint(0, 24)
+        want = LaurentPoly.one(XY)
+        for _ in range(k):
+            want = want * a
+        assert a**k == want, (a, k)
+
+
+def test_pow_of_a_large_power_is_cheap():
+    q = p("(1 + x + y)^127")
+    assert p("((1 + x + y)^127)^1") == q
+    assert p("((1 + x + y)^127)^2") == p("(1 + x + y)^254")
+
+
 def test_antipode_is_ring_involution():
     rng = random.Random(13)
     for _ in range(200):
@@ -361,6 +388,28 @@ def test_exponent_past_the_digit_limit_matches_full_grammar():
         except PolyParseError as exc:
             outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
+
+
+def test_oversized_product_or_power_is_refused(monkeypatch):
+    with pytest.raises(PolyParseError) as exc:
+        p("(1 + x + y)^4095")
+    assert str(exc.value) == (
+        "power 4095 of a 3-term polynomial passes the 262144-term limit at position 12"
+    )
+    assert p("(1 + x)^511 * (1 + y)^511").weight == 1 << 18  # at the limit
+    monkeypatch.setattr(poly_mod, "_TERM_CAP", 9)
+    assert p("(1 + x + y)^3").weight == 9  # bound 3^2 = 9
+    assert p("(1 + x + y)^-0").weight == 1
+    assert p("(x*y)^12345").weight == 1
+    for text, message in [
+        ("(1 + x + y)^7", "power 7 of a 3-term polynomial passes the 9-term limit at position 12"),
+        ("(1 + x)^3*(1 + x + y)", "product of 4 and 3 terms passes the 9-term limit at position 9"),
+        ("(1 + x + y)(1 + x + y)^3", "product of 3 and 9 terms passes the 9-term limit at position 11"),
+        ("(1 + x + y)^-3", "negative powers are only defined for single monomials (position 13)"),
+    ]:
+        with pytest.raises(PolyParseError) as exc:
+            p(text)
+        assert str(exc.value) == message
 
 
 def test_print_parse_roundtrip():

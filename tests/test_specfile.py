@@ -2,7 +2,7 @@
 
 import pytest
 
-from polyqec.codes import compactify
+from polyqec.codes import CodeError, compactify
 from polyqec.fixtures import (
     FAMILY_TABLE_ROWS,
     fixture_names,
@@ -43,22 +43,21 @@ d = x
 
 def test_parse_full_spec():
     spec = parse_spec_text(GROSS_TEXT)
-    assert spec.name == "gross"
-    assert spec.note == "demo"
+    assert spec.name == "gross"  # the note is accepted and not kept
     assert spec.context.names == ("x", "y")
     assert spec.f == parse_poly("x^3 + y + y^2", spec.context)
     assert spec.g == parse_poly("y^3 + x + x^2", spec.context)
     assert spec.boundary == ((12, 0), (0, 6))
     assert not spec.is_classical
     assert spec.lift is not None
-    assert spec.lift.f_labels == ("a", "b")
-    assert spec.lift.g_labels == ("c", "d")
-    assert spec.lift.assignments == (
-        ("a", "d^3*b^-1"),
-        ("b", "y"),
-        ("c", "b^3*d^-1"),
-        ("d", "x"),
-    )
+    assert spec.lift.parent.f_vars == ("a", "b")
+    assert spec.lift.parent.g_vars == ("c", "d")
+    assert {label: str(image) for label, image in spec.lift.substitution.items()} == {
+        "a": "x^3*y^-1",
+        "b": "y",
+        "c": "x^-1*y^3",
+        "d": "x",
+    }
 
 
 def test_lift_resolves_forward_references():
@@ -92,9 +91,12 @@ def test_classical_spec():
     spec = parse_spec_text("[code]\nvariables = x y\nf = 1 + x + y\n")
     assert spec.is_classical
     assert spec.g is None
-    assert spec.classical_generator().poly == parse_poly("1 + x + y", spec.context)
+    assert spec.classical_generator() == parse_poly("1 + x + y", spec.context)
     with pytest.raises(SpecError, match="not a two-block"):
         spec.two_block()
+    zero = parse_spec_text("[code]\nvariables = x y\nf = x + x\n")
+    with pytest.raises(CodeError, match="^classical generator must be nonzero$"):
+        zero.classical_generator()
 
 
 def test_two_block_accessors():
@@ -214,7 +216,8 @@ def test_fixture_lift_reproduces_child(name):
     assert child.normalized() == spec.two_block().normalized()
     # twisted relations exist exactly when the parent has more variables
     # than the substitution image needs
-    assert len(lift.twist_vectors) == len(lift.labels) - spec.context.dim
+    labels = lift.parent.f_vars + lift.parent.g_vars
+    assert len(lift.twist_vectors) == len(labels) - spec.context.dim
 
 
 def test_parse_spec_file_uses_filename_in_errors(tmp_path):
