@@ -25,10 +25,10 @@ only the X sector is searched.  HZ = P*HX*Q, P sending check h to -h and Q
 swapping the blocks and sending qubit q to -q, so the block swap ψ(a, b) =
 (b̄, ā) maps X logicals onto Z logicals with wt(HX*Q*v) = wt(HZ*v): a Z
 result is the ψ image of the X search, target and path mapped bit by bit.
-One runner serves every search: a state carries its syndrome and its
-signature, its pairings with the rows of a logical matrix (for the X sector,
-the ``logical_space`` representatives the distance search uses); a
-classical codeword is a logical whose signature columns are unit vectors.
+One runner serves every search: a state carries its syndrome, and a goal
+reads the state only once its syndrome is zero.  For the X sector the goal
+is a nonzero pairing with the ``logical_space`` representatives the
+distance search uses; for a classical code it is any nonzero state.
 """
 
 from __future__ import annotations
@@ -72,14 +72,9 @@ class BarrierResult:
     explored: int  # states settled before the target joined (diagnostic)
 
 
-def _dijkstra(
-    syn_cols: list[int],
-    n: int,
-    goal,
-    sig_cols: list[int] | None = None,
-    want_path: bool = False,
-):
-    """Bottleneck-shortest-path from 0; returns when a goal state joins a level.
+def _dijkstra(syn_cols: list[int], goal, want_path: bool = False):
+    """Bottleneck-shortest-path from 0; returns when a goal state joins a
+    level, ``goal(state, syn)`` being asked of each state as it joins.
 
     Settles states one bottleneck level at a time.  Within a level the pops
     alternate between the smallest pending state and the heaviest one (ties
@@ -94,21 +89,19 @@ def _dijkstra(
     state joins first and how much work that takes.  A state's predecessor
     is the settled neighbour it joined from.
     """
-    if sig_cols is None:
-        sig_cols = [0] * n
-    settled: list[tuple[int, int, int]] = []  # (state, syn, sig) in pop order
-    pending: dict[int, tuple[int, int]] = {}  # state -> (syn, sig)
+    settled: list[tuple[int, int]] = []  # (state, syn) in pop order
+    pending: dict[int, int] = {}  # state -> syn
     prev: dict[int, int | None] = {}  # settled or pending state -> bit it joined by
     smallest: list[int] = []  # heap of pending states
     heaviest: list[tuple[int, int]] = []  # heap of (-weight, state) of pending states
     level = 0
 
-    def join(state, syn, sig, step):
-        pending[state] = (syn, sig)
+    def join(state, syn, step):
+        pending[state] = syn
         prev[state] = step
         heapq.heappush(smallest, state)
         heapq.heappush(heaviest, (-state.bit_count(), state))
-        if not goal(state, syn, sig):
+        if not goal(state, syn):
             return None
         path = None
         if want_path:
@@ -119,7 +112,7 @@ def _dijkstra(
             path = tuple(reversed(flips))
         return level, state, len(settled), path
 
-    if found := join(0, 0, 0, None):
+    if found := join(0, 0, None):
         return found
     while True:
         heavy = False
@@ -128,19 +121,19 @@ def _dijkstra(
             heavy = not heavy
             if state not in pending:
                 continue
-            syn, sig = pending.pop(state)
-            settled.append((state, syn, sig))
+            syn = pending.pop(state)
+            settled.append((state, syn))
             for j in [
                 j for j, scol in enumerate(syn_cols) if (syn ^ scol).bit_count() <= level
             ]:
                 nstate = state ^ (1 << j)
                 if nstate not in prev:
-                    if found := join(nstate, syn ^ syn_cols[j], sig ^ sig_cols[j], j):
+                    if found := join(nstate, syn ^ syn_cols[j], j):
                         return found
         smallest.clear()
         heaviest.clear()
         level, frontier = None, []  # the next level and its joins in scan order
-        for state, syn, sig in settled:
+        for state, syn in settled:
             for j, scol in enumerate(syn_cols):
                 nstate = state ^ (1 << j)
                 if nstate in prev:
@@ -150,33 +143,17 @@ def _dijkstra(
                 if level is None or cost < level:
                     level, frontier = cost, []
                 if cost == level:
-                    frontier.append((nstate, nsyn, sig ^ sig_cols[j], j))
+                    frontier.append((nstate, nsyn, j))
         if level is None:
             raise BarrierError("search exhausted without reaching a goal state")
-        for nstate, nsyn, nsig, j in frontier:
-            if nstate not in prev and (found := join(nstate, nsyn, nsig, j)):
+        for nstate, nsyn, j in frontier:
+            if nstate not in prev and (found := join(nstate, nsyn, j)):
                 return found
 
 
-def _reaches_logical(_state: int, syn: int, sig: int) -> bool:
-    return syn == 0 and sig != 0
-
-
-def _search(
-    checks: BinaryMatrix,
-    sector: str,
-    goal,
-    want_path: bool,
-    logicals: BinaryMatrix | None = None,
-) -> BarrierResult:
-    """Flip search against ``checks`` up to the first goal state to join a level.
-
-    Bit i of a state's signature is its pairing with row i of ``logicals``.
-    """
-    sig_cols = None if logicals is None else logicals.transpose().rows
-    bott, state, explored, path = _dijkstra(
-        checks.transpose().rows, checks.ncols, goal, sig_cols=sig_cols, want_path=want_path
-    )
+def _search(checks: BinaryMatrix, sector: str, goal, want_path: bool) -> BarrierResult:
+    """Flip search against ``checks`` up to the first goal state to join a level."""
+    bott, state, explored, path = _dijkstra(checks.transpose().rows, goal, want_path)
     return BarrierResult(barrier=bott, sector=sector, target=state, path=path, explored=explored)
 
 
@@ -195,7 +172,7 @@ def barrier(
         raise BarrierError("target must be a nonzero state on the matrix columns")
     if H.times_vector(target):
         raise BarrierError("target violates checks; it is not in the kernel")
-    return _search(H, "classical", lambda s, _syn, _sig: s == target, want_path)
+    return _search(H, "classical", lambda s, _syn: s == target, want_path)
 
 
 def classical_code_barrier(
@@ -207,7 +184,7 @@ def classical_code_barrier(
         raise BarrierCapError(f"{n} bits exceed the barrier cap {cap_n}")
     if H.rank() == H.ncols:
         raise BarrierError("kernel is trivial; there are no codewords to reach")
-    res = _search(H, "classical", _reaches_logical, want_path, BinaryMatrix.identity(n))
+    res = _search(H, "classical", lambda s, syn: syn == 0 and s != 0, want_path)
     if res.target == 0 or H.times_vector(res.target):
         raise BarrierError("search reached a state that is not a nonzero codeword")
     return res
@@ -242,7 +219,7 @@ def sector_barrier(
     _, reps = logical_space(inst, "X")
     if not reps.rows:
         raise BarrierError("code has no logical operators (k = 0)")
-    res = _search(inst.hz, "X", _reaches_logical, want_path, reps)
+    res = _search(inst.hz, "X", lambda s, syn: syn == 0 and reps.times_vector(s), want_path)
     if sector == "Z":
         return psi_image(inst, res)
     validate_logical_witness(inst, res.target, "X")

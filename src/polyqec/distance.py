@@ -17,7 +17,7 @@ w + 1.  The work is capped per sector in combinations
 At practical sizes the randomized search gives upper bounds.  It first looks
 for logicals on one block (``_one_block_logical``): HZ = [Ḡ | F̄], so the
 codewords of the classical codes of ḡ and f̄ on G, placed on the left or the
-right block, lie in the X kernel, and those with a nonzero signature are
+right block, lie in the X kernel, and those outside the stabilizers are
 logicals.  In a hypergraph product, which the paper takes as the parent of
 every two-block code, a lightest logical is of this kind; on a compactified
 code they bound d from above (Wang & Pryadko 2022 bound GB-code distances
@@ -35,12 +35,13 @@ sequential run of the streams gives.
 Sector conventions, held by ``_sector_checks`` alone: an X-type logical is v
 with HZ*v = 0 and v outside the row space of HX; symmetrically for Z.  The
 block swap (a, b) -> (b̄, ā) maps HX onto HZ and back, so both sectors have
-the same distance, and every search here runs on the X sector alone.  A
-logical's signature is its pairing with the representative rows of
-``logical_space``.  A classical codeword is a logical with unit signatures:
-each kernel basis vector gets its own signature bit, so any nonzero
-combination counts, and ``exact_classical_distance`` runs the same
-enumeration.
+the same distance, and every search here runs on the X sector alone.  The
+searches walk plain kernel vectors and test one for being a logical, a
+nonzero pairing with the representative rows R of ``logical_space``, only
+when it would become the answer: an enumerated combination no heavier than
+the best so far, a walk or one-block candidate strictly lighter.  A
+classical codeword is any nonzero kernel combination, so
+``exact_classical_distance`` runs the same enumeration with no test.
 """
 
 from __future__ import annotations
@@ -129,8 +130,7 @@ def logical_space(inst: CodeInstance, sector: str) -> tuple[list[int], BinaryMat
 
     The kernel is ker(checks) and the representatives, the rows of a
     matrix R, span ker(stabilizers) modulo rowspace(checks).  A kernel
-    element v is logical iff its signature R*v is nonzero, which turns the
-    logical test into a handful of popcounts.
+    element v is logical iff R*v is nonzero, a handful of popcounts.
     """
     checks, stabilizers = _sector_checks(inst, sector)
     kernel = checks.nullspace()
@@ -149,13 +149,13 @@ def logical_space(inst: CodeInstance, sector: str) -> tuple[list[int], BinaryMat
     return kernel, BinaryMatrix(reps, inst.n)
 
 
-def _x_logicals(inst: CodeInstance) -> tuple[list[int], BinaryMatrix, list[int]]:
-    """(kernel basis, representatives, kernel signatures) of the X sector,
-    from ``logical_space``; raises ``DistanceError`` when k = 0."""
+def _x_logicals(inst: CodeInstance) -> tuple[list[int], BinaryMatrix]:
+    """(kernel basis, representatives) of the X sector, from
+    ``logical_space``; raises ``DistanceError`` when k = 0."""
     kernel, reps = logical_space(inst, "X")
     if not reps.rows:
         raise DistanceError("code has no logical operators (k = 0)")
-    return kernel, reps, [reps.times_vector(v) for v in kernel]
+    return kernel, reps
 
 
 def validate_logical_witness(inst: CodeInstance, witness: int, sector: str) -> None:
@@ -191,8 +191,7 @@ def _take_pivot(rows: list[int], r: int, bit: int) -> bool:
 def _eliminate(rows: list[int], columns: list[int]) -> int:
     """Gauss–Jordan on linearly independent ``rows`` in place, pivoting on
     ``columns`` in the given order; returns the pivot columns as a mask.
-    Each row then holds exactly one pivot column.  Bits above every column,
-    such as a signature packed above the qubit columns, ride along."""
+    Each row then holds exactly one pivot column."""
     r = pivots = 0
     for col in columns:
         if r == len(rows):
@@ -219,56 +218,53 @@ def _balanced_information_set(rows: list[int], n: int, size: int) -> int:
 
 
 def _visit_level(
-    rows: list[int], sigs: list[int], size: int, best_w: int, lightest: list[int]
+    rows: list[int], reps: BinaryMatrix | None, size: int, best_w: int, lightest: list[int]
 ) -> tuple[int, list[int]]:
-    """Fold every ``size``-subset of ``rows`` with a nonzero signature into
-    (best_w, lightest): a lower weight starts a new list, an equal one joins it.
+    """Fold every ``size``-subset of ``rows`` that is a logical (any nonzero
+    one when ``reps`` is None) into (best_w, lightest): a lower weight starts
+    a new list, an equal one joins it.
 
     The subsets are walked by prefix XOR; the last index runs as one list
-    comprehension over the rows after the prefix.
+    comprehension over the rows after the prefix.  Only a combination no
+    heavier than the best so far is tested against ``reps``.
     """
     m = len(rows)
-    skip = best_w + 1  # weight given to a zero-signature combination
 
-    def walk(start: int, depth: int, acc: int, acc_sig: int) -> None:
+    def walk(start: int, depth: int, acc: int) -> None:
         nonlocal best_w, lightest
         if depth == 1:
-            tail, tail_sigs = rows[start:], sigs[start:]
-            weights = [
-                (acc ^ x).bit_count() if s != acc_sig else skip
-                for x, s in zip(tail, tail_sigs)
-            ]
+            tail = rows[start:]
+            weights = [(acc ^ x).bit_count() for x in tail]
             if min(weights) > best_w:
                 return
-            for x, s, w in zip(tail, tail_sigs, weights):
-                if s != acc_sig and w <= best_w:
+            for x, w in zip(tail, weights):
+                if w <= best_w and (reps is None or reps.times_vector(acc ^ x)):
                     if w < best_w:
                         best_w, lightest = w, []
                     lightest.append(acc ^ x)
             return
         for i in range(start, m - depth + 1):
-            walk(i + 1, depth - 1, acc ^ rows[i], acc_sig ^ sigs[i])
+            walk(i + 1, depth - 1, acc ^ rows[i])
 
-    walk(0, size, 0, 0)
+    walk(0, size, 0)
     return best_w, lightest
 
 
 def _bz_minimum(
-    kernel: list[int], sigs: list[int], n: int, group: QuotientGroup | None = None
+    kernel: list[int], reps: BinaryMatrix | None, n: int, group: QuotientGroup | None = None
 ) -> tuple[int, int | None, int]:
     """(weight, witness, combinations) by Brouwer–Zimmermann enumeration,
     credited over the translations of ``group`` on each block of |G| columns
     (None: the trivial group).  The witness is the smallest integer among the
-    lightest kernel combinations with a nonzero signature; (n + 1, None) when
-    none has one.  ``combinations`` counts the subsets visited.  Raises
-    ``DistanceCapError`` before a level that would pass ``_COMBINATION_CAP``.
+    lightest kernel combinations v with reps*v nonzero (every nonzero one
+    when ``reps`` is None); (n + 1, None) when there is none.
+    ``combinations`` counts the subsets visited.  Raises ``DistanceCapError``
+    before a level that would pass ``_COMBINATION_CAP``.
     """
     size = 1 if group is None else group.order
     m = len(kernel)
-    packed = [v | s << n for v, s in zip(kernel, sigs)]
-    spread = _balanced_information_set(packed, n, size)
-    full = (1 << n) - 1
-    rows, row_sigs = [x & full for x in packed], [x >> n for x in packed]
+    rows = list(kernel)
+    spread = _balanced_information_set(rows, n, size)
     best_w, lightest = n + 1, []
     visited = 0
     for w in range(1, m + 1):
@@ -278,7 +274,7 @@ def _bz_minimum(
                 f"combinations (level {w} of kernel dimension {m})"
             )
         visited += comb(m, w)
-        best_w, lightest = _visit_level(rows, row_sigs, w, best_w, lightest)
+        best_w, lightest = _visit_level(rows, reps, w, best_w, lightest)
         # the translated bound of the module docstring
         if ((w + 1) * size + spread - 1) // spread > best_w:
             break
@@ -297,8 +293,8 @@ def exact_distance(inst: CodeInstance, *, cap_n: int = EXACT_CAP_DEFAULT) -> Dis
     sector's minimum-weight logicals."""
     if inst.n > cap_n:
         raise DistanceCapError(f"n={inst.n} exceeds the exact-search cap {cap_n}")
-    kernel, _, sigs = _x_logicals(inst)
-    d, witness, visited = _bz_minimum(kernel, sigs, inst.n, inst.group)
+    kernel, reps = _x_logicals(inst)
+    d, witness, visited = _bz_minimum(kernel, reps, inst.n, inst.group)
     assert witness is not None  # reps nonempty guarantees a logical element exists
     validate_logical_witness(inst, witness, "X")
     return DistanceResult(
@@ -311,44 +307,33 @@ def exact_distance(inst: CodeInstance, *, cap_n: int = EXACT_CAP_DEFAULT) -> Dis
     )
 
 
-def _candidates(rows: list[int], n: int) -> list[int]:
+def _candidates(rows: list[int]) -> list[int]:
     """The candidates of one Gauss–Jordan basis, in fixed order: the rows,
-    then the sums of pairs of the ``_PAIR_POOL`` rows lightest on the ``n``
-    qubit columns."""
-    full = (1 << n) - 1
-    light = sorted(rows, key=lambda x: (x & full).bit_count())[:_PAIR_POOL]
+    then the sums of pairs of the ``_PAIR_POOL`` lightest rows."""
+    light = sorted(rows, key=int.bit_count)[:_PAIR_POOL]
     return rows + [a ^ b for a, b in combinations(light, 2)]
-
-
-def _lightest_logical(found: list[int], n: int) -> tuple[int, int | None]:
-    """(weight, qubit mask) of the first lightest packed candidate with a
-    nonzero signature, i.e. a logical; (n, None) when none has one."""
-    full = (1 << n) - 1
-    weights = [(x & full).bit_count() if x >> n else n for x in found]
-    w = min(weights, default=n)
-    return (w, found[weights.index(w)] & full) if w < n else (n, None)
 
 
 def _one_block_logical(inst: CodeInstance, reps: BinaryMatrix) -> tuple[int, int | None]:
     """(weight, witness) of the lightest X logical supported on one block
-    among the candidates of each block's classical kernel; (n, None) when
-    none of them is a logical.
+    among the candidates of each block's classical kernel, the first found
+    on a tie; (n, None) when none of them is a logical.
 
     HZ = [Ḡ | F̄], so (u, 0) lies in ker HZ exactly when ḡu = 0 in F2[G], and
     (0, v) exactly when f̄v = 0: the codewords of the classical codes of ḡ
     and f̄ on G.  Each kernel is reduced to Gauss–Jordan form in column order
     and gives the candidates of one walk round (``_candidates``); ``reps``
-    are the X sector's representatives from ``logical_space``.
+    are the X sector's representatives from ``logical_space``, and only a
+    candidate lighter than the best so far is tested against them.
     """
-    n, size = inst.n, inst.group.order
-    best_w, best = n, None
+    size = inst.group.order
+    best_w, best = inst.n, None
     for offset, poly in ((0, inst.code.g), (size, inst.code.f)):
-        kernel = _check_matrix(inst.group, (poly.antipode(),)).nullspace()
-        rows = [u << offset | reps.times_vector(u << offset) << n for u in kernel]
+        rows = [u << offset for u in _check_matrix(inst.group, (poly.antipode(),)).nullspace()]
         _eliminate(rows, list(range(offset, offset + size)))
-        w, mask = _lightest_logical(_candidates(rows, n), n)
-        if w < best_w:
-            best_w, best = w, mask
+        for x in _candidates(rows):
+            if x.bit_count() < best_w and reps.times_vector(x):
+                best_w, best = x.bit_count(), x
     return best_w, best
 
 
@@ -356,27 +341,27 @@ class _InformationSetWalk:
     """A walk over information sets of one sector's kernel (Canteaut &
     Chabaud 1998); the search walks the X sector's.
 
-    ``rows`` is a basis of ker(checks), each vector v packed with its
-    signature as v | R*v << n, in Gauss–Jordan form on the columns of
-    ``pivots``: every row holds exactly one of them.  ``free`` lists the
+    ``rows`` is a basis of ker(checks) in Gauss–Jordan form on the columns
+    of ``pivots``: every row holds exactly one of them.  ``free`` lists the
     non-pivot columns some row holds, the columns a swap can bring in.  The
     first round eliminates along a shuffled column order; every later round
     first makes max(1, m // 8) pivot swaps.  A swap draws a free column j
     and a row i that holds it, uniformly over such pairs, and pivots row i
     on j in place of its old pivot column, which becomes free.  When no row
     holds a non-pivot column there is no swap to make, and the walk stays
-    where it is.
+    where it is.  The walk only proposes candidates; which of them are
+    logicals is the caller's test.
     """
 
-    def __init__(self, rng: random.Random, kernel: list[int], sigs: list[int], n: int):
+    def __init__(self, rng: random.Random, kernel: list[int], n: int):
         self.rng, self.n = rng, n
-        self.rows = [v | s << n for v, s in zip(kernel, sigs)]
+        self.rows = list(kernel)
         self.pivots = 0
         self.free: list[int] | None = None  # None until the first full round
 
     def round(self, limit: int) -> list[int]:
         """Move to the next information set and return at most ``limit`` of
-        its candidates (``_candidates``), each a packed kernel element.
+        its candidates (``_candidates``), each a kernel element.
 
         A first round with ``limit`` below the kernel dimension m reduces the
         first ``limit`` rows among themselves along the shuffled order and
@@ -410,28 +395,29 @@ class _InformationSetWalk:
                 self.pivots ^= old | bit
                 free[u] = old.bit_length() - 1
                 _pivot(rows, i, bit)
-        return _candidates(rows, n)[:limit]
+        return _candidates(rows)[:limit]
 
 
 def _stream(
-    kernel: list[int], sigs: list[int], n: int, seed: int, widx: int, budget: int
+    kernel: list[int], reps: BinaryMatrix, n: int, seed: int, widx: int, budget: int
 ) -> tuple[int, int | None]:
     """(best_w, best) of one worker stream of ``budget`` trials.
 
     The stream walks the information sets of the X kernel, each round given
-    the budget left.  The first candidate of the lowest weight wins; weights
-    of n and above never count, so a stream that finds nothing returns
-    (n, None).
+    the budget left.  The first logical of the lowest weight wins: a
+    candidate is tested against ``reps`` only when it is strictly lighter
+    than the best so far.  Weights of n and above never count, so a stream
+    that finds nothing returns (n, None).
     """
-    walk = _InformationSetWalk(random.Random(seed * 0x9E3779B1 + widx), kernel, sigs, n)
+    walk = _InformationSetWalk(random.Random(seed * 0x9E3779B1 + widx), kernel, n)
     best_w, best = n, None
     examined = 0
     while examined < budget:
         found = walk.round(budget - examined)
         examined += len(found)
-        w, mask = _lightest_logical(found, n)
-        if w < best_w:
-            best_w, best = w, mask
+        for x in found:
+            if x.bit_count() < best_w and reps.times_vector(x):
+                best_w, best = x.bit_count(), x
     return best_w, best
 
 
@@ -505,11 +491,11 @@ def random_upper_bound(
         raise DistanceError("workers must be >= 1")
     if workers > MAX_WORKERS:
         raise DistanceError(f"workers must be at most {MAX_WORKERS}, got {workers}")
-    kernel, reps, sigs = _x_logicals(inst)
+    kernel, reps = _x_logicals(inst)
     seeded = [_one_block_logical(inst, reps)] if trials else []
     share, remainder = divmod(trials, workers)
     jobs = [
-        (kernel, sigs, inst.n, seed, widx, share + (1 if widx < remainder else 0))
+        (kernel, reps, inst.n, seed, widx, share + (1 if widx < remainder else 0))
         for widx in range(min(workers, trials))
     ]
     processes = min(len(jobs), os.cpu_count() or 1)
@@ -546,9 +532,7 @@ def exact_classical_distance(
     kernel = mat.nullspace()
     if not kernel:
         return ClassicalDistance(value=None, witness=None)
-    value, witness, visited = _bz_minimum(
-        kernel, [1 << j for j in range(len(kernel))], mat.ncols, group
-    )
+    value, witness, visited = _bz_minimum(kernel, None, mat.ncols, group)
     if not witness or mat.times_vector(witness):
         raise DistanceError("witness is not a nonzero codeword of the check matrix")
     return ClassicalDistance(value=value, witness=witness, combinations=visited)

@@ -107,7 +107,7 @@ def _columns(rows: Sequence[int], ncols: int, wanted: Sequence[int]) -> list[int
 class BinaryMatrix:
     """An immutable GF(2) matrix with bit-packed integer rows."""
 
-    __slots__ = ("rows", "ncols", "_ech", "_piv", "_null")
+    __slots__ = ("rows", "ncols", "_ech", "_piv")
 
     def __init__(self, rows: Iterable[int], ncols: int):
         rows = tuple(int(r) for r in rows)
@@ -120,13 +120,6 @@ class BinaryMatrix:
         self.ncols = ncols
         self._ech: dict[int, int] | None = None
         self._piv: dict[int, int] | None = None
-        self._null: tuple[int, ...] | None = None
-
-    # -- construction ------------------------------------------------------
-
-    @classmethod
-    def identity(cls, n: int) -> BinaryMatrix:
-        return cls([1 << i for i in range(n)], n)
 
     # -- basic structure ---------------------------------------------------
 
@@ -216,7 +209,7 @@ class BinaryMatrix:
         return self.residue(vec) == 0
 
     def nullspace(self) -> list[int]:
-        """Basis of {x : every row r has parity(r & x) = 0}, bit-packed (cached).
+        """Basis of {x : every row r has parity(r & x) = 0}, bit-packed.
 
         One vector per free (non-pivot) column j, in ascending j: bit j plus
         the pivot column of every reduced row that holds bit j.  With each
@@ -224,15 +217,12 @@ class BinaryMatrix:
         column (0 at free columns), that set of pivot columns is column j of
         an ncols x ncols matrix, which ``_columns`` reads for the free j only.
         """
-        if self._null is None:
-            piv = self._pivots()
-            placed = [0] * self.ncols
-            for c, r in piv.items():
-                placed[c] = r ^ (1 << c)
-            free = [j for j in range(self.ncols) if j not in piv]
-            cols = _columns(placed, self.ncols, free)
-            self._null = tuple(col | (1 << j) for col, j in zip(cols, free))
-        return list(self._null)
+        piv = self._pivots()
+        placed = [0] * self.ncols
+        for c, r in piv.items():
+            placed[c] = r ^ (1 << c)
+        free = [j for j in range(self.ncols) if j not in piv]
+        return [col | (1 << j) for col, j in zip(_columns(placed, self.ncols, free), free)]
 
     def times_vector(self, vec: int) -> int:
         """Matrix-vector product; bit i of the result is parity(row_i & vec)."""

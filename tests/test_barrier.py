@@ -218,20 +218,30 @@ def test_sector_targets_are_genuine_logicals():
 
 
 def test_sector_barrier_matches_minimum_over_targets():
-    # brute force: minimum single-target barrier over every X logical
-    code = two_block("x y", "1 + x", "1 + y")
-    inst = instantiate(code, torus(code.context, 2, 2))
-    checks = inst.hz
-    stab = {0}
-    for r in inst.hx.rows:
-        stab |= {s ^ r for s in stab}
-    logicals = {
-        v
-        for v in range(1, 1 << inst.n)
-        if checks.times_vector(v) == 0 and v not in stab
-    }
-    expect = _brute_bottleneck(checks, logicals)
-    assert sector_barrier(inst, "X").barrier == expect
+    # brute force: minimum single-target barrier over every X logical.  On the
+    # second code a stabilizer joins before any logical, so the goal must test
+    # the logical pairing, not only a zero syndrome
+    cases = [
+        ("1 + x", "1 + y", ((2, 0), (0, 2)), False),
+        ("x^-1*y^2 + y", "x^-2*y + x^-1*y + y^-2 + y", ((3, 0), (3, 2)), True),
+    ]
+    for f, g, rels, stabilizer_first in cases:
+        code = two_block("x y", f, g)
+        inst = instantiate(code, GroupPresentation(code.context, rels))
+        first = barrier_mod._search(inst.hz, "X", lambda s, syn: syn == 0 and s != 0, False)
+        assert inst.hx.rowspace_contains(first.target) == stabilizer_first
+        checks = inst.hz
+        stab = {0}
+        for r in inst.hx.rows:
+            stab |= {s ^ r for s in stab}
+        logicals = {
+            v
+            for v in range(1, 1 << inst.n)
+            if checks.times_vector(v) == 0 and v not in stab
+        }
+        expect = _brute_bottleneck(checks, logicals)
+        res = sector_barrier(inst, "X")
+        assert res.barrier == expect and res.target in logicals
 
 
 def test_code_barrier_rejects_bad_inputs():
@@ -286,8 +296,7 @@ def _swap_and_invert(inst, v):
 
 def _sector_distance(inst, sector):
     kernel, reps = logical_space(inst, sector)
-    sigs = [reps.times_vector(v) for v in kernel]
-    return distance_mod._bz_minimum(kernel, sigs, inst.n, inst.group)[0]
+    return distance_mod._bz_minimum(kernel, reps, inst.n, inst.group)[0]
 
 
 def _random_symmetry_instance(rng):
@@ -308,10 +317,10 @@ def _random_symmetry_instance(rng):
 
 def _direct_z_barrier(inst):
     """Reference Z barrier that does not go through psi: the heap Dijkstra
-    over HX's columns, with the Z sector's own logical signatures."""
+    over HX's columns, with the Z sector's own logical representatives."""
     _, reps = logical_space(inst, "Z")
-    goal = lambda _s, syn, sig: syn == 0 and sig != 0  # noqa: E731
-    return _heap_dijkstra(inst.hx.transpose().rows, inst.n, goal, reps.transpose().rows)[0]
+    goal = lambda s, syn: syn == 0 and reps.times_vector(s) != 0  # noqa: E731
+    return _heap_dijkstra(inst.hx.transpose().rows, goal)[0]
 
 
 def _check_z_against_direct_search(inst, res):
@@ -360,22 +369,22 @@ def test_sector_symmetry_swaps_the_blocks_and_inverts():
 # -- level-by-level search against the heap Dijkstra -----------------------
 
 
-def _heap_dijkstra(syn_cols, n, goal, sig_cols=None, want_path=False):
+def _heap_dijkstra(syn_cols, goal, want_path=False):
     """Reference: bottleneck Dijkstra with one heap entry per improvement.
 
     Pops (bottleneck, state) pairs in increasing order, skips stale entries,
     and records a predecessor on every strict improvement.
     """
     dist = {0: 0}
-    heap = [(0, 0, 0, 0)]
+    heap = [(0, 0, 0)]
     prev = {0: None} if want_path else None
     explored = 0
     while heap:
-        bott, state, syn, sig = heapq.heappop(heap)
+        bott, state, syn = heapq.heappop(heap)
         if bott > dist.get(state, bott):
             continue
         explored += 1
-        if goal(state, syn, sig):
+        if goal(state, syn):
             path = None
             if want_path:
                 flips = []
@@ -385,7 +394,7 @@ def _heap_dijkstra(syn_cols, n, goal, sig_cols=None, want_path=False):
                     flips.append(j)
                 path = tuple(reversed(flips))
             return bott, state, explored, path
-        for j in range(n):
+        for j in range(len(syn_cols)):
             nstate = state ^ (1 << j)
             nsyn = syn ^ syn_cols[j]
             nbott = max(bott, nsyn.bit_count())
@@ -393,8 +402,7 @@ def _heap_dijkstra(syn_cols, n, goal, sig_cols=None, want_path=False):
                 dist[nstate] = nbott
                 if want_path:
                     prev[nstate] = (state, j)
-                nsig = sig ^ sig_cols[j] if sig_cols is not None else 0
-                heapq.heappush(heap, (nbott, nstate, nsyn, nsig))
+                heapq.heappush(heap, (nbott, nstate, nsyn))
     raise BarrierError("search exhausted without reaching a goal state")
 
 
@@ -433,19 +441,19 @@ def test_level_search_matches_heap_reference():
         n = rng.randint(1, 10)
         rows = [rng.getrandbits(n) for _ in range(rng.randint(0, 7))]
         syn_cols = BinaryMatrix(rows, n).transpose().rows if rows else [0] * n
-        sig_cols = None
         kind = case % 3
         if kind == 0:
             target = rng.randrange(1, 1 << n)
-            goal = lambda s, _syn, _sig: s == target
+            goal = lambda s, _syn: s == target
         elif kind == 1:
-            goal = lambda s, syn, _sig: s != 0 and syn == 0
+            goal = lambda s, syn: s != 0 and syn == 0
         else:
+            # a zero syndrome and a nonzero pairing with random logical columns
             sig_cols = [rng.getrandbits(2) for _ in range(n)]
-            goal = lambda _s, syn, sig: syn == 0 and sig != 0
+            goal = lambda s, syn: syn == 0 and _image(sig_cols, s) != 0
         for want_path in (False, True):
-            expect = _outcome(_heap_dijkstra, syn_cols, n, goal, sig_cols, want_path)
-            got = _outcome(barrier_mod._dijkstra, syn_cols, n, goal, sig_cols, want_path)
+            expect = _outcome(_heap_dijkstra, syn_cols, goal, want_path)
+            got = _outcome(barrier_mod._dijkstra, syn_cols, goal, want_path)
             if expect[0] == "error":
                 assert got == expect
                 exhausted += 1
@@ -453,7 +461,7 @@ def test_level_search_matches_heap_reference():
             assert len(got) == 4, got
             bott, reached, _explored, path = got
             assert bott == expect[0]
-            assert goal(reached, _image(syn_cols, reached), _image(sig_cols or [0] * n, reached))
+            assert goal(reached, _image(syn_cols, reached))
             if want_path:
                 assert _replay(syn_cols, path) == (reached, bott)
             else:

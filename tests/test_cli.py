@@ -804,7 +804,13 @@ def test_refusals_end_in_one_line(capsys, tmp_path):
     huge.write_text("[code]\nvariables = x y\nf = (1 + x + y)^4095\ng = 1 + x\n")
     zero = tmp_path / "zero.code"
     zero.write_text("[code]\nvariables = x y\nf = x + x\n\n[boundary]\nx^2 = 1\ny^2 = 1\n")
+    wide = tmp_path / "wide.code"
+    wide.write_text("[code]\nvariables = x y z\nf = 1 + x + y\ng = 1 + y + (1 + x + z)^63\n")
     for argv, message in [
+        (
+            ("lift", str(wide)),
+            "lift needs one parent variable per non-constant term: 730 terms exceed the cap 32",
+        ),
         (
             ("check", str(huge)),
             "huge.code:3: power 4095 of a 3-term polynomial passes the 262144-term limit "

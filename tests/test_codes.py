@@ -23,6 +23,7 @@ from polyqec.codes import (
     parent_hgp,
     two_block,
 )
+from polyqec import codes as codes_mod
 from polyqec.codes import _pair_reaches
 from polyqec.lattice import GroupPresentation, hermite_basis, smith_normal_form
 from polyqec.poly import LaurentPoly, VarContext, parse_poly
@@ -233,6 +234,20 @@ def test_lift_rejects_decomposable_code():
 def test_lift_rejects_degenerate_generator():
     with pytest.raises(LiftError, match="degenerate"):
         lift_to_parent(two_block("x y", "x^2", "1 + y"))
+
+
+def test_lift_refuses_more_terms_than_its_cap():
+    # f has two non-constant terms and g as many z powers as the rest of the
+    # cap allows; one power more is refused before any parent is built
+    assert codes_mod._LIFT_TERM_CAP == 32
+    powers = " + ".join(f"z^{e}" for e in range(1, 31))
+    lift = lift_to_parent(two_block("x y z", "1 + x + y", f"1 + {powers}"))
+    assert len(lift.labels) == 32
+    with pytest.raises(LiftError) as err:
+        lift_to_parent(two_block("x y z", "1 + x + y", f"1 + {powers} + z^31"))
+    assert str(err.value) == (
+        "lift needs one parent variable per non-constant term: 33 terms exceed the cap 32"
+    )
 
 
 def test_lift_roundtrip_on_random_indecomposable_codes():

@@ -67,8 +67,7 @@ def _sector_minimum(inst, sector):
     """(weight, witness) of a sector's lightest logicals, from the exact
     search's enumeration credited over the instance's group."""
     kernel, reps = logical_space(inst, sector)
-    sigs = [reps.times_vector(v) for v in kernel]
-    return distance_mod._bz_minimum(kernel, sigs, inst.n, inst.group)[:2]
+    return distance_mod._bz_minimum(kernel, reps, inst.n, inst.group)[:2]
 
 
 # -- exact search ----------------------------------------------------------
@@ -327,19 +326,25 @@ def test_bb72_exact_distance_is_six():
     res = exact_distance(inst, cap_n=72)
     assert res.d_upper == res.d_lower == 6 and res.witness.bit_count() == 6
     validate_logical_witness(inst, res.witness, res.witness_sector)
-    assert res.combinations < 10**5
+    assert res.combinations == 12383
 
 
 # -- Brouwer–Zimmermann against independent oracles -----------------------
 
 
-def _per_state_gray(kernel, sigs, n):
+def _per_state_gray(kernel, reps, n):
     """Oracle: the one-state-at-a-time Gray sweep over all 2^m - 1 kernel
-    combinations.
+    combinations, each carrying its signature, its pairing with the rows of
+    ``reps`` (a unit signature per kernel vector when None, so that every
+    nonzero combination counts).
 
     Returns (weight, smallest integer) of the lightest combinations with a
     nonzero signature, (n + 1, None) when none has one.
     """
+    if reps is None:
+        sigs = [1 << j for j in range(len(kernel))]
+    else:
+        sigs = [reps.times_vector(v) for v in kernel]
     best = (n + 1, None)
     state = sig = 0
     for i in range(1, 1 << len(kernel)):
@@ -375,6 +380,11 @@ def _matrix_with_kernel_dim(rng, m):
     return BinaryMatrix(rows, m + r)
 
 
+def _random_reps(rng, n):
+    """A random logical matrix R of one or two rows on ``n`` columns."""
+    return BinaryMatrix([rng.getrandbits(n) for _ in range(rng.randint(1, 2))], n)
+
+
 def test_bz_minimum_matches_brute_force_on_random_kernels():
     # sparse checks give many information sets of low rank, so sets join the
     # bound late and must first visit the levels they skipped
@@ -395,18 +405,19 @@ def test_bz_minimum_matches_brute_force_on_random_kernels():
         if not 1 <= m <= 10:
             continue
         cases += 1
-        sigs = [rng.getrandbits(3) if rng.random() < 0.5 else 0 for _ in range(m)]
+        # few random logical rows, so that many kernel rows pair to zero
+        reps = _random_reps(rng, mat.ncols)
         combos = []
         for i in range(1, 1 << m):
-            x = s = 0
+            x = 0
             for j in range(m):
                 if i >> j & 1:
-                    x, s = x ^ kernel[j], s ^ sigs[j]
-            if s:
+                    x ^= kernel[j]
+            if reps.times_vector(x):
                 combos.append((x.bit_count(), x))
         expect = min(combos, default=(mat.ncols + 1, None))
-        got = distance_mod._bz_minimum(kernel, sigs, mat.ncols)
-        assert got[:2] == expect == _per_state_gray(kernel, sigs, mat.ncols)
+        got = distance_mod._bz_minimum(kernel, reps, mat.ncols)
+        assert got[:2] == expect == _per_state_gray(kernel, reps, mat.ncols)
 
 
 def _random_classical_matrices(rng, count):
@@ -457,15 +468,15 @@ def test_blocked_gray_sweep_matches_per_state_sweep(monkeypatch, credited):
     # symmetry must each end at the per-state sweep's minimum and witness, on
     # the kernels of classical codes on tori; crediting fewer translations only
     # weakens the lower bound, so the search runs more levels and must still
-    # end there.  Random kernels, with unit and with random signatures, take
-    # the search without symmetry
+    # end there.  Random kernels, as classical codes and against a random R,
+    # take the search without symmetry
     spreads = _limit_credited_translations(monkeypatch, credited)
     rng = random.Random(2718 + (credited or 0))
     dims, fewer = set(), 0
     for mat, group in _random_classical_matrices(rng, 60):
         kernel = mat.nullspace()
         dims.add(len(kernel))
-        expect = _per_state_gray(kernel, [1 << j for j in range(len(kernel))], mat.ncols)
+        expect = _per_state_gray(kernel, None, mat.ncols)
         sym, plain = (exact_classical_distance(mat, s) for s in (group, None))
         assert (sym.value, sym.witness) == (plain.value, plain.witness) == expect
         assert sym.combinations <= plain.combinations
@@ -480,13 +491,12 @@ def test_blocked_gray_sweep_matches_per_state_sweep(monkeypatch, credited):
             mat = _matrix_with_kernel_dim(rng, m)
             kernel = mat.nullspace()
             assert len(kernel) == m
-            unit = [1 << j for j in range(m)]
-            value, witness = _per_state_gray(kernel, unit, mat.ncols)
+            value, witness = _per_state_gray(kernel, None, mat.ncols)
             got = exact_classical_distance(mat)
             assert (got.value, got.witness) == (value, witness)
-            sigs = [rng.getrandbits(2) if rng.random() < 0.6 else 0 for _ in range(m)]
-            got = distance_mod._bz_minimum(kernel, sigs, mat.ncols)
-            assert got[:2] == _per_state_gray(kernel, sigs, mat.ncols)
+            reps = _random_reps(rng, mat.ncols)
+            got = distance_mod._bz_minimum(kernel, reps, mat.ncols)
+            assert got[:2] == _per_state_gray(kernel, reps, mat.ncols)
 
 
 def _small_sector_instances():
@@ -546,10 +556,9 @@ def test_exact_sector_distance_matches_per_state_sweep(monkeypatch, credited):
         for sector in ("X", "Z"):
             kernel, reps = logical_space(inst, sector)
             dims.add(len(kernel))
-            sigs = [reps.times_vector(v) for v in kernel]
-            expect = _per_state_gray(kernel, sigs, inst.n)
+            expect = _per_state_gray(kernel, reps, inst.n)
             for group in (inst.group, None):
-                assert distance_mod._bz_minimum(kernel, sigs, inst.n, group)[:2] == expect
+                assert distance_mod._bz_minimum(kernel, reps, inst.n, group)[:2] == expect
     assert max(dims) > 12
     if credited is not None:
         assert any(s > a for a, s in spreads)
@@ -572,7 +581,7 @@ def test_exact_witness_is_smallest_lightest_logical():
     pres = torus(spec.context, 6, 6)
     mat = classical_parity_matrix(spec.classical_generator(), pres)
     kernel = mat.nullspace()
-    expect = _per_state_gray(kernel, [1 << j for j in range(len(kernel))], mat.ncols)
+    expect = _per_state_gray(kernel, None, mat.ncols)
     got = exact_classical_distance(mat, quotient(pres))
     assert (got.value, got.witness) == expect
 
@@ -585,7 +594,6 @@ def _sequential_upper_bound(inst, trials, seed, workers):
     streams walk the X sector one after another in one loop, with the best
     weight carried from each stream into the next."""
     kernel, reps = logical_space(inst, "X")
-    sigs = [reps.times_vector(v) for v in kernel]
     n = inst.n
     best_w, best = n, None
     if trials:
@@ -596,11 +604,11 @@ def _sequential_upper_bound(inst, trials, seed, workers):
         if budget == 0:
             continue
         rng = random.Random(seed * 0x9E3779B1 + widx)
-        walk = distance_mod._InformationSetWalk(rng, kernel, sigs, n)
+        walk = distance_mod._InformationSetWalk(rng, kernel, n)
         examined = 0
         while examined < budget:
-            for packed in walk.round(budget - examined):
-                mask, sig = packed & ((1 << n) - 1), packed >> n
+            for mask in walk.round(budget - examined):
+                sig = reps.times_vector(mask)
                 examined += 1
                 if sig and mask and mask.bit_count() < best_w:
                     best_w, best = mask.bit_count(), mask
@@ -655,19 +663,15 @@ def test_parallel_streams_match_sequential_loop(monkeypatch, in_pool):
 
 def _assert_walk_invariants(walk, inst, sector):
     """The walk's rows are a basis of ker(checks) in Gauss–Jordan form on its
-    pivots, each carrying its true signature, and ``free`` is the rest of the
-    kernel's support."""
+    pivots, and ``free`` is the rest of the kernel's support."""
     checks, _ = distance_mod._sector_checks(inst, sector)
-    _, reps = logical_space(inst, sector)
-    n, full, rows, pivots = inst.n, (1 << inst.n) - 1, walk.rows, walk.pivots
+    n, rows, pivots = inst.n, walk.rows, walk.pivots
     held = [x & pivots for x in rows]
     assert all(h.bit_count() == 1 for h in held) and sum(held) == pivots
-    masks = [x & full for x in rows]
-    assert BinaryMatrix(masks, n).rank() == len(rows) == pivots.bit_count()
+    assert BinaryMatrix(rows, n).rank() == len(rows) == pivots.bit_count()
     support = 0
-    for x, v in zip(rows, masks):
+    for v in rows:
         assert not checks.times_vector(v)
-        assert x >> n == reps.times_vector(v)
         support |= v
     assert sorted(walk.free) == [c for c in range(n) if (support & ~pivots) >> c & 1]
 
@@ -681,9 +685,8 @@ def test_walk_rounds_stay_systematic_kernel_bases():
             instances.append(inst)
     for idx, inst in enumerate(instances):
         for sector in ("X", "Z"):
-            kernel, reps = logical_space(inst, sector)
-            sigs = [reps.times_vector(v) for v in kernel]
-            walk = distance_mod._InformationSetWalk(random.Random(idx), kernel, sigs, inst.n)
+            kernel, _ = logical_space(inst, sector)
+            walk = distance_mod._InformationSetWalk(random.Random(idx), kernel, inst.n)
             for _ in range(4):
                 found = walk.round(len(kernel) + 200)
                 assert found[: len(kernel)] == walk.rows
@@ -692,8 +695,8 @@ def test_walk_rounds_stay_systematic_kernel_bases():
 
 def test_budget_below_the_kernel_dimension_reduces_only_what_is_examined():
     # a first round given fewer candidates than the kernel dimension m returns
-    # exactly that many kernel elements, each with its true signature and
-    # holding exactly one of as many pivot columns; the walk stays unstarted,
+    # exactly that many kernel elements, each holding exactly one of as many
+    # pivot columns; the walk stays unstarted,
     # and a later full round still leaves a systematic kernel basis
     instances = _search_instances()
     rng = random.Random(1998)
@@ -704,19 +707,17 @@ def test_budget_below_the_kernel_dimension_reduces_only_what_is_examined():
     for idx, inst in enumerate(instances):
         for sector in ("X", "Z"):
             checks, _ = distance_mod._sector_checks(inst, sector)
-            kernel, reps = logical_space(inst, sector)
+            kernel, _ = logical_space(inst, sector)
             if len(kernel) < 2:
                 continue
-            sigs = [reps.times_vector(v) for v in kernel]
             for limit in {1, len(kernel) // 2, len(kernel) - 1}:
-                walk = distance_mod._InformationSetWalk(random.Random(idx), kernel, sigs, inst.n)
+                walk = distance_mod._InformationSetWalk(random.Random(idx), kernel, inst.n)
                 found = walk.round(limit)
                 assert len(found) == limit == walk.pivots.bit_count()
                 held = [x & walk.pivots for x in found]
                 assert all(h.bit_count() == 1 for h in held) and sum(held) == walk.pivots
                 for x in found:
-                    v = x & ((1 << inst.n) - 1)
-                    assert not checks.times_vector(v) and x >> inst.n == reps.times_vector(v)
+                    assert not checks.times_vector(x) and not x >> inst.n
                 assert walk.free is None
                 walk.round(len(kernel))
                 _assert_walk_invariants(walk, inst, sector)
@@ -725,10 +726,10 @@ def test_budget_below_the_kernel_dimension_reduces_only_what_is_examined():
 def test_walk_without_a_legal_swap_stays_put():
     # column 2 is no pivot, but no kernel vector holds it: no swap can bring
     # it in, so the walk must stop swapping rather than look for one
-    walk = distance_mod._InformationSetWalk(random.Random(0), [0b001, 0b010], [1, 2], 3)
+    walk = distance_mod._InformationSetWalk(random.Random(0), [0b001, 0b010], 3)
     first = walk.round(3)
     assert walk.pivots == 0b011 and walk.free == []
-    assert walk.round(3) == first == [0b1001, 0b10010, 0b11011]
+    assert walk.round(3) == first == [0b001, 0b010, 0b011]
 
 
 def _full_logical_space(inst, sector):
