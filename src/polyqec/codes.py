@@ -15,7 +15,9 @@ Key operations:
   full integer lattice;
 * ``lift_to_parent`` — re-express an indecomposable code as a hypergraph
   product in one fresh variable per monomial, compactified back down by twist
-  relations (the kernel of the fresh-variable substitution);
+  relations (the kernel of the fresh-variable substitution); each child
+  variable's witness is the solution that one Hermite basis reduces at the
+  kernel's pivot labels;
 * ``compactify`` — apply such a substitution/twist datum to a parent code;
 * ``family_tree`` — the parity class (weight(f) mod 2, weight(g) mod 2),
   unordered; it is invariant under compactification because GF(2)
@@ -34,7 +36,6 @@ from .lattice import (
     hermite_basis,
     lattice_saturates,
     quotient_shape,
-    smith_normal_form,
 )
 from .poly import (
     LaurentPoly,
@@ -67,10 +68,12 @@ __all__ = [
 
 
 # most non-constant terms of normalized f and g together that a lift takes,
-# one fresh parent variable each: the Hermite basis of its twists grows steeply
-# past it (f = 1 + x + y, g = 1 + random monomials in x, y, z with exponents in
-# [-6, 6], slowest of 8 seeds, 2 cores: 28 terms 0.014 s, 32 terms 0.18 s,
-# 36 terms 0.64 s, 40 terms 2.8 s, 44 terms 7.4 s)
+# one fresh parent variable each.  Its two Hermite forms are dense in that
+# count K (K rows by d + K and by K columns), and the parse cap admits 2^18
+# terms.  With f = 1 + x + y and g = 1 + random monomials in x, y, z, w with
+# exponents in [-6, 6] (2 cores): 32 terms 0.008 s, 64 terms 0.03 s (slowest
+# of 8 seeds), 128 terms 0.14 s, 256 terms 0.73 s (one seed).  32 keeps every
+# bundled and benchmark-catalogue lift, which have at most 12 terms.
 _LIFT_TERM_CAP = 32
 
 
@@ -292,34 +295,20 @@ def _fresh_names(count: int, base: str, taken: set[str]) -> tuple[str, ...]:
     return tuple(f"{prefix}{i}" for i in range(1, count + 1))
 
 
-def _pair_reaches(a: Sequence[int], b: Sequence[int], ell: int) -> bool:
-    """Whether p*a + q*b == e_ell has an integer solution (p, q).
-
-    If some column k != ell is nonzero, p*a[k] + q*b[k] == 0 forces (p, q) to
-    be a multiple of (b[k], -a[k]) / gcd(a[k], b[k]); the other columns off ell
-    must then vanish with it and the value at ell must be +-1.  Otherwise only
-    column ell is nonzero and gcd(a[ell], b[ell]) must be 1.
-    """
-    others = [k for k in range(len(a)) if k != ell and (a[k] or b[k])]
-    if not others:
-        return math.gcd(a[ell], b[ell]) == 1
-    ak, bk = a[others[0]], b[others[0]]
-    if any(a[m] * bk != b[m] * ak for m in others):
-        return False
-    return abs(a[ell] * bk - b[ell] * ak) == math.gcd(ak, bk)
-
-
 def lift_to_parent(code: TwoBlockCode) -> ParentLift:
     """Lift an indecomposable code to its hypergraph-product parent.
 
     Fresh variables a1..ak1 / b1..bk2 are assigned the non-constant monomials
     of normalized f / g, ordered by ascending total degree with descending-lex
-    tie break.  The reduction procedure then expresses every child variable as
-    an integer product of monomials — first taking monomials that are a bare
-    (possibly inverse) variable once already-resolved variables are ignored,
-    then solving pairs p·α + q·β = variable, scanning in label order — and the
-    fresh variables not fixed by those witnesses become twist relations.
-    More than ``_LIFT_TERM_CAP`` terms are refused before any of this runs.
+    tie break.  One Hermite basis of the rows [monomial | label unit], label
+    columns last label first, solves every child variable at once: the
+    monomials generate Z^d iff its first d rows are [e_ell | w_ell], and w_ell,
+    read back in label order, is the witness of child variable ell.  It is the
+    integer solution whose coefficient at each pivot label p of the
+    substitution kernel lies in [0, p).  The fresh variables not fixed by the
+    witnesses become twist relations.  More than ``_LIFT_TERM_CAP`` terms are
+    refused before any of this runs, since both Hermite forms are dense in
+    the term count.
     """
     child = code.normalized()
     d = child.context.dim
@@ -342,77 +331,22 @@ def lift_to_parent(code: TwoBlockCode) -> ParentLift:
     K = len(labels)
 
     # -- resolve every child variable as an integer combination of monomials
-    witness: dict[int, list[int]] = {}  # child var index -> coeffs over labels
-
-    def restricted(vec: Sequence[int]) -> tuple[int, ...]:
-        return tuple(0 if ell in witness else vec[ell] for ell in range(d))
-
-    def resolve(ell: int, comb: list[int]) -> None:
-        # comb satisfies: restricted image of sum(comb * vectors) == e_ell
-        full = [sum(c * v[j] for c, v in zip(comb, vectors)) for j in range(d)]
-        w = list(comb)
-        for ell2, w2 in witness.items():
-            if ell2 != ell and full[ell2]:
-                for t in range(K):
-                    w[t] -= full[ell2] * w2[t]
-        witness[ell] = w
-
-    def step_single() -> bool:
-        for idx in range(K):
-            r = restricted(vectors[idx])
-            support = [j for j, e in enumerate(r) if e]
-            if len(support) == 1 and abs(r[support[0]]) == 1 and support[0] not in witness:
-                sign = r[support[0]]
-                comb = [0] * K
-                comb[idx] = sign
-                resolve(support[0], comb)
-                return True
-        return False
-
-    def step_pair() -> bool:
-        rs = [restricted(v) for v in vectors]
-        for i in range(K):
-            ri = rs[i]
-            if not any(ri):
-                continue
-            for j in range(i + 1, K):
-                rj = rs[j]
-                if not any(rj):
-                    continue
-                for ell in range(d):
-                    if ell in witness or not _pair_reaches(ri, rj, ell):
-                        continue
-                    target = tuple(int(k == ell) for k in range(d))
-                    comb = [0] * K
-                    comb[i], comb[j] = smith_normal_form([ri, rj]).solve(target)
-                    resolve(ell, comb)
-                    return True
-        return False
-
-    def step_full() -> bool:
-        snf = smith_normal_form([restricted(v) for v in vectors])
-        for ell in range(d):
-            if ell in witness:
-                continue
-            sol = snf.solve(tuple(int(k == ell) for k in range(d)))
-            if sol is not None:
-                resolve(ell, sol)
-                return True
-        return False
-
-    while len(witness) < d:
-        if step_single() or step_pair() or step_full():
-            continue
+    rows = [[*vec, *(int(c == K - 1 - t) for c in range(K))] for t, vec in enumerate(vectors)]
+    basis = hermite_basis(rows, d + K)
+    units = [tuple(int(j == ell) for j in range(d)) for ell in range(d)]
+    if [b[:d] for b in basis[:d]] != units:
         free, torsion, index = decomposition_profile(child)
         raise LiftError(
             "code is decomposable; monomials span a proper sublattice "
             f"(free rank {free}, torsion {torsion}, index {index})"
         )
+    # child var index -> coeffs over labels
+    witness = [b[d:][::-1] for b in basis[:d]]
 
     # invariant: sum(witness[ell] * vectors) == e_ell exactly
-    for ell, w in witness.items():
-        img = [sum(c * v[j] for c, v in zip(w, vectors)) for j in range(d)]
-        assert img == [int(j == ell) for j in range(d)], "witness bookkeeping broke"
+    for ell, w in enumerate(witness):
+        img = tuple(sum(c * v[j] for c, v in zip(w, vectors)) for j in range(d))
+        assert img == units[ell], "witness bookkeeping broke"
 
     # -- assemble parent, substitution, twists
     parent = parent_hgp(a_names, b_names)
@@ -422,14 +356,14 @@ def lift_to_parent(code: TwoBlockCode) -> ParentLift:
     names = child.context.names
     witnesses = {
         names[ell]: tuple((labels[t], w[t]) for t in range(K) if w[t])
-        for ell, w in sorted(witness.items())
+        for ell, w in enumerate(witness)
     }
 
     twists = []
     for t in range(K):
         vec_t = vectors[t]
         row = [0] * K
-        for ell, w in witness.items():
+        for ell, w in enumerate(witness):
             if vec_t[ell]:
                 for s in range(K):
                     row[s] += vec_t[ell] * w[s]

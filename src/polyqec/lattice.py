@@ -40,39 +40,20 @@ def _identity(n: int) -> IntMatrix:
 
 @dataclass(frozen=True)
 class SmithForm:
-    """U @ M @ V = S with U, V unimodular and S diagonal (divisibility chain)."""
+    """U @ M @ V = S for some unimodular U, V and S diagonal (divisibility chain).
 
-    U: tuple[tuple[int, ...], ...]
-    S: tuple[tuple[int, ...], ...]
+    Only the column transform V and the diagonal of S are kept.
+    """
+
     V: tuple[tuple[int, ...], ...]
     diagonal: tuple[int, ...]
 
-    def solve(self, target: Sequence[int]) -> list[int] | None:
-        """Integer coefficients c with c @ M == target, if any (M the input rows)."""
-        k, d = len(self.U), len(self.V)
-        tgt = list(map(int, target))
-        if len(tgt) != d:
-            raise ValueError("target arity mismatch")
-        # c @ M = t  <=>  (c @ Uinv) @ S = t @ V ; write s = c @ Uinv
-        tV = [sum(tgt[i] * self.V[i][j] for i in range(d)) for j in range(d)]
-        s = [0] * k
-        for j in range(d):
-            sj = self.S[j][j] if j < k else 0
-            if sj:
-                if tV[j] % sj:
-                    return None
-                s[j] = tV[j] // sj
-            elif tV[j]:
-                return None
-        # c = s @ U
-        return [sum(s[i] * self.U[i][j] for i in range(k)) for j in range(k)]
-
 
 def smith_normal_form(mat: Sequence[Sequence[int]]) -> SmithForm:
-    """Smith normal form with transform tracking.
+    """Smith normal form with column-transform tracking.
 
     Pivoting picks the smallest nonzero entry in absolute value.  Returns
-    U (rows x rows), S (rows x cols), V (cols x cols); diagonal entries are
+    V (cols x cols) and the min(rows, cols) diagonal entries, which are
     nonnegative and each divides the next.
     """
     A: IntMatrix = [[int(x) for x in row] for row in mat]
@@ -80,12 +61,10 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SmithForm:
     c = len(A[0]) if r else 0
     if any(len(row) != c for row in A):
         raise ValueError("ragged matrix")
-    U = _identity(r)
     V = _identity(c)
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in A:
@@ -98,19 +77,12 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SmithForm:
         Ad, As = A[dst], A[src]
         for k in range(c):
             Ad[k] += q * As[k]
-        Ud, Us = U[dst], U[src]
-        for k in range(r):
-            Ud[k] += q * Us[k]
 
     def add_col(dst, src, q):
         for row in A:
             row[dst] += q * row[src]
         for row in V:
             row[dst] += q * row[src]
-
-    def negate_row(i):
-        A[i] = [-x for x in A[i]]
-        U[i] = [-x for x in U[i]]
 
     t = 0
     while t < min(r, c):
@@ -158,12 +130,9 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SmithForm:
             if culprit is None:
                 break
             add_row(t, culprit, 1)
-        if A[t][t] < 0:
-            negate_row(t)
         t += 1
-    diag = tuple(A[i][i] for i in range(min(r, c)))
-    freeze = lambda M: tuple(tuple(row) for row in M)
-    return SmithForm(U=freeze(U), S=freeze(A), V=freeze(V), diagonal=diag)
+    diag = tuple(abs(A[i][i]) for i in range(min(r, c)))
+    return SmithForm(V=tuple(tuple(row) for row in V), diagonal=diag)
 
 
 def hermite_basis(vectors: Iterable[Sequence[int]], d: int) -> tuple[tuple[int, ...], ...]:
@@ -171,36 +140,40 @@ def hermite_basis(vectors: Iterable[Sequence[int]], d: int) -> tuple[tuple[int, 
 
     Pivots are positive, entries above a pivot are reduced into [0, pivot).
     Two generating sets span the same lattice iff their bases compare equal.
+    Columns are cleared left to right by one Euclid over all rows at once,
+    always dividing by the row of least absolute entry: that keeps the
+    multipliers, and so the entries of the other columns, small.
     """
-    by_lead: dict[int, list[int]] = {}
+    rows = []
     for vec in vectors:
         v = list(map(int, vec))
         if len(v) != d:
             raise ValueError("vector arity mismatch")
-        while any(v):
-            j = next(i for i, x in enumerate(v) if x)
-            b = by_lead.get(j)
-            if b is None:
-                by_lead[j] = v
-                break
-            q = v[j] // b[j]
-            v = [x - q * y for x, y in zip(v, b)]
-            if v[j]:
-                # |v[j]| < |b[j]| now; swap roles and keep reducing
-                by_lead[j], v = v, by_lead[j]
-    basis = [by_lead[j] for j in sorted(by_lead)]
-    for b in basis:
-        lead = next(i for i, x in enumerate(b) if x)
-        if b[lead] < 0:
-            b[:] = [-x for x in b]
-    # reduce entries above each pivot into [0, pivot); ascending order keeps
-    # already-reduced columns untouched (later rows are zero before their lead)
-    for bi in range(len(basis)):
-        lead = next(i for i, x in enumerate(basis[bi]) if x)
-        for bj in range(bi):
-            if basis[bj][lead]:
-                q = basis[bj][lead] // basis[bi][lead]
-                basis[bj] = [x - q * y for x, y in zip(basis[bj], basis[bi])]
+        if any(v):
+            rows.append(v)
+    basis: IntMatrix = []
+    for col in range(d):
+        live = [r for r in rows if r[col]]
+        while len(live) > 1:
+            p = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not p:
+                    q = r[col] // p[col]
+                    r[:] = [x - q * y for x, y in zip(r, p)]
+            live = [r for r in live if r[col]]
+        if not live:
+            continue
+        p = live[0]
+        if p[col] < 0:
+            p[:] = [-x for x in p]
+        # reduce the rows above into [0, pivot); p is zero before col, so
+        # their earlier pivot columns stay reduced
+        for b in basis:
+            q = b[col] // p[col]
+            if q:
+                b[:] = [x - q * y for x, y in zip(b, p)]
+        basis.append(p)
+        rows = [r for r in rows if r is not p and any(r)]
     return tuple(tuple(b) for b in basis)
 
 
@@ -213,7 +186,7 @@ def quotient_shape(vectors: Iterable[Sequence[int]], d: int) -> tuple[int, tuple
     if not rows:
         return d, ()
     # past d rows, the at most d Hermite rows of the same lattice keep the
-    # Smith form's row transform d x d
+    # Smith form's pivot scans and row reductions to a d x d matrix
     snf = smith_normal_form(hermite_basis(rows, d) if len(rows) > d else rows)
     diag = list(snf.diagonal) + [0] * (d - len(snf.diagonal))
     free = sum(1 for s in diag if s == 0)

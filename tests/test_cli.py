@@ -109,13 +109,13 @@ def test_lift_decomposable_exits_one(capsys):
     assert "decomposable" in err
 
 
-# witnesses, twist vectors and twist basis of lift --json; past gross, these
-# pairs resolve their variables by pair solves and full Smith solves
+# witnesses, twist vectors and twist basis of lift --json; past gross, each
+# witness is the Hermite-reduced solution, so its exponents stay small
 LIFT_PINS = [
     ("gross", {"x": "a1^3*b1", "y": "a1"},
      [[8, -1, 3, 0], [3, 0, 2, -1]], [[1, 1, 3, -3], [0, 3, 7, -8]]),
-    (("x y", "1 + x^2 + y^3", "1 + x^3 + y^2"), {"x": "a1^-1*b2", "y": "a2*b1^-1"},
-     [[-3, 0, 0, 2], [0, 2, -3, 0], [0, 2, -3, 0], [-3, 0, 0, 2]],
+    (("x y", "1 + x^2 + y^3", "1 + x^3 + y^2"), {"x": "a1^-1*b2", "y": "a2^-1*b1^2"},
+     [[-3, 0, 0, 2], [0, -4, 6, 0], [0, -2, 3, 0], [-3, 0, 0, 2]],
      [[3, 0, 0, -2], [0, 2, -3, 0]]),
     (("x y", "1 + x^-2*y^-3", "1 + y^2 + x^3*y^-1"),
      {"x": "a1^-1*b1*b2^2", "y": "a1^-3*b1^2*b2^6"}, [[-12, 8, 22], [-6, 4, 11]],
@@ -124,15 +124,12 @@ LIFT_PINS = [
      {"x": "a1^2*a2^-1*b1", "y": "a1^6*a2^-4*b1^3"}, [[-9, 6, -4], [18, -12, 8]],
      [[9, -6, 4]]),
     (("x y z", "1 + x^2*y^-2*z^-3 + x^-1*y^-3*z^2", "1 + x^3*z^-3 + x*y^3"),
-     {"x": "a1^33*a2^-39*b1^-29*b2^28", "y": "a1^7957*a2^-9283*b1^-7073*b2^6631",
-      "z": "a1^-39753*a2^46378*b1^35336*b2^-33127"},
-     [[206820, -241290, -183840, 172350], [103410, -120645, -91920, 86175],
-      [119358, -139251, -106096, 99465], [23904, -27888, -21248, 19920]],
-     [[18, -21, -16, 15]]),
+     {"x": "a1^15*a2^-18*b1^-13*b2^13", "y": "a1*a2^-1*b1^-1*b2",
+      "z": "a1^9*a2^-11*b1^-8*b2^8"},
+     [[18, -21, -16, 15], [18, -21, -16, 15]], [[18, -21, -16, 15]]),
     (("x y z", "1 + x^-2*z^-3 + x^-3*y^2*z", "1 + x^-2*y^-1*z^-3 + x^3*y^-2*z^3"),
-     {"x": "a1^31*a2^-34*b1^6*b2^12", "y": "a1^-307*a2^340*b1^-54*b2^-121",
-      "z": "a1^707*a2^-783*b1^126*b2^278"},
-     [[-2184, 2418, -390, -858], [1876, -2077, 335, 737], [4704, -5208, 840, 1848]],
+     {"x": "a1^3*a2^-3*b1*b2", "y": "a1*a2^-1*b1", "z": "a1^7*a2^-8*b1*b2^3"},
+     [[-28, 31, -5, -11], [28, -31, 5, 11], [56, -62, 10, 22]],
      [[28, -31, 5, 11]]),
 ]
 
@@ -152,6 +149,24 @@ def test_lift_documents_are_pinned(capsys, tmp_path, spec, witnesses, twists, ba
     assert res["witnesses"] == witnesses
     assert [t["vector"] for t in res["twists"]] == twists
     assert res["twist_basis"] == basis
+
+
+@pytest.mark.parametrize("spec", [spec for spec, *_ in LIFT_PINS[1:]])
+def test_lift_witnesses_are_reduced_at_the_kernel_pivots(capsys, tmp_path, spec):
+    # the substitution kernel in Hermite form, label columns last label first:
+    # at each pivot label p, every witness exponent lies in [0, p)
+    code, doc = run_json(capsys, "lift", _pair_spec(tmp_path, *spec))
+    assert code == 0
+    res = doc["result"]
+    labels = res["labels"][::-1]
+    kernel = lattice.hermite_basis([row[::-1] for row in res["twist_basis"]], len(labels))
+    pivots = [next((labels[j], p) for j, p in enumerate(row) if p) for row in kernel]
+    for text in res["witnesses"].values():
+        exps = {}
+        for factor in text.split("*"):
+            label, _, exp = factor.partition("^")
+            exps[label] = int(exp or 1)
+        assert all(0 <= exps.get(label, 0) < p for label, p in pivots), (text, pivots)
 
 
 def test_lift_decomposable_pair_message_is_pinned(capsys, tmp_path):
