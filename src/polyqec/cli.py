@@ -271,28 +271,19 @@ def _result_params(spec: specfile.CodeSpec, args) -> dict[str, Any]:
 
 def _result_distance(spec: specfile.CodeSpec, args) -> dict[str, Any]:
     built, group = _on_boundary(spec)
-    if spec.is_classical:
-        res = distance.exact_classical_distance(built, group)
-        return {
-            "kind": "classical",
-            "d_upper": res.value,
-            "d_lower": res.value,
-            "method": "exact-brouwer-zimmermann",
-            "trials": None,
-            "combinations": res.combinations,
-            "witness": _witness_json(res.witness),
-        }
-    method = args.method
+    method = "classical" if spec.is_classical else args.method
     if method == "auto":
         method = "exact" if built.n <= args.exact_cap else "random"
-    if method == "exact":
+    if method == "classical":
+        res = distance.exact_classical_distance(built, group)
+    elif method == "exact":
         res = distance.exact_distance(built, cap_n=args.exact_cap)
     else:
         res = distance.random_upper_bound(
             built, args.trials, args.seed, workers=args.threads
         )
     out = {
-        "kind": "two-block",
+        "kind": "classical" if spec.is_classical else "two-block",
         "d_upper": res.d_upper,
         "d_lower": res.d_lower,
         "method": res.method,
@@ -300,9 +291,14 @@ def _result_distance(spec: specfile.CodeSpec, args) -> dict[str, Any]:
         "workers": res.workers,
         "search_seed": res.seed,
         "witness": _witness_json(res.witness, res.witness_sector),
+        "combinations": res.combinations,
     }
-    if res.combinations is not None:
-        out["combinations"] = res.combinations
+    if spec.is_classical:
+        # the text view lists keys in order: classical documents keep theirs
+        del out["workers"], out["search_seed"]
+        out["witness"] = out.pop("witness")
+    elif res.combinations is None:
+        del out["combinations"]
     return out
 
 

@@ -70,11 +70,11 @@ __all__ = [
 # most non-constant terms of normalized f and g together that a lift takes,
 # one fresh parent variable each.  Its two Hermite forms are dense in that
 # count K (K rows by d + K and by K columns), and the parse cap admits 2^18
-# terms.  With f = 1 + x + y and g = 1 + random monomials in x, y, z, w with
-# exponents in [-6, 6] (2 cores): 32 terms 0.008 s, 64 terms 0.03 s (slowest
-# of 8 seeds), 128 terms 0.14 s, 256 terms 0.73 s (one seed).  32 keeps every
-# bundled and benchmark-catalogue lift, which have at most 12 terms.
-_LIFT_TERM_CAP = 32
+# terms.  With f = 1 + x + y and g = 1 + random monomials with exponents in
+# [-6, 6], slowest of 8 seeds (2 cores): in 3 variables 64 terms 0.02 s,
+# 128 terms 0.12 s, 256 terms 0.60 s; in 4 variables 0.03, 0.09 and 0.52 s.
+# 128 keeps every lift under a fifth of a second.
+_LIFT_TERM_CAP = 128
 
 
 class CodeError(ValueError):

@@ -18,19 +18,20 @@ At practical sizes the randomized search gives upper bounds.  It first looks
 for logicals on one block (``_one_block_logical``): HZ = [Ḡ | F̄], so the
 codewords of the classical codes of ḡ and f̄ on G, placed on the left or the
 right block, lie in the X kernel, and those outside the stabilizers are
-logicals.  In a hypergraph product, which the paper takes as the parent of
-every two-block code, a lightest logical is of this kind; on a compactified
-code they bound d from above (Wang & Pryadko 2022 bound GB-code distances
-through the same cyclic codes).  Then a seeded information-set walk: each
-worker stream keeps the X kernel basis in Gauss–Jordan form, moves it to a
-neighbouring information set by random pivot swaps every round
-(``_InformationSetWalk``), and inspects the rows (and sums of light row
-pairs, ``_candidates``) for low-weight logical operators.  A first round
-given fewer trials than the kernel dimension reduces only the rows it
-examines, and ends the stream.  The worker streams run in parallel processes
-once the job is large enough to pay for the round trip; they are merged in
-worker order after the one-block candidate, so the result is the one a
-sequential run of the streams gives.
+logicals; each kernel basis, already in Gauss–Jordan form in column order,
+gives the candidates of one walk round.  In a hypergraph product, which the
+paper takes as the parent of every two-block code, a lightest logical is of
+this kind; on a compactified code they bound d from above (Wang & Pryadko
+2022 bound GB-code distances through the same cyclic codes).  Then a seeded
+information-set walk: each worker stream keeps the X kernel basis in
+Gauss–Jordan form, moves it to a neighbouring information set by random
+pivot swaps every round (``_InformationSetWalk``), and inspects the rows
+(and sums of light row pairs, ``_candidates``) for low-weight logical
+operators.  A first round given fewer trials than the kernel dimension
+reduces only the rows it examines, and ends the stream.  The worker streams
+run in parallel processes once the job is large enough to pay for the round
+trip; they are merged in worker order after the one-block candidate, so the
+result is the one a sequential run of the streams gives.
 
 Sector conventions, held by ``_sector_checks`` alone: an X-type logical is v
 with HZ*v = 0 and v outside the row space of HX; symmetrically for Z.  The
@@ -41,7 +42,8 @@ nonzero pairing with the representative rows R of ``logical_space``, only
 when it would become the answer: an enumerated combination no heavier than
 the best so far, a walk or one-block candidate strictly lighter.  A
 classical codeword is any nonzero kernel combination, so
-``exact_classical_distance`` runs the same enumeration with no test.
+``exact_classical_distance`` runs the same enumeration with no test and
+returns the same ``DistanceResult``, with no witness sector.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ __all__ = [
     "DistanceError",
     "DistanceCapError",
     "DistanceResult",
-    "ClassicalDistance",
     "exact_distance",
     "random_upper_bound",
     "exact_classical_distance",
@@ -68,6 +69,7 @@ __all__ = [
 ]
 
 EXACT_CAP_DEFAULT = 28
+_EXACT_METHOD = "exact-brouwer-zimmermann"
 _COMBINATION_CAP = 1 << 26  # kernel combinations one exact sector may visit
 _PAIR_POOL = 16  # lightest rows of a walk round whose pairwise sums are candidates
 # trials x kernel dimension below which search streams stay in-process: about
@@ -87,28 +89,21 @@ class DistanceCapError(DistanceError):
 
 @dataclass(frozen=True)
 class DistanceResult:
-    """Outcome of a distance search with reproducibility metadata."""
+    """Outcome of a distance search with reproducibility metadata.  A
+    classical distance has no witness sector, and d_upper = d_lower = None
+    when its kernel is trivial."""
 
-    d_upper: int
+    d_upper: int | None
     d_lower: int | None
     witness: int | None
     witness_sector: str | None
-    method: str  # "exact-brouwer-zimmermann" | "random-x-one-block-information-set-walk"
+    method: str  # _EXACT_METHOD | "random-x-one-block-information-set-walk"
     trials: int | None = None
     seed: int | None = None
     workers: int | None = None
-    # kernel combinations an exact search visited in the X sector: a work
-    # counter, not part of the answer
+    # kernel combinations an exact search visited in the X sector (the one
+    # block of a classical code): a work counter, not part of the answer
     combinations: int | None = field(default=None, compare=False)
-
-
-@dataclass(frozen=True)
-class ClassicalDistance:
-    """Minimum-weight nonzero kernel element of a classical check matrix."""
-
-    value: int | None  # None: the kernel is trivial, there are no codewords
-    witness: int | None
-    combinations: int = field(default=0, compare=False)  # work counter
 
 
 def _sector_checks(inst: CodeInstance, sector: str) -> tuple[BinaryMatrix, BinaryMatrix]:
@@ -297,14 +292,7 @@ def exact_distance(inst: CodeInstance, *, cap_n: int = EXACT_CAP_DEFAULT) -> Dis
     d, witness, visited = _bz_minimum(kernel, reps, inst.n, inst.group)
     assert witness is not None  # reps nonempty guarantees a logical element exists
     validate_logical_witness(inst, witness, "X")
-    return DistanceResult(
-        d_upper=d,
-        d_lower=d,
-        witness=witness,
-        witness_sector="X",
-        method="exact-brouwer-zimmermann",
-        combinations=visited,
-    )
+    return DistanceResult(d, d, witness, "X", _EXACT_METHOD, combinations=visited)
 
 
 def _candidates(rows: list[int]) -> list[int]:
@@ -314,6 +302,18 @@ def _candidates(rows: list[int]) -> list[int]:
     return rows + [a ^ b for a, b in combinations(light, 2)]
 
 
+def _lighter_logical(
+    candidates: list[int], reps: BinaryMatrix, best_w: int, best: int | None
+) -> tuple[int, int | None]:
+    """Fold ``candidates`` into (best_w, best): a logical strictly lighter
+    than the best so far replaces it, so the first of the lowest weight
+    wins.  Only such a candidate is tested against ``reps``."""
+    for x in candidates:
+        if x.bit_count() < best_w and reps.times_vector(x):
+            best_w, best = x.bit_count(), x
+    return best_w, best
+
+
 def _one_block_logical(inst: CodeInstance, reps: BinaryMatrix) -> tuple[int, int | None]:
     """(weight, witness) of the lightest X logical supported on one block
     among the candidates of each block's classical kernel, the first found
@@ -321,20 +321,18 @@ def _one_block_logical(inst: CodeInstance, reps: BinaryMatrix) -> tuple[int, int
 
     HZ = [Ḡ | F̄], so (u, 0) lies in ker HZ exactly when ḡu = 0 in F2[G], and
     (0, v) exactly when f̄v = 0: the codewords of the classical codes of ḡ
-    and f̄ on G.  Each kernel is reduced to Gauss–Jordan form in column order
-    and gives the candidates of one walk round (``_candidates``); ``reps``
-    are the X sector's representatives from ``logical_space``, and only a
-    candidate lighter than the best so far is tested against them.
+    and f̄ on G.  Each ``nullspace`` basis is already in Gauss–Jordan form in
+    column order (every row's lowest bit is a free column no other row
+    holds, in ascending order), so it gives the candidates of one walk round
+    (``_candidates``) as it is; ``reps`` are the X sector's representatives
+    from ``logical_space``.
     """
     size = inst.group.order
-    best_w, best = inst.n, None
+    best = (inst.n, None)
     for offset, poly in ((0, inst.code.g), (size, inst.code.f)):
         rows = [u << offset for u in _check_matrix(inst.group, (poly.antipode(),)).nullspace()]
-        _eliminate(rows, list(range(offset, offset + size)))
-        for x in _candidates(rows):
-            if x.bit_count() < best_w and reps.times_vector(x):
-                best_w, best = x.bit_count(), x
-    return best_w, best
+        best = _lighter_logical(_candidates(rows), reps, *best)
+    return best
 
 
 class _InformationSetWalk:
@@ -410,15 +408,13 @@ def _stream(
     that finds nothing returns (n, None).
     """
     walk = _InformationSetWalk(random.Random(seed * 0x9E3779B1 + widx), kernel, n)
-    best_w, best = n, None
+    best = (n, None)
     examined = 0
     while examined < budget:
         found = walk.round(budget - examined)
         examined += len(found)
-        for x in found:
-            if x.bit_count() < best_w and reps.times_vector(x):
-                best_w, best = x.bit_count(), x
-    return best_w, best
+        best = _lighter_logical(found, reps, *best)
+    return best
 
 
 _pool = None  # (pid, processes, pool): one lazily forked pool per process
@@ -523,16 +519,17 @@ def random_upper_bound(
 
 def exact_classical_distance(
     mat: BinaryMatrix, group: QuotientGroup | None = None
-) -> ClassicalDistance:
-    """Minimum weight over the nonzero kernel of a classical check matrix; the
-    witness is the smallest integer among the lightest codewords.  ``group``
-    is the group of ``classical_parity_matrix``; None uses no symmetry."""
+) -> DistanceResult:
+    """Minimum weight over the nonzero kernel of a classical check matrix, as
+    d_upper = d_lower (None on a trivial kernel); the witness is the smallest
+    integer among the lightest codewords.  ``group`` is the group of
+    ``classical_parity_matrix``; None uses no symmetry."""
     if group is not None and group.order != mat.ncols:
         raise DistanceError("the matrix does not have one column per group element")
     kernel = mat.nullspace()
     if not kernel:
-        return ClassicalDistance(value=None, witness=None)
-    value, witness, visited = _bz_minimum(kernel, None, mat.ncols, group)
+        return DistanceResult(None, None, None, None, _EXACT_METHOD, combinations=0)
+    d, witness, visited = _bz_minimum(kernel, None, mat.ncols, group)
     if not witness or mat.times_vector(witness):
         raise DistanceError("witness is not a nonzero codeword of the check matrix")
-    return ClassicalDistance(value=value, witness=witness, combinations=visited)
+    return DistanceResult(d, d, witness, None, _EXACT_METHOD, combinations=visited)

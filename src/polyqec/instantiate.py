@@ -308,7 +308,6 @@ class CodeInstance:
     """A two-block code pinned to a finite translation group."""
 
     code: TwoBlockCode
-    presentation: GroupPresentation
     group: QuotientGroup
     hx: BinaryMatrix
     hz: BinaryMatrix
@@ -348,7 +347,7 @@ def instantiate(
     group = _code_group(code, pres)
     hx = _check_matrix(group, (code.f, code.g))
     hz = _check_matrix(group, (code.g.antipode(), code.f.antipode()))
-    inst = CodeInstance(code=code, presentation=pres, group=group, hx=hx, hz=hz)
+    inst = CodeInstance(code=code, group=group, hx=hx, hz=hz)
     if check:
         _verify_commutation(inst)
     return inst

@@ -183,11 +183,7 @@ def quotient_shape(vectors: Iterable[Sequence[int]], d: int) -> tuple[int, tuple
     for v in rows:
         if len(v) != d:
             raise ValueError("vector arity mismatch")
-    if not rows:
-        return d, ()
-    # past d rows, the at most d Hermite rows of the same lattice keep the
-    # Smith form's pivot scans and row reductions to a d x d matrix
-    snf = smith_normal_form(hermite_basis(rows, d) if len(rows) > d else rows)
+    snf = smith_normal_form(rows)
     diag = list(snf.diagonal) + [0] * (d - len(snf.diagonal))
     free = sum(1 for s in diag if s == 0)
     torsion = tuple(s for s in diag if s > 1)

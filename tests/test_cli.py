@@ -824,7 +824,7 @@ def test_refusals_end_in_one_line(capsys, tmp_path):
     for argv, message in [
         (
             ("lift", str(wide)),
-            "lift needs one parent variable per non-constant term: 730 terms exceed the cap 32",
+            "lift needs one parent variable per non-constant term: 730 terms exceed the cap 128",
         ),
         (
             ("check", str(huge)),

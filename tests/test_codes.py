@@ -11,6 +11,7 @@ from polyqec.codes import (
     FamilyTag,
     LiftError,
     TwistError,
+    TwoBlockCode,
     bound_report,
     compactify,
     decomposition_profile,
@@ -44,8 +45,6 @@ def _rand_poly(rng: random.Random, ctx: VarContext, terms: int, span: int = 2) -
 def test_two_block_requires_matching_context():
     ctx = VarContext(("x", "y"))
     other = VarContext(("x",))
-    from polyqec.codes import TwoBlockCode
-
     with pytest.raises(CodeError):
         TwoBlockCode(ctx, parse_poly("1 + x", other), parse_poly("1 + y", ctx))
 
@@ -238,22 +237,22 @@ def test_lift_rejects_degenerate_generator():
 def test_lift_refuses_more_terms_than_its_cap():
     # f has two non-constant terms and g as many z powers as the rest of the
     # cap allows; one power more is refused before any parent is built
-    assert codes_mod._LIFT_TERM_CAP == 32
-    powers = " + ".join(f"z^{e}" for e in range(1, 31))
+    assert codes_mod._LIFT_TERM_CAP == 128
+    powers = " + ".join(f"z^{e}" for e in range(1, 127))
     lift = lift_to_parent(two_block("x y z", "1 + x + y", f"1 + {powers}"))
-    assert len(lift.labels) == 32
+    assert len(lift.labels) == 128
     with pytest.raises(LiftError) as err:
-        lift_to_parent(two_block("x y z", "1 + x + y", f"1 + {powers} + z^31"))
+        lift_to_parent(two_block("x y z", "1 + x + y", f"1 + {powers} + z^127"))
     assert str(err.value) == (
-        "lift needs one parent variable per non-constant term: 33 terms exceed the cap 32"
+        "lift needs one parent variable per non-constant term: 129 terms exceed the cap 128"
     )
 
 
 # two 32-term g in 4 variables (2 cores, Python 3.11.7): the greedy witness
 # search took 0.7 s on the first and 10.7 s on the second; with Hermite
 # witnesses, the twist basis took 3.6 s on the first while it inserted its rows
-# one by one; now each lift takes about 0.01 s
-CAP_SIZED_G = [
+# one by one.  The test below pads each with seeded monomials up to the cap
+SLOW_ONCE_G = [
     "1 + x^-6*y^2*z^-3*w^6 + x^-5*y^-2*z^-5*w + x^-5*y^5*z^-1*w^5 + x^-4*y^3*z^6*w^6"
     " + x^-4*y^4*z^5*w^-2 + x^-2*y^5*z^3*w^3 + x^-1*y^-6*z^-6*w^-6 + x^-1*y^-5*z*w^4"
     " + x^-1*y^-3*z^4*w^-3 + y^2*z^4*w^-5 + y^6*z^-3*w^-5 + x*y^-6 + x*y*z^2*w^-3"
@@ -271,15 +270,25 @@ CAP_SIZED_G = [
 ]
 
 
-@pytest.mark.parametrize("g", CAP_SIZED_G, ids=["twist-basis", "greedy-search"])
+@pytest.mark.parametrize("g", SLOW_ONCE_G, ids=["twist-basis", "greedy-search"])
 def test_lift_at_the_cap_answers_at_once(g):
-    code = two_block("x y z w", "1 + x + y", g)
+    # g grows by seeded monomials, exponents in [-6, 6], until f = 1 + x + y
+    # and g have 128 non-constant terms together; one more term is refused
+    ctx = VarContext(tuple("xyzw"))
+    f, terms = parse_poly("1 + x + y", ctx), set(parse_poly(g, ctx).terms)
+    rng = random.Random(len(terms))
+    while len(terms) < codes_mod._LIFT_TERM_CAP - 1:
+        terms.add(tuple(rng.randint(-6, 6) for _ in range(4)))
+    code = TwoBlockCode(ctx, f, LaurentPoly(ctx, frozenset(terms)))
     t0 = time.perf_counter()
     lift = lift_to_parent(code)
     assert time.perf_counter() - t0 < 1.0
-    assert len(lift.labels) == 32 and len(lift.twist_basis) == 28
+    assert len(lift.labels) == 128 and len(lift.twist_basis) == 124
     back = compactify(lift.parent, lift.substitution, [t.vector for t in lift.twists])
     assert back.normalized() == code.normalized()
+    over = TwoBlockCode(ctx, f, LaurentPoly(ctx, frozenset(terms | {(7, 0, 0, 0)})))
+    with pytest.raises(LiftError, match="129 terms exceed the cap 128"):
+        lift_to_parent(over)
 
 
 def test_lift_roundtrip_on_random_indecomposable_codes():
@@ -292,8 +301,6 @@ def test_lift_roundtrip_on_random_indecomposable_codes():
         g = _rand_poly(rng, ctx, rng.randint(2, 4))
         if f.is_zero or g.is_zero or f.is_monomial or g.is_monomial:
             continue
-        from polyqec.codes import TwoBlockCode
-
         code = TwoBlockCode(ctx, f, g)
         if not is_indecomposable(code):
             continue

@@ -9,9 +9,9 @@ import polyqec.distance as distance_mod
 from polyqec.codes import TwoBlockCode, two_block
 from polyqec import specfile
 from polyqec.distance import (
-    ClassicalDistance,
     DistanceCapError,
     DistanceError,
+    DistanceResult,
     exact_classical_distance,
     exact_distance,
     logical_space,
@@ -20,7 +20,7 @@ from polyqec.distance import (
 )
 from polyqec.fixtures import fixture_names, fixture_path
 from polyqec.instantiate import BinaryMatrix
-from polyqec.instantiate import classical_parity_matrix, instantiate
+from polyqec.instantiate import _check_matrix, classical_parity_matrix, instantiate
 from polyqec.lattice import GroupPresentation, quotient
 from polyqec.poly import LaurentPoly, VarContext, parse_poly
 
@@ -106,7 +106,7 @@ def test_sector_swap_symmetry():
         checked += 1
         code = inst.code
         swapped = TwoBlockCode(code.context, code.g.antipode(), code.f.antipode())
-        inst_sw = instantiate(swapped, inst.presentation)
+        inst_sw = instantiate(swapped, inst.group.presentation)
         dx, _ = _sector_minimum(inst, "X")
         dz, _ = _sector_minimum(inst, "Z")
         sx, _ = _sector_minimum(inst_sw, "X")
@@ -250,7 +250,7 @@ def test_repetition_code_distance_is_ring_length():
     for L in (3, 5, 7):
         mat = classical_parity_matrix(gen, torus(gen.context, L))
         res = exact_classical_distance(mat)
-        assert res == ClassicalDistance(value=L, witness=(1 << L) - 1)
+        assert res == DistanceResult(L, L, (1 << L) - 1, None, "exact-brouwer-zimmermann")
         assert exact_classical_distance(mat, quotient(torus(gen.context, L))) == res
         with pytest.raises(DistanceError, match="one column per group element"):
             exact_classical_distance(mat, quotient(torus(gen.context, L + 1)))
@@ -260,11 +260,13 @@ def test_triangle_generator_distances():
     gen = parse_poly("1 + x + y")
     m3 = classical_parity_matrix(gen, torus(gen.context, 3, 3))
     res = exact_classical_distance(m3)
-    assert res.value == 6
+    assert res.d_upper == res.d_lower == 6
     assert m3.times_vector(res.witness) == 0
     for L in (2, 4):
         mm = classical_parity_matrix(gen, torus(gen.context, L, L))
-        assert exact_classical_distance(mm) == ClassicalDistance(None, None)
+        res = exact_classical_distance(mm)
+        assert res == DistanceResult(None, None, None, None, "exact-brouwer-zimmermann")
+        assert res.combinations == 0
 
 
 def test_classical_matches_brute_force():
@@ -280,7 +282,7 @@ def test_classical_matches_brute_force():
                 w = v.bit_count()
                 expect = w if expect is None else min(expect, w)
         got = exact_classical_distance(mat)
-        assert got.value == expect
+        assert got.d_upper == got.d_lower == expect
         if expect is not None:
             # the smallest integer among the lightest codewords
             assert got.witness == next(
@@ -292,7 +294,7 @@ def test_classical_matches_brute_force():
 def test_classical_cap(monkeypatch):
     # every unit vector is a codeword: level 1 finds weight 1 and ends the search
     got = exact_classical_distance(BinaryMatrix([0], 30))
-    assert (got.value, got.witness, got.combinations) == (1, 1, 30)
+    assert (got.d_upper, got.witness, got.combinations) == (1, 1, 30)
     monkeypatch.setattr(distance_mod, "_COMBINATION_CAP", 29)
     with pytest.raises(DistanceCapError, match="combinations"):
         exact_classical_distance(BinaryMatrix([0], 30))
@@ -478,7 +480,7 @@ def test_blocked_gray_sweep_matches_per_state_sweep(monkeypatch, credited):
         dims.add(len(kernel))
         expect = _per_state_gray(kernel, None, mat.ncols)
         sym, plain = (exact_classical_distance(mat, s) for s in (group, None))
-        assert (sym.value, sym.witness) == (plain.value, plain.witness) == expect
+        assert (sym.d_upper, sym.witness) == (plain.d_upper, plain.witness) == expect
         assert sym.combinations <= plain.combinations
         fewer += sym.combinations < plain.combinations
     assert max(dims) >= 10
@@ -493,7 +495,7 @@ def test_blocked_gray_sweep_matches_per_state_sweep(monkeypatch, credited):
             assert len(kernel) == m
             value, witness = _per_state_gray(kernel, None, mat.ncols)
             got = exact_classical_distance(mat)
-            assert (got.value, got.witness) == (value, witness)
+            assert (got.d_upper, got.witness) == (value, witness)
             reps = _random_reps(rng, mat.ncols)
             got = distance_mod._bz_minimum(kernel, reps, mat.ncols)
             assert got[:2] == _per_state_gray(kernel, reps, mat.ncols)
@@ -583,7 +585,7 @@ def test_exact_witness_is_smallest_lightest_logical():
     kernel = mat.nullspace()
     expect = _per_state_gray(kernel, None, mat.ncols)
     got = exact_classical_distance(mat, quotient(pres))
-    assert (got.value, got.witness) == expect
+    assert (got.d_upper, got.witness) == expect
 
 
 # -- parallel search streams against the sequential loop --------------------
@@ -872,3 +874,45 @@ def test_one_block_bound_on_the_published_codes(name):
     validate_logical_witness(inst, witness, "X")
     size = inst.group.order
     assert witness < 1 << size or witness % (1 << size) == 0  # on one block
+
+
+def _assert_column_order_gauss_jordan(mat):
+    """The nullspace rows of ``mat`` each have their lowest set bit at a free
+    column that no other row holds, ascending: Gauss–Jordan along the columns
+    in order leaves them as they are."""
+    rows = mat.nullspace()
+    lows = [(r & -r).bit_length() - 1 for r in rows]
+    assert lows == sorted(set(lows)) and set(lows).isdisjoint(mat._pivots())
+    for i, low in enumerate(lows):
+        assert [j for j, r in enumerate(rows) if r >> low & 1] == [i]
+    again = list(rows)
+    distance_mod._eliminate(again, list(range(mat.ncols)))
+    assert again == rows
+
+
+def test_nullspace_rows_are_in_column_order_gauss_jordan_form():
+    # the one-block candidates take each classical kernel as its nullspace
+    # gives it, with no elimination of their own
+    rng = random.Random(31)
+    for _ in range(400):
+        cols = rng.randint(1, 40)
+        density = rng.choice((0.1, 0.3, 0.5))
+        rows = [
+            sum(1 << c for c in range(cols) if rng.random() < density)
+            for _ in range(rng.randint(0, 50))
+        ]
+        _assert_column_order_gauss_jordan(BinaryMatrix(rows, cols))
+    instances = []
+    for name in fixture_names():
+        spec = specfile.parse_spec_file(fixture_path(name))
+        if not spec.is_classical:
+            instances.append(instantiate(spec.two_block(), spec.presentation()))
+            for rels in _catalogue_tori(spec.context.dim):
+                pres = GroupPresentation(spec.context, rels)
+                instances.append(instantiate(spec.two_block(), pres))
+    for f, g, l, m, _ in _PUBLISHED_ONE_BLOCK.values():
+        code = two_block("x y", f, g)
+        instances.append(instantiate(code, torus(code.context, l, m)))
+    for inst in instances:
+        for poly in (inst.code.g, inst.code.f):
+            _assert_column_order_gauss_jordan(_check_matrix(inst.group, (poly.antipode(),)))

@@ -565,7 +565,7 @@ def _oddly_meeting_instance(inst):
             rows = list(inst.hz.rows)
             rows[h] ^= bit
             hz = BinaryMatrix(rows, inst.hz.ncols)
-            return h, CodeInstance(inst.code, inst.presentation, group, inst.hx, hz)
+            return h, CodeInstance(inst.code, group, inst.hx, hz)
     raise AssertionError("no such offset")
 
 

@@ -206,7 +206,9 @@ def test_quotient_shape_examples():
 
 def test_quotient_shape_builds_no_transform_larger_than_d(monkeypatch):
     # the monomial vectors of a large generator number in the tens of
-    # thousands; a rows x rows transform of them does not fit in memory
+    # thousands, and quotient_shape hands them to the Smith form as they are;
+    # a rows x rows transform of them would not fit in memory, so the Smith
+    # form itself builds only the cols x cols V
     rng = random.Random(20)
     vectors = rand_matrix(rng, 300, 2, span=40)
     diag = list(smith_normal_form(vectors).diagonal)
