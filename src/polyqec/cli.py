@@ -27,8 +27,7 @@ from . import codes, distance, specfile
 from .fixtures import FAMILY_TABLE_ROWS, fixture_names, fixture_path
 from .instantiate import (
     _check_matrix,
-    _classical_group,
-    _code_group,
+    _group,
     instantiate as build_instance,
     support_bits,
     tanner_component_count,
@@ -99,7 +98,7 @@ def _on_boundary(spec: specfile.CodeSpec):
     if spec.is_classical:
         # the steps of classical_parity_matrix, keeping the group it builds
         poly = spec.classical_generator()
-        group = _classical_group(poly, pres)
+        group = _group(spec.context, (poly,), pres)
         return _check_matrix(group, (poly,)), group
     built = build_instance(spec.two_block(), pres)
     return built, built.group
@@ -337,7 +336,7 @@ def _result_bounds(spec: specfile.CodeSpec, args) -> dict[str, Any]:
                 "bounds need a block length; add a [boundary] section or pass --n"
             )
         # degrees of freedom across both sectors: columns of HX plus HZ
-        n_eval = 4 * _code_group(code, pres).order
+        n_eval = 4 * _group(code.context, (code.f, code.g), pres).order
     rep = codes.bound_report(code, n_eval)
     return {**dataclasses.asdict(rep), "lines": list(rep.lines)}
 

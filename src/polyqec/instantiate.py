@@ -40,7 +40,7 @@ from typing import IO, Iterable, Sequence
 
 from .codes import CodeError, TwoBlockCode
 from .lattice import GroupPresentation, QuotientGroup, quotient, quotient_shape
-from .poly import LaurentPoly
+from .poly import LaurentPoly, VarContext
 
 __all__ = [
     "BinaryMatrix",
@@ -249,17 +249,26 @@ class BinaryMatrix:
 # -- instantiation ---------------------------------------------------------
 
 
-def _finite_group(pres: GroupPresentation) -> QuotientGroup:
-    """The quotient group of a presentation, refused above the order cap.
+def _group(
+    context: VarContext, generators: Sequence[LaurentPoly], pres: GroupPresentation
+) -> QuotientGroup:
+    """The finite group that generators over ``context`` are instantiated on.
 
-    Checked before any matrix is built: a matrix has one row per group
-    element, each as wide as a multiple of the group order.
+    The one gate before any matrix is built (a matrix has one row per group
+    element, each as wide as a multiple of the group order).  It refuses, in
+    this order: a presentation over another context, an infinite quotient
+    (``InfiniteQuotientError``), an order above ``GROUP_ORDER_CAP`` and a
+    zero generator.
     """
+    if pres.context != context:
+        raise CodeError("presentation context differs from the code context")
     group = quotient(pres)
     if group.order > GROUP_ORDER_CAP:
         raise CodeError(
             f"group order {group.order} exceeds the instantiation cap {GROUP_ORDER_CAP}"
         )
+    if any(poly.is_zero for poly in generators):
+        raise CodeError("cannot instantiate a code with a zero generator")
     return group
 
 
@@ -323,28 +332,18 @@ class CodeInstance:
         return self.n - 2 * self.hx.rank()
 
 
-def _code_group(code: TwoBlockCode, pres: GroupPresentation) -> QuotientGroup:
-    """The group a code is instantiated on, with every check ``instantiate``
-    makes before it builds a matrix: same context, order cap, no zero generator.
-    """
-    if pres.context != code.context:
-        raise CodeError("presentation context differs from the code context")
-    group = _finite_group(pres)
-    if code.f.is_zero or code.g.is_zero:
-        raise CodeError("cannot instantiate a code with a zero generator")
-    return group
-
-
 def instantiate(
     code: TwoBlockCode, pres: GroupPresentation, *, check: bool = True
 ) -> CodeInstance:
     """Build the X/Z parity-check matrices of a code on a finite group.
 
-    Raises if the presentation's quotient group is infinite or if it belongs
-    to a different variable context.  With ``check`` the X/Z commutation is
-    verified on X check 0 against every Z check (``_verify_commutation``).
+    The group comes from ``_group``, which refuses a presentation over
+    another context, an infinite quotient, an order above
+    ``GROUP_ORDER_CAP`` and a zero generator, in that order.  With ``check``
+    the X/Z commutation is verified on X check 0 against every Z check
+    (``_verify_commutation``).
     """
-    group = _code_group(code, pres)
+    group = _group(code.context, (code.f, code.g), pres)
     hx = _check_matrix(group, (code.f, code.g))
     hz = _check_matrix(group, (code.g.antipode(), code.f.antipode()))
     inst = CodeInstance(code=code, group=group, hx=hx, hz=hz)
@@ -369,19 +368,10 @@ def _verify_commutation(inst: CodeInstance) -> None:
             )
 
 
-def _classical_group(poly: LaurentPoly, pres: GroupPresentation) -> QuotientGroup:
-    """The group a classical generator is instantiated on, with every check
-    ``classical_parity_matrix`` makes before it builds the matrix."""
-    if pres.context != poly.context:
-        raise CodeError("presentation context differs from the generator context")
-    if poly.is_zero:
-        raise CodeError("cannot instantiate a zero generator")
-    return _finite_group(pres)
-
-
 def classical_parity_matrix(poly: LaurentPoly, pres: GroupPresentation) -> BinaryMatrix:
-    """One check per group element for a single classical generator."""
-    return _check_matrix(_classical_group(poly, pres), (poly,))
+    """One check per group element for a single classical generator, on the
+    group ``_group`` gives (refused as ``instantiate`` refuses)."""
+    return _check_matrix(_group(poly.context, (poly,), pres), (poly,))
 
 
 def tanner_component_count(inst: CodeInstance) -> int:

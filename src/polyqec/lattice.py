@@ -293,9 +293,6 @@ class QuotientGroup:
     def neg(self, a: int) -> int:
         return self._index(-x for x in self.index_coords(a))
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def translation(self, mono: Monomial) -> list[int]:
         """Permutation table: element index -> index of (element * mono).
 

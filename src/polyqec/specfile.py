@@ -10,9 +10,12 @@ A code file has up to four sections:
 * ``[lift]`` — a parent hypergraph product given by fresh variable lists
   ``parent_f`` / ``parent_g``, followed by one assignment per parent
   variable.  An assignment right-hand side is a monomial over the child
-  variables and/or previously assignable parent variables; references to
-  parent variables resolve iteratively and additionally record a twist
-  relation (the parent-exponent vector that maps to the trivial monomial).
+  variables and/or other parent variables, in any order.  The images settle
+  in rounds: each round settles every label whose referenced labels have
+  settled, and a round that settles none names the unsettled labels as
+  circular.  A right-hand side with a parent part and no child part gives a
+  twist relation, e_label minus its parent part (a parent-exponent vector
+  that maps to the trivial monomial); the twists come in assignment order.
 
 Errors carry the source name and line number of the offending line.
 """
@@ -207,21 +210,17 @@ def parse_boundary_equation(line: str, ctx: VarContext, source: str, lineno: int
 
 
 def _parse_lift(lines, ctx: VarContext, source: str) -> LiftSpec:
-    f_labels: tuple[str, ...] | None = None
-    g_labels: tuple[str, ...] | None = None
+    declared: dict[str, tuple[str, ...]] = {}
     assignments: list[tuple[int, str, str]] = []
     for lineno, line in lines:
         key, value = _key_value(lineno, line, source)
-        if key == "parent_f":
-            if f_labels is not None:
-                raise _fail(source, lineno, "duplicate parent_f")
-            f_labels = tuple(value.split())
-        elif key == "parent_g":
-            if g_labels is not None:
-                raise _fail(source, lineno, "duplicate parent_g")
-            g_labels = tuple(value.split())
+        if key in _RESERVED_LIFT_KEYS:
+            if key in declared:
+                raise _fail(source, lineno, f"duplicate {key}")
+            declared[key] = tuple(value.split())
         else:
             assignments.append((lineno, key, value))
+    f_labels, g_labels = (declared.get(key) for key in _RESERVED_LIFT_KEYS)
     if not f_labels or not g_labels:
         first = lines[0][0] if lines else 0
         raise _fail(source, first, "[lift] must declare parent_f and parent_g")
@@ -243,41 +242,36 @@ def _parse_lift(lines, ctx: VarContext, source: str) -> LiftSpec:
 
     combined = VarContext(ctx.names + labels)
     d = ctx.dim
-    label_index = {lbl: i for i, lbl in enumerate(labels)}
+    # label -> right-hand side over (child variables, parent labels)
+    parsed = {
+        key: _parse_monomial_at(lineno, value, combined, source)
+        for lineno, key, value in assignments
+    }
 
+    # each round settles every label whose parent references have settled
     images: dict[str, Monomial] = {}
-    twists: list[tuple[int, ...]] = []
-    parsed: dict[str, tuple[Monomial, Monomial]] = {}  # label -> (child part, parent part)
-    for lineno, key, value in assignments:
-        mono = _parse_monomial_at(lineno, value, combined, source)
-        parsed[key] = (mono[:d], mono[d:])
-
-    remaining = [key for _, key, _ in assignments]
-    while remaining:
-        progressed = []
-        for key in remaining:
-            cexp, pexp = parsed[key]
-            if any(e and labels[i] not in images for i, e in enumerate(pexp)):
-                continue
-            img = list(cexp)
-            for i, e in enumerate(pexp):
-                if e:
-                    for j in range(d):
-                        img[j] += e * images[labels[i]][j]
-            images[key] = tuple(img)
-            # e_label - pexp annihilates under substitution only when the
-            # right-hand side has no child-variable part.
-            if any(pexp) and not any(cexp):
-                vec = [-e for e in pexp]
-                vec[label_index[key]] += 1
-                twists.append(tuple(vec))
-            progressed.append(key)
-        if not progressed:
-            raise SpecError(
-                f"{source}: circular parent-variable assignments: {sorted(remaining)}"
+    while len(images) < len(labels):
+        settled = {
+            key: tuple(
+                c + sum(e * images[lbl][j] for lbl, e in zip(labels, rhs[d:]) if e)
+                for j, c in enumerate(rhs[:d])
             )
-        remaining = [k for k in remaining if k not in progressed]
+            for key, rhs in parsed.items()
+            if key not in images
+            and all(lbl in images for lbl, e in zip(labels, rhs[d:]) if e)
+        }
+        if not settled:
+            unsettled = sorted(set(labels) - set(images))
+            raise SpecError(f"{source}: circular parent-variable assignments: {unsettled}")
+        images.update(settled)
 
+    # e_label - (parent part) maps to the trivial monomial when the right-hand
+    # side has a parent part and no child part
+    twists = tuple(
+        tuple(int(lbl == key) - e for lbl, e in zip(labels, rhs[d:]))
+        for key, rhs in parsed.items()
+        if any(rhs[d:]) and not any(rhs[:d])
+    )
     parent = parent_hgp(f_labels, g_labels)
     substitution = {lbl: LaurentPoly.monomial(ctx, images[lbl]) for lbl in labels}
-    return LiftSpec(parent=parent, substitution=substitution, twist_vectors=tuple(twists))
+    return LiftSpec(parent=parent, substitution=substitution, twist_vectors=twists)

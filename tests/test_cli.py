@@ -872,6 +872,21 @@ def test_cache_dir_that_is_a_file_fails_before_building(capsys, tmp_path, monkey
     assert calls == []
 
 
+def test_failed_store_removes_its_temporary_file(tmp_path, monkeypatch):
+    cache = ReportCache(tmp_path)
+    key = cache.key("params", "spec text", {})
+    doc = make_document("params", {"sha256": "a" * 64}, {"kind": "two-block"}, seconds=1.0)
+
+    def refuse(src, dst):
+        assert Path(src).is_file()  # the document was written before the move
+        raise OSError("disk full")
+
+    monkeypatch.setattr(report.os, "replace", refuse)
+    with pytest.raises(OSError, match="^disk full$"):
+        cache.store(key, doc)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cached_document_keeps_its_seconds(tmp_path):
     cache = ReportCache(tmp_path)
     key = cache.key("params", "spec text", {})

@@ -9,6 +9,7 @@ from polyqec.codes import (
     BoundReport,
     CodeError,
     FamilyTag,
+    HGPCode,
     LiftError,
     TwistError,
     TwoBlockCode,
@@ -59,6 +60,15 @@ def test_hgp_builds_disjoint_union_context():
 def test_hgp_rejects_shared_variables():
     with pytest.raises(ValueError, match="duplicate variable names"):
         parent_hgp(("x", "y"), ("y",))
+    ctx = VarContext(("a", "b", "c"))
+    f, g = parse_poly("1 + a", ctx), parse_poly("1 + b + c", ctx)
+    with pytest.raises(CodeError, match="^hypergraph-product variable blocks must be disjoint$"):
+        HGPCode(ctx, f, g, f_vars=("a", "b"), g_vars=("b", "c"))
+    with pytest.raises(CodeError, match="^f strays outside its variable block$"):
+        HGPCode(ctx, parse_poly("1 + a + b", ctx), parse_poly("1 + c", ctx),
+                f_vars=("a",), g_vars=("b", "c"))
+    with pytest.raises(CodeError, match="^g strays outside its variable block$"):
+        HGPCode(ctx, f, g, f_vars=("a", "b"), g_vars=("c",))
 
 
 def test_hgp_split_detects_blocks():
@@ -71,6 +81,14 @@ def test_normalized_divides_out_leading_terms():
     norm = code.normalized()
     assert str(norm.f) == "1 + x"
     assert str(norm.g) == "1 + y"
+    # a hypergraph product stays one, with its blocks
+    ctx = VarContext(("a", "b", "c"))
+    hgp = HGPCode(ctx, parse_poly("a + a^2", ctx), parse_poly("b^-1 + c", ctx),
+                  f_vars=("a",), g_vars=("b", "c"))
+    norm = hgp.normalized()
+    assert type(norm) is HGPCode
+    assert (norm.f_vars, norm.g_vars) == (("a",), ("b", "c"))
+    assert (str(norm.f), str(norm.g)) == ("1 + a", "1 + b*c")
 
 
 def test_normalized_rejects_zero_generator():

@@ -1,6 +1,6 @@
-"""Every exported name exists, and every exported name and every field and
-property of a package class is used by the package, the README or the
-acceptance gates, not only by the tests."""
+"""Every exported name exists, and every exported name and every field,
+property and method of a package class is used by the package, the README or
+the acceptance gates, not only by the tests."""
 
 import ast
 import importlib
@@ -128,6 +128,53 @@ def test_every_field_and_property_is_read():
         for cls, name in _class_state(path):
             checked += 1
             if cls not in _READ_WHOLE and name not in read and name not in spans:
+                unread.append(f"{path.stem}.{cls}.{name}")
+    assert checked > 40
+    assert unread == []
+
+
+def _reads(path: Path) -> set[str]:
+    """Attribute names a Python file reads and names it loads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return _attribute_reads(path) | {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _readme_code_words() -> set[str]:
+    """Names inside README code spans and fenced code blocks."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S)
+    return _readme_names()[0] | {w for block in blocks for w in re.findall(r"\w+", block)}
+
+
+def _class_methods(path: Path) -> list[tuple[str, str]]:
+    """(class, name) for each method, not a dunder or a property, of the
+    classes a package module defines."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        (cls.name, node.name)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and not any(isinstance(d, ast.Name) and d.id == "property" for d in node.decorator_list)
+    ]
+
+
+def test_every_method_is_read():
+    read = set()
+    for path in [*PACKAGE.glob("*.py"), ROOT / "tests" / "test_acceptance.py"]:
+        read |= _reads(path)
+    words = _readme_code_words()
+    checked, unread = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls, name in _class_methods(path):
+            checked += 1
+            if name not in read and name not in words:
                 unread.append(f"{path.stem}.{cls}.{name}")
     assert checked > 40
     assert unread == []

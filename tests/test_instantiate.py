@@ -122,6 +122,8 @@ def test_dense_roundtrip_and_shape():
 def test_row_width_validation():
     with pytest.raises(ValueError):
         BinaryMatrix([0b100], ncols=2)
+    with pytest.raises(ValueError, match="^ncols must be nonnegative$"):
+        BinaryMatrix([], ncols=-1)
 
 
 def test_identity_and_zeros():
@@ -558,7 +560,7 @@ def _oddly_meeting_instance(inst):
         for n in code.g.terms
     }
     bit = inst.hx.rows[0] & -inst.hx.rows[0]
-    for h in group.elements():
+    for h in range(group.order):
         if h not in candidates and not any(
             inst.hx.rows[group.add(h, group.neg(c))] & bit for c in candidates
         ):
@@ -754,6 +756,16 @@ def test_instantiate_rejects_bad_inputs():
     bad = two_block("x y", "x + x", "1 + y")
     with pytest.raises(CodeError, match="zero generator"):
         instantiate(bad, torus(code.context, 2, 2))
+    # a classical generator is refused in the same words and order
+    gen = parse_poly("1 + x + y")
+    with pytest.raises(CodeError, match="^presentation context differs from the code context$"):
+        classical_parity_matrix(gen, torus(VarContext(("x",)), 4))
+    zero = parse_poly("x + x", gen.context)
+    with pytest.raises(CodeError, match="^cannot instantiate a code with a zero generator$"):
+        classical_parity_matrix(zero, torus(gen.context, 2, 2))
+    # the quotient is checked before the zero generator
+    with pytest.raises(InfiniteQuotientError):
+        classical_parity_matrix(zero, GroupPresentation(gen.context, ((2, 0),)))
 
 
 def test_group_order_cap(monkeypatch):

@@ -289,7 +289,7 @@ def test_quotient_element_arithmetic():
     g = quotient(GroupPresentation(XY, ((4, 0), (0, 3))))
     assert g.order == 12
     ident = g.reduce((0, 0))
-    for a in g.elements():
+    for a in range(g.order):
         assert g.add(a, ident) == a
         assert g.add(a, g.neg(a)) == ident
     # reduce is a homomorphism
@@ -349,9 +349,9 @@ def test_quotient_coset_count_oracle():
 def test_translation_is_permutation():
     g = quotient(GroupPresentation(XY, ((4, 0), (0, 4))))
     t = g.translation((1, 0))
-    assert sorted(t) == list(g.elements())
+    assert sorted(t) == list(range(g.order))
     t2 = g.translation((2, 0))
-    assert [t[t[i]] for i in g.elements()] == t2
+    assert [t[t[i]] for i in range(g.order)] == t2
 
 
 @pytest.mark.parametrize(
@@ -369,4 +369,23 @@ def test_translation_is_permutation():
 def test_translation_matches_elementwise_add(ctx, rels):
     g = quotient(GroupPresentation(ctx, rels))
     for mono in product(range(-3, 4), repeat=ctx.dim):
-        assert g.translation(mono) == [g.add(h, g.reduce(mono)) for h in g.elements()]
+        assert g.translation(mono) == [g.add(h, g.reduce(mono)) for h in range(g.order)]
+
+
+def test_arity_and_range_refusals():
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        smith_normal_form([[1, 2], [3]])
+    with pytest.raises(ValueError, match="^vector arity mismatch$"):
+        hermite_basis([(1, 2)], 3)
+    with pytest.raises(ValueError, match="^vector arity mismatch$"):
+        quotient_shape([(1, 2, 3)], 2)
+    ctx = VarContext(("x", "y"))
+    with pytest.raises(ValueError, match="wrong arity"):
+        GroupPresentation(ctx, ((3,),))
+    g = quotient(GroupPresentation(ctx, ((3, 0), (0, 2))))
+    with pytest.raises(ValueError, match="^monomial arity mismatch$"):
+        g.coords((1, 0, 0))
+    assert g.index_coords(5) == (2, 1)
+    for index in (-1, 6):
+        with pytest.raises(ValueError, match=f"^element index {index} out of range$"):
+            g.index_coords(index)

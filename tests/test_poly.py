@@ -441,3 +441,17 @@ def test_context_validation():
         VarContext(("x", "2y"))
     with pytest.raises(ValueError):
         LaurentPoly(XY, frozenset({(1, 2, 3)}))
+    with pytest.raises(KeyError, match="unknown variable 'z'"):
+        XY.index("z")
+    with pytest.raises(PolyParseError, match="constant-only text"):
+        parse_poly("1 + 1")
+    xz = VarContext(("x", "z"))
+    p, q = parse_poly("1 + x", XY), parse_poly("1 + z", xz)
+    with pytest.raises(ValueError, match="^monomial arity mismatch$"):
+        p.scale((1, 0, 0))
+    for op in (lambda: p + q, lambda: p * q):
+        with pytest.raises(ValueError, match=r"^context mismatch: \('x', 'y'\) vs \('x', 'z'\)$"):
+            op()
+    images = {"x": parse_poly("x", xz), "y": parse_poly("y", XY)}
+    with pytest.raises(ValueError, match="^substitute: images live in different contexts$"):
+        p.substitute(images)

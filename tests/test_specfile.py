@@ -67,9 +67,30 @@ def test_lift_resolves_forward_references():
     assert lift.substitution["b"] == parse_poly("y", ctx)
     assert lift.substitution["c"] == parse_poly("x^-1*y^3", ctx)
     assert lift.substitution["d"] == parse_poly("x", ctx)
-    # pure-parent right-hand sides resolve in the second pass and each
-    # contributes one relation that substitutes to the trivial monomial
+    # each pure-parent right-hand side contributes one relation that
+    # substitutes to the trivial monomial, in assignment order
     assert lift.twist_vectors == ((1, 1, 0, -3), (0, -3, 1, 1))
+
+
+LIFT_HEAD = "[code]\nvariables = x y\nf = 1 + x + y\ng = 1 + x*y\n\n[lift]\n"
+
+
+def test_lift_settles_a_chain_of_references():
+    spec = parse_spec_text(
+        LIFT_HEAD + "parent_f = a b\nparent_g = c\nc = a*b\na = b^-1*x*y\nb = y\n"
+    )
+    images = {label: str(image) for label, image in spec.lift.substitution.items()}
+    assert images == {"a": "x", "b": "y", "c": "x*y"}
+    assert spec.lift.twist_vectors == ((-1, -1, 1),)
+
+
+def test_lift_twists_come_in_assignment_order():
+    spec = parse_spec_text(
+        LIFT_HEAD + "parent_f = a b\nparent_g = c d\nd = c^2\nc = a*b\na = x\nb = y\n"
+    )
+    assert str(spec.lift.substitution["d"]) == "x^2*y^2"
+    # d is assigned first and settles last
+    assert spec.lift.twist_vectors == ((0, 0, -2, 1), (-1, -1, 1, 0))
 
 
 def test_lift_parent_polynomials():
@@ -149,6 +170,8 @@ def test_error_messages_carry_positions():
     _expect_error("[code]\nvariables = x\nbogus = 1\n", r":3: unknown key 'bogus'")
     _expect_error("[code]\nvariables = x\nf = 1\nf = x\n", r":4: duplicate key 'f'")
     _expect_error("[code]\nvariables = x x\nf = 1\n", r":2")
+    _expect_error("[code]\nvariables =\nf = 1\n", r"variables list is empty")
+    _expect_error("[code]\nvariables = x\nf\n", r":3: expected 'key = value', got 'f'")
 
 
 def test_boundary_errors():
@@ -169,6 +192,9 @@ def test_lift_errors():
         head + "parent_f = a\nparent_f = b\nparent_g = c\n", r":8: duplicate parent_f"
     )
     _expect_error(
+        head + "parent_f = a\nparent_g = b\nparent_g = c\n", r":9: duplicate parent_g"
+    )
+    _expect_error(
         head + "parent_f = a x\nparent_g = c\na = x\nx = y\nc = y\n",
         r"shadow child variables",
     )
@@ -186,6 +212,11 @@ def test_lift_errors():
     _expect_error(head + "parent_f = a\nparent_g = c\na = x\n", r"never assigned")
     _expect_error(
         head + "parent_f = a b\nparent_g = c\na = b\nb = a\nc = y\n", r"circular"
+    )
+    # a label that depends on a cycle is held back with it
+    _expect_error(
+        head + "parent_f = a b\nparent_g = c d\na = x\nb = c*d\nc = d\nd = c\n",
+        r"circular parent-variable assignments: \['b', 'c', 'd'\]$",
     )
     _expect_error(
         head + "parent_f = a\nparent_g = c\na = 1 + x\nc = y\n",
