@@ -27,8 +27,9 @@ swapping the blocks and sending qubit q to -q, so the block swap ψ(a, b) =
 result is the ψ image of the X search, target and path mapped bit by bit.
 One runner serves every search: a state carries its syndrome, and a goal
 reads the state only once its syndrome is zero.  For the X sector the goal
-is a nonzero pairing with the ``logical_space`` representatives the
-distance search uses; for a classical code it is any nonzero state.
+is a nonzero pairing with the representatives of ``logical_space``, the one
+frame the distance search uses, which also refuses k = 0; for a classical
+code it is any nonzero state.
 """
 
 from __future__ import annotations
@@ -212,13 +213,12 @@ def sector_barrier(
     inst: CodeInstance, sector: str, *, cap_n: int = BARRIER_CAP_DEFAULT, want_path: bool = False
 ) -> BarrierResult:
     """Minimum barrier over all logical operators of one CSS sector: the X
-    search against HZ, or its ``psi_image`` for Z."""
+    search against HZ, or its ``psi_image`` for Z.  ``logical_space``
+    refuses k = 0 with a ``DistanceError``."""
     if inst.n > cap_n:
         raise BarrierCapError(f"n={inst.n} exceeds the barrier cap {cap_n}")
     _sector_checks(inst, sector)  # refuses an unknown sector
-    _, reps = logical_space(inst, "X")
-    if not reps.rows:
-        raise BarrierError("code has no logical operators (k = 0)")
+    _, reps = logical_space(inst)
     res = _search(inst.hz, "X", lambda s, syn: syn == 0 and reps.times_vector(s), want_path)
     if sector == "Z":
         return psi_image(inst, res)

@@ -16,7 +16,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import math
 import sys
 import time
 from pathlib import Path
@@ -34,7 +33,7 @@ from .instantiate import (
     write_coordinate_text,
     write_matrix_market,
 )
-from .lattice import lattice_saturates, quotient_shape
+from .poly import LaurentPoly
 from .report import ReportCache, canonical_json, make_document, render_document
 
 __all__ = ["main", "build_parser"]
@@ -144,38 +143,32 @@ def _barrier_result_json(res: barrier_mod.BarrierResult) -> dict[str, Any]:
 
 
 def _result_check(spec: specfile.CodeSpec, args) -> dict[str, Any]:
-    d = spec.context.dim
     if spec.is_classical:
+        # f alone has the monomial vectors of the pair (f, 1)
         poly = spec.classical_generator()
-        one = (0,) * d
-        vectors = sorted(t for t in poly.normalize_to_one()[0].terms if t != one)
+        code = codes.TwoBlockCode(spec.context, poly, LaurentPoly.one(spec.context))
         commutes = family = None
         weight = poly.weight
     else:
         code = spec.two_block()
-        vectors = list(codes.monomial_group_vectors(code))
         # HX HZ^T is f g + g f = 2 f g, zero in characteristic 2; every finite
         # instance still checks its matrices (``_verify_commutation``)
         commutes = True
-        weight = code.normalized().check_weight
+        weight = code.check_weight
         family = str(codes.family_tree(code))
-    free, torsion = quotient_shape(vectors, d)
+    free, torsion, index = codes.decomposition_profile(code)
     indec = free == 0 and not torsion
-    on_boundary = None
-    if spec.boundary:
-        on_boundary = lattice_saturates(vectors + [list(r) for r in spec.boundary], d)
+    pres = spec.presentation()
     return {
         "kind": "classical" if spec.is_classical else "two-block",
         "css_commutes": commutes,
         "check_weight": weight,
         "indecomposable": indec,
-        "profile": {
-            "free_rank": free,
-            "torsion": list(torsion),
-            "index": None if free else math.prod(torsion),
-        },
+        "profile": {"free_rank": free, "torsion": list(torsion), "index": index},
         "family": family,
-        "indecomposable_on_boundary": on_boundary,
+        "indecomposable_on_boundary": (
+            None if pres is None else codes.is_indecomposable_finite(code, pres)
+        ),
         "verdict": "indecomposable" if indec else "decomposable",
     }
 

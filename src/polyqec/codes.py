@@ -213,7 +213,7 @@ def decomposition_profile(code: TwoBlockCode) -> tuple[int, tuple[int, ...], int
     infinite translation group; ``None`` means infinite (positive free rank).
     """
     free, torsion = quotient_shape(monomial_group_vectors(code), code.context.dim)
-    index = None if free else math.prod(torsion) if torsion else 1
+    index = None if free else math.prod(torsion)
     return free, torsion, index
 
 

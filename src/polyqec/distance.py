@@ -33,16 +33,17 @@ run in parallel processes once the job is large enough to pay for the round
 trip; they are merged in worker order after the one-block candidate, so the
 result is the one a sequential run of the streams gives.
 
-Sector conventions, held by ``_sector_checks`` alone: an X-type logical is v
-with HZ*v = 0 and v outside the row space of HX; symmetrically for Z.  The
-block swap (a, b) -> (b̄, ā) maps HX onto HZ and back, so both sectors have
-the same distance, and every search here runs on the X sector alone.  The
+One logical frame: an X-type logical is v with HZ*v = 0 and v outside the
+row space of HX, symmetrically for Z.  The block swap (a, b) -> (b̄, ā) maps
+HX onto HZ and back, so both sectors have the same distance, and every
+search here runs on the X sector's frame from ``logical_space``: the kernel
+of HZ, representative rows R, and the one k = 0 refusal.  ``_sector_checks``
+names either sector's (checks, stabilizers) for the witness check.  The
 searches walk plain kernel vectors and test one for being a logical, a
-nonzero pairing with the representative rows R of ``logical_space``, only
-when it would become the answer: an enumerated combination no heavier than
-the best so far, a walk or one-block candidate strictly lighter.  A
-classical codeword is any nonzero kernel combination, so
-``exact_classical_distance`` runs the same enumeration with no test and
+nonzero pairing with R, only when it would become the answer: an enumerated
+combination no heavier than the best so far, a walk or one-block candidate
+strictly lighter.  A classical codeword is any nonzero kernel combination,
+so ``exact_classical_distance`` runs the same enumeration with no test and
 returns the same ``DistanceResult``, with no witness sector.
 """
 
@@ -120,21 +121,25 @@ def _sector_checks(inst: CodeInstance, sector: str) -> tuple[BinaryMatrix, Binar
     raise DistanceError(f"unknown sector {sector!r}")
 
 
-def logical_space(inst: CodeInstance, sector: str) -> tuple[list[int], BinaryMatrix]:
-    """(kernel basis, opposite-sector logical representatives) for a sector.
+def logical_space(inst: CodeInstance) -> tuple[list[int], BinaryMatrix]:
+    """(kernel basis, representatives) of the X sector: the logical frame
+    every search runs on.  Raises ``DistanceError`` when k = 0, before
+    either nullspace is built.
 
-    The kernel is ker(checks) and the representatives, the rows of a
-    matrix R, span ker(stabilizers) modulo rowspace(checks).  A kernel
-    element v is logical iff R*v is nonzero, a handful of popcounts.
+    The kernel is ker HZ and the representatives, the rows of a matrix R,
+    span ker HX modulo rowspace(HZ).  A kernel element v is logical iff R*v
+    is nonzero, a handful of popcounts.  The Z sector is the X sector of the
+    block-swapped instance (module docstring), so there is no Z frame.
     """
-    checks, stabilizers = _sector_checks(inst, sector)
-    kernel = checks.nullspace()
-    # representatives: kernel of the stabilizers modulo the check rows, reduced
-    # against the checks' own reduced rows (``nullspace`` has just built them)
-    piv = dict(checks._pivots())
-    reps = []
     k = inst.k()
-    for v in stabilizers.nullspace():
+    if k == 0:
+        raise DistanceError("code has no logical operators (k = 0)")
+    kernel = inst.hz.nullspace()
+    # representatives: kernel of HX modulo the rows of HZ, reduced against
+    # HZ's own reduced rows (``nullspace`` has just built them)
+    piv = dict(inst.hz._pivots())
+    reps = []
+    for v in inst.hx.nullspace():
         if len(reps) == k:  # the quotient has dimension k: nothing more to add
             break
         res = _reduce(piv, v)
@@ -142,15 +147,6 @@ def logical_space(inst: CodeInstance, sector: str) -> tuple[list[int], BinaryMat
             reps.append(v)
             piv[res.bit_length() - 1] = res
     return kernel, BinaryMatrix(reps, inst.n)
-
-
-def _x_logicals(inst: CodeInstance) -> tuple[list[int], BinaryMatrix]:
-    """(kernel basis, representatives) of the X sector, from
-    ``logical_space``; raises ``DistanceError`` when k = 0."""
-    kernel, reps = logical_space(inst, "X")
-    if not reps.rows:
-        raise DistanceError("code has no logical operators (k = 0)")
-    return kernel, reps
 
 
 def validate_logical_witness(inst: CodeInstance, witness: int, sector: str) -> None:
@@ -288,9 +284,9 @@ def exact_distance(inst: CodeInstance, *, cap_n: int = EXACT_CAP_DEFAULT) -> Dis
     sector's minimum-weight logicals."""
     if inst.n > cap_n:
         raise DistanceCapError(f"n={inst.n} exceeds the exact-search cap {cap_n}")
-    kernel, reps = _x_logicals(inst)
+    kernel, reps = logical_space(inst)
     d, witness, visited = _bz_minimum(kernel, reps, inst.n, inst.group)
-    assert witness is not None  # reps nonempty guarantees a logical element exists
+    assert witness is not None  # k > 0 guarantees a logical element exists
     validate_logical_witness(inst, witness, "X")
     return DistanceResult(d, d, witness, "X", _EXACT_METHOD, combinations=visited)
 
@@ -487,7 +483,7 @@ def random_upper_bound(
         raise DistanceError("workers must be >= 1")
     if workers > MAX_WORKERS:
         raise DistanceError(f"workers must be at most {MAX_WORKERS}, got {workers}")
-    kernel, reps = _x_logicals(inst)
+    kernel, reps = logical_space(inst)
     seeded = [_one_block_logical(inst, reps)] if trials else []
     share, remainder = divmod(trials, workers)
     jobs = [

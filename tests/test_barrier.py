@@ -1,5 +1,6 @@
 """Tests for exact bottleneck energy-barrier search."""
 
+import dataclasses
 import heapq
 import random
 
@@ -253,7 +254,7 @@ def test_code_barrier_rejects_bad_inputs():
         sector_barrier(instantiate(code, torus(code.context, 2, 2)), "Y")
     trivial = two_block("x", "1", "1")
     inst = instantiate(trivial, torus(trivial.context, 3))
-    with pytest.raises(BarrierError, match="no logical"):
+    with pytest.raises(DistanceError, match="no logical"):
         code_barrier(inst)
 
 
@@ -294,8 +295,14 @@ def _swap_and_invert(inst, v):
     return out
 
 
+def _swapped(inst):
+    """The instance with HX and HZ exchanged, which presents the Z sector of
+    ``inst`` as its X sector: ``logical_space`` of it is the Z frame."""
+    return dataclasses.replace(inst, hx=inst.hz, hz=inst.hx)
+
+
 def _sector_distance(inst, sector):
-    kernel, reps = logical_space(inst, sector)
+    kernel, reps = logical_space(inst if sector == "X" else _swapped(inst))
     return distance_mod._bz_minimum(kernel, reps, inst.n, inst.group)[0]
 
 
@@ -318,7 +325,7 @@ def _random_symmetry_instance(rng):
 def _direct_z_barrier(inst):
     """Reference Z barrier that does not go through psi: the heap Dijkstra
     over HX's columns, with the Z sector's own logical representatives."""
-    _, reps = logical_space(inst, "Z")
+    _, reps = logical_space(_swapped(inst))
     goal = lambda s, syn: syn == 0 and reps.times_vector(s) != 0  # noqa: E731
     return _heap_dijkstra(inst.hx.transpose().rows, goal)[0]
 
@@ -409,7 +416,7 @@ def _heap_dijkstra(syn_cols, goal, want_path=False):
 def _outcome(search, *args, **kwargs):
     try:
         return search(*args, **kwargs)
-    except BarrierError as exc:
+    except (BarrierError, DistanceError) as exc:  # DistanceError: k = 0
         return ("error", str(exc))
 
 

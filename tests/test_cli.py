@@ -77,6 +77,32 @@ def test_check_classical(capsys):
     assert doc["spec"]["g"] is None
 
 
+def test_check_takes_one_smith_form_per_lattice(capsys, monkeypatch, tmp_path):
+    # the profile and the boundary saturation come from the ``codes`` helpers,
+    # one Smith form each; indecomposability is read off the profile
+    calls = []
+    smith = lattice.smith_normal_form
+    monkeypatch.setattr(lattice, "smith_normal_form", lambda mat: calls.append(1) or smith(mat))
+    open_spec = tmp_path / "open.code"
+    open_spec.write_text("[code]\nvariables = x y\nf = 1 + x\ng = 1 + y\n", encoding="utf-8")
+    twisted = ["gross", "--boundary", "x^6 = y^3", "--boundary", "y^6 = 1"]
+    for argv, smith_forms in (
+        (["gross"], 2), (twisted, 2), (["newman_moore"], 2), (["ising"], 2), ([str(open_spec)], 1)
+    ):
+        calls.clear()
+        code, doc = run_json(capsys, "check", *argv, "--no-cache")
+        assert (code, len(calls)) == (0, smith_forms), argv
+        assert (doc["result"]["indecomposable_on_boundary"] is None) == (smith_forms == 1)
+
+
+def test_k_zero_distance_and_barrier_exit_one(capsys):
+    k_zero = ["gross", "--boundary", "x^2 = 1", "--boundary", "y^2 = 1", "--no-cache"]
+    for command in ("distance", "barrier"):
+        assert run(capsys, command, *k_zero) == (
+            1, "", "error: code has no logical operators (k = 0)\n"
+        ), command
+
+
 def test_classify(capsys):
     code, doc = run_json(capsys, "classify", "haah")
     assert code == 0
@@ -766,7 +792,7 @@ def test_threads_past_the_bound_exit_one(capsys, monkeypatch):
     )
     assert code == 0 and doc["result"]["workers"] == 1024 and doc["result"]["d_upper"] == 3
     # one more is refused before the search builds a stream or starts a process
-    monkeypatch.setattr(distance_mod, "_x_logicals", lambda inst: pytest.fail("search ran"))
+    monkeypatch.setattr(distance_mod, "logical_space", lambda inst: pytest.fail("search ran"))
     workers = distance_mod.MAX_WORKERS + 1
     code, out, err = run(capsys, "distance", *torus, "--threads", str(workers), "--no-cache")
     assert (code, out) == (1, "")

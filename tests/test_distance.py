@@ -1,5 +1,6 @@
 """Tests for exact and randomized distance search."""
 
+import dataclasses
 import random
 from itertools import combinations, product
 
@@ -29,6 +30,18 @@ def torus(ctx: VarContext, *sizes: int) -> GroupPresentation:
     d = ctx.dim
     rels = tuple(tuple(sizes[i] if j == i else 0 for j in range(d)) for i in range(d))
     return GroupPresentation(ctx, rels)
+
+
+def _swapped(inst):
+    """The instance with HX and HZ exchanged, which presents the Z sector of
+    ``inst`` as its X sector: ``logical_space`` of it is the Z frame."""
+    return dataclasses.replace(inst, hx=inst.hz, hz=inst.hx)
+
+
+def _frame(inst, sector):
+    """The logical frame of a sector: ``logical_space`` of ``inst`` for X and
+    of ``_swapped(inst)`` for Z."""
+    return logical_space(inst if sector == "X" else _swapped(inst))
 
 
 def _brute_css_distance(inst):
@@ -66,7 +79,7 @@ def _random_small_instance(rng, *, max_n=12):
 def _sector_minimum(inst, sector):
     """(weight, witness) of a sector's lightest logicals, from the exact
     search's enumeration credited over the instance's group."""
-    kernel, reps = logical_space(inst, sector)
+    kernel, reps = _frame(inst, sector)
     return distance_mod._bz_minimum(kernel, reps, inst.n, inst.group)[:2]
 
 
@@ -132,11 +145,25 @@ def test_exact_requires_logical_qubits():
         random_upper_bound(inst, 10, seed=0)
 
 
+def test_k_zero_is_refused_before_any_nullspace(monkeypatch):
+    # gross on x^2 = y^2 = 1: the frame refuses at once, with the one message
+    # distance and barrier share
+    spec = specfile.parse_spec_file(fixture_path("gross"))
+    inst = instantiate(spec.two_block(), torus(spec.context, 2, 2))
+    assert (inst.n, inst.k()) == (8, 0)
+    built = []
+    nullspace = BinaryMatrix.nullspace
+    monkeypatch.setattr(BinaryMatrix, "nullspace", lambda m: built.append(m) or nullspace(m))
+    with pytest.raises(DistanceError, match=r"^code has no logical operators \(k = 0\)$"):
+        logical_space(inst)
+    assert built == []
+
+
 def test_unknown_sector_rejected():
     code = two_block("x y", "1 + x", "1 + y")
     inst = instantiate(code, torus(code.context, 2, 2))
     with pytest.raises(DistanceError, match="sector"):
-        logical_space(inst, "Y")
+        validate_logical_witness(inst, 1, "Y")
 
 
 # -- witness validation ----------------------------------------------------
@@ -212,16 +239,17 @@ def test_worker_split_is_deterministic():
 
 
 def test_randomized_search_computes_the_x_sector_only(monkeypatch):
-    # the block swap gives d_X = d_Z, so the Z logical space is never needed
-    sectors = []
+    # the block swap gives d_X = d_Z, so the Z logical space is never needed:
+    # each search computes the one X frame once
+    framed = []
     space = distance_mod.logical_space
     monkeypatch.setattr(
-        distance_mod, "logical_space", lambda inst, s: sectors.append(s) or space(inst, s)
+        distance_mod, "logical_space", lambda inst: framed.append(id(inst)) or space(inst)
     )
     instances = _search_instances()
     for inst in instances:
         assert random_upper_bound(inst, 300, seed=5, workers=2).witness_sector == "X"
-    assert sectors == ["X"] * len(instances)
+    assert framed == [id(inst) for inst in instances]
 
 
 def test_randomized_input_validation():
@@ -556,7 +584,7 @@ def test_exact_sector_distance_matches_per_state_sweep(monkeypatch, credited):
     dims = set()
     for inst in fixtures + _small_sector_instances():
         for sector in ("X", "Z"):
-            kernel, reps = logical_space(inst, sector)
+            kernel, reps = _frame(inst, sector)
             dims.add(len(kernel))
             expect = _per_state_gray(kernel, reps, inst.n)
             for group in (inst.group, None):
@@ -595,7 +623,7 @@ def _sequential_upper_bound(inst, trials, seed, workers):
     """Reference: the one-block candidate seeds the best, then the worker
     streams walk the X sector one after another in one loop, with the best
     weight carried from each stream into the next."""
-    kernel, reps = logical_space(inst, "X")
+    kernel, reps = logical_space(inst)
     n = inst.n
     best_w, best = n, None
     if trials:
@@ -687,7 +715,7 @@ def test_walk_rounds_stay_systematic_kernel_bases():
             instances.append(inst)
     for idx, inst in enumerate(instances):
         for sector in ("X", "Z"):
-            kernel, _ = logical_space(inst, sector)
+            kernel, _ = _frame(inst, sector)
             walk = distance_mod._InformationSetWalk(random.Random(idx), kernel, inst.n)
             for _ in range(4):
                 found = walk.round(len(kernel) + 200)
@@ -709,7 +737,7 @@ def test_budget_below_the_kernel_dimension_reduces_only_what_is_examined():
     for idx, inst in enumerate(instances):
         for sector in ("X", "Z"):
             checks, _ = distance_mod._sector_checks(inst, sector)
-            kernel, _ = logical_space(inst, sector)
+            kernel, _ = _frame(inst, sector)
             if len(kernel) < 2:
                 continue
             for limit in {1, len(kernel) // 2, len(kernel) - 1}:
@@ -772,7 +800,11 @@ def test_logical_space_stops_at_k_with_the_same_answer():
         for rels in dict.fromkeys([spec.boundary, *small[spec.context.dim]]):
             inst = instantiate(spec.two_block(), GroupPresentation(spec.context, rels))
             for sector in ("X", "Z"):
-                kernel, reps = logical_space(inst, sector)
+                if inst.k() == 0:
+                    with pytest.raises(DistanceError, match=r"\(k = 0\)$"):
+                        _frame(inst, sector)
+                    continue
+                kernel, reps = _frame(inst, sector)
                 assert (kernel, list(reps.rows)) == _full_logical_space(inst, sector)
                 assert reps.nrows == inst.k()
         seen.add(name)
@@ -795,7 +827,7 @@ def test_logical_space_matches_check_row_reduction_on_random_tori():
             sizes = [rng.randint(1, 5) for _ in range(ctx.dim)]
         inst = instantiate(TwoBlockCode(ctx, f, g), torus(ctx, *sizes))
         for sector in ("X", "Z"):
-            kernel, reps = logical_space(inst, sector)
+            kernel, reps = _frame(inst, sector)
             assert (kernel, list(reps.rows)) == _full_logical_space(inst, sector)
             assert reps.nrows == inst.k()
         big += inst.n > 256 and inst.k() > 0
@@ -837,7 +869,7 @@ def test_one_block_candidate_is_a_logical_no_lighter_than_d():
         inst = instantiate(spec.two_block(), GroupPresentation(spec.context, rels))
         if inst.k() == 0:
             continue
-        _, reps = logical_space(inst, "X")
+        _, reps = logical_space(inst)
         w, witness = distance_mod._one_block_logical(inst, reps)
         assert witness.bit_count() == w
         validate_logical_witness(inst, witness, "X")
@@ -868,7 +900,7 @@ def test_one_block_bound_on_the_published_codes(name):
     f, g, l, m, expect = _PUBLISHED_ONE_BLOCK[name]
     code = two_block("x y", f, g)
     inst = instantiate(code, torus(code.context, l, m))
-    _, reps = logical_space(inst, "X")
+    _, reps = logical_space(inst)
     w, witness = distance_mod._one_block_logical(inst, reps)
     assert w == witness.bit_count() == expect
     validate_logical_witness(inst, witness, "X")
