@@ -23,7 +23,7 @@ from typing import Any
 
 from . import barrier as barrier_mod
 from . import codes, distance, specfile
-from .fixtures import FAMILY_TABLE_ROWS, fixture_names, fixture_path
+from .fixtures import FAMILY_TABLE_ROWS, data_dir, fixture_names, load_fixture
 from .instantiate import (
     _check_matrix,
     _group,
@@ -61,10 +61,7 @@ def _load_spec(args) -> tuple[specfile.CodeSpec, str]:
     path = Path(ref)
     bare_name = "/" not in ref and "\\" not in ref and not ref.endswith(".code")
     if not path.is_file() and bare_name:
-        try:
-            path = fixture_path(ref)
-        except FileNotFoundError:
-            pass
+        path = data_dir() / f"{ref}.code"
     if not path.is_file():
         known = ", ".join(fixture_names())
         raise FileNotFoundError(f"no such file or bundled code: {ref!r} (bundled: {known})")
@@ -338,7 +335,7 @@ def _result_reproduce_appendix(spec: None, args) -> dict[str, Any]:
     rows = []
     all_pass = True
     for name in FAMILY_TABLE_ROWS:
-        row_spec = specfile.parse_spec_file(fixture_path(name))
+        row_spec = load_fixture(name)
         parent, _, declared, ok, cancellation = _compare_lift(
             row_spec, f"bundled code {name!r} is missing its [lift] data"
         )

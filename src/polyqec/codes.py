@@ -28,19 +28,15 @@ Key operations:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from .lattice import (
-    GroupPresentation,
-    hermite_basis,
-    lattice_saturates,
-    quotient_shape,
-)
+from .lattice import GroupPresentation, hermite_basis, quotient_shape
 from .poly import (
     LaurentPoly,
     Monomial,
     VarContext,
+    mono_image,
     parse_poly,
     total_degree,
 )
@@ -111,7 +107,8 @@ class TwoBlockCode:
             raise CodeError("cannot normalize a code with a zero generator")
         nf, _ = self.f.normalize_to_one()
         ng, _ = self.g.normalize_to_one()
-        return TwoBlockCode(self.context, nf, ng)
+        # keeps the class: an HGPCode's blocks are re-checked on the result
+        return replace(self, f=nf, g=ng)
 
     @property
     def check_weight(self) -> int:
@@ -141,12 +138,6 @@ class HGPCode(TwoBlockCode):
             raise CodeError("f strays outside its variable block")
         if not set(self.g.variables_used()) <= set(self.g_vars):
             raise CodeError("g strays outside its variable block")
-
-    def normalized(self) -> HGPCode:
-        # dividing by a leading term never leaves the term's variable block
-        nf, _ = self.f.normalize_to_one()
-        ng, _ = self.g.normalize_to_one()
-        return HGPCode(self.context, nf, ng, f_vars=self.f_vars, g_vars=self.g_vars)
 
 
 def two_block(variables: str, f_text: str, g_text: str) -> TwoBlockCode:
@@ -203,7 +194,7 @@ def is_indecomposable(code: TwoBlockCode) -> bool:
     Equivalently: the Tanner graph on the infinite translation group is
     connected.
     """
-    return lattice_saturates(monomial_group_vectors(code), code.context.dim)
+    return decomposition_profile(code)[2] == 1
 
 
 def decomposition_profile(code: TwoBlockCode) -> tuple[int, tuple[int, ...], int | None]:
@@ -221,8 +212,8 @@ def is_indecomposable_finite(code: TwoBlockCode, pres: GroupPresentation) -> boo
     """Indecomposability on a finite translation group given by a presentation."""
     if pres.context != code.context:
         raise CodeError("presentation context differs from the code context")
-    vectors = list(monomial_group_vectors(code)) + [list(r) for r in pres.relations]
-    return lattice_saturates(vectors, code.context.dim)
+    vectors = [*monomial_group_vectors(code), *pres.relations]
+    return quotient_shape(vectors, code.context.dim) == (0, ())
 
 
 # -- parent lifting --------------------------------------------------------
@@ -305,10 +296,12 @@ def lift_to_parent(code: TwoBlockCode) -> ParentLift:
     monomials generate Z^d iff its first d rows are [e_ell | w_ell], and w_ell,
     read back in label order, is the witness of child variable ell.  It is the
     integer solution whose coefficient at each pivot label p of the
-    substitution kernel lies in [0, p).  The fresh variables not fixed by the
-    witnesses become twist relations.  More than ``_LIFT_TERM_CAP`` terms are
-    refused before any of this runs, since both Hermite forms are dense in
-    the term count.
+    substitution kernel lies in [0, p).  The substitution is the map
+    phi(e) = sum e_t * vector_t of ``mono_image``; the witnesses give the map
+    psi(e_ell) = w_ell with phi(psi(v)) = v, and each label t with
+    psi(phi(e_t)) != e_t gives the twist relation psi(phi(e_t)) - e_t.  More
+    than ``_LIFT_TERM_CAP`` terms are refused before any of this runs, since
+    both Hermite forms are dense in the term count.
     """
     child = code.normalized()
     d = child.context.dim
@@ -343,10 +336,9 @@ def lift_to_parent(code: TwoBlockCode) -> ParentLift:
     # child var index -> coeffs over labels
     witness = [b[d:][::-1] for b in basis[:d]]
 
-    # invariant: sum(witness[ell] * vectors) == e_ell exactly
+    # invariant: witness ell maps to e_ell exactly
     for ell, w in enumerate(witness):
-        img = tuple(sum(c * v[j] for c, v in zip(w, vectors)) for j in range(d))
-        assert img == units[ell], "witness bookkeeping broke"
+        assert mono_image(w, vectors, d) == units[ell], "witness bookkeeping broke"
 
     # -- assemble parent, substitution, twists
     parent = parent_hgp(a_names, b_names)
@@ -360,13 +352,8 @@ def lift_to_parent(code: TwoBlockCode) -> ParentLift:
     }
 
     twists = []
-    for t in range(K):
-        vec_t = vectors[t]
-        row = [0] * K
-        for ell, w in enumerate(witness):
-            if vec_t[ell]:
-                for s in range(K):
-                    row[s] += vec_t[ell] * w[s]
+    for t, vec_t in enumerate(vectors):
+        row = list(mono_image(vec_t, witness, K))
         row[t] -= 1
         if any(row):
             factors = tuple(
@@ -391,9 +378,11 @@ def compactify(
 ) -> TwoBlockCode:
     """Substitute child monomials for parent variables, validating twists.
 
-    Every twist relation vector must map to the trivial child monomial under
-    the substitution; otherwise the boundary data is inconsistent and a
-    :class:`TwistError` is raised.
+    The substitution is the compactification map phi: Z^K -> Z^d sending a
+    parent exponent vector e to sum e_i * phi(e_i), phi(e_i) the exponent
+    vector of variable i's image (``mono_image``).  Every twist relation vector
+    must map to zero under phi; otherwise the boundary data is inconsistent
+    and a :class:`TwistError` is raised.
     """
     if hgp_split(parent) is None:
         raise CodeError("compactify expects a hypergraph-product parent")
@@ -401,26 +390,22 @@ def compactify(
     missing = [n for n in names if n not in substitution]
     if missing:
         raise CodeError(f"substitution misses parent variables {missing}")
+    # substitute first: it refuses images that are not monomials of one context
+    child = TwoBlockCode(
+        context=substitution[names[0]].context,
+        f=parent.f.substitute(substitution),
+        g=parent.g.substitute(substitution),
+    )
     images = [substitution[n].single_term() for n in names]
-    d_child = len(images[0]) if images else 0
     for t_idx, tv in enumerate(twists):
         if len(tv) != len(names):
             raise TwistError(f"twist {t_idx} has arity {len(tv)}, expected {len(names)}")
-        acc = [0] * d_child
-        for coeff, img in zip(tv, images):
-            if coeff:
-                for j in range(d_child):
-                    acc[j] += coeff * img[j]
+        acc = list(mono_image(tv, images, child.context.dim))
         if any(acc):
             raise TwistError(
                 f"twist {t_idx} does not map to the trivial monomial (image exponent {acc})"
             )
-    sub = dict(substitution)
-    return TwoBlockCode(
-        context=substitution[names[0]].context if names else parent.context,
-        f=parent.f.substitute(sub),
-        g=parent.g.substitute(sub),
-    )
+    return child
 
 
 # -- family tree -----------------------------------------------------------

@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Iterable, Sequence
 
-from .poly import Monomial, VarContext
+from .poly import Monomial, VarContext, mono_image
 
 __all__ = [
     "SmithForm",
     "smith_normal_form",
     "hermite_basis",
-    "lattice_saturates",
     "quotient_shape",
     "GroupPresentation",
     "QuotientGroup",
@@ -190,12 +189,6 @@ def quotient_shape(vectors: Iterable[Sequence[int]], d: int) -> tuple[int, tuple
     return free, torsion
 
 
-def lattice_saturates(vectors: Iterable[Sequence[int]], d: int) -> bool:
-    """True iff the vectors generate all of Z^d."""
-    free, torsion = quotient_shape(vectors, d)
-    return free == 0 and not torsion
-
-
 # -- abelian quotient groups ----------------------------------------------
 
 
@@ -258,13 +251,9 @@ class QuotientGroup:
 
     def coords(self, mono: Monomial) -> tuple[int, ...]:
         """Mixed-radix coordinates of a monomial's class."""
-        w = list(map(int, mono))
-        if len(w) != self.presentation.dim:
+        if len(mono) != self.presentation.dim:
             raise ValueError("monomial arity mismatch")
-        raw = [
-            sum(w[i] * self._coord_rows[i][j] for i in range(len(w)))
-            for j in range(len(self._radices))
-        ]
+        raw = mono_image(mono, self._coord_rows, len(self._radices))
         return tuple(x % m for x, m in zip(raw, self._radices))
 
     def _index(self, coords: Iterable[int]) -> int:

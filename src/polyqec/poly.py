@@ -8,6 +8,10 @@ arbitrary-precision integers.
 
 The canonical monomial order used for printing, hashing and normalization is
 lexicographic on exponent vectors in context variable order.
+
+Sending variable i to the monomial v_i sends exponents e to sum e_i * v_i
+(:func:`mono_image`): substitution, compactification, lifting and quotient
+group coordinates are all this one integer map.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "VarContext",
@@ -81,6 +85,16 @@ def mono_inv(a: Monomial) -> Monomial:
 
 def mono_pow(a: Monomial, k: int) -> Monomial:
     return tuple(x * k for x in a)
+
+
+def mono_image(exps: Iterable[int], images: Sequence[Monomial | None], d: int) -> Monomial:
+    """The d-tuple sum of e_i * images[i], the image of exponents ``exps`` when
+    variable i goes to ``images[i]``; an image at a zero exponent is never read."""
+    out = mono_one(d)
+    for e, img in zip(exps, images):
+        if e:
+            out = tuple(x + e * y for x, y in zip(out, img, strict=True))
+    return out
 
 
 def total_degree(a: Monomial) -> int:
@@ -212,13 +226,8 @@ class LaurentPoly:
             vecs.append(img.single_term())
         assert target is not None
         acc: set[Monomial] = set()
-        one = mono_one(target.dim)
         for t in self.terms:
-            out = one
-            for e, v in zip(t, vecs):
-                if e:
-                    out = mono_mul(out, mono_pow(v, e))
-            acc ^= {out}
+            acc ^= {mono_image(t, vecs, target.dim)}
         return LaurentPoly(target, frozenset(acc))
 
     def normalize_to_one(self) -> tuple[LaurentPoly, Monomial]:

@@ -27,7 +27,9 @@ from pathlib import Path
 
 from .codes import CodeError, HGPCode, TwoBlockCode, parent_hgp
 from .lattice import GroupPresentation
-from .poly import LaurentPoly, Monomial, PolyParseError, VarContext, parse_poly
+from .poly import (
+    LaurentPoly, Monomial, PolyParseError, VarContext, mono_image, mono_mul, parse_poly
+)
 
 __all__ = [
     "SpecError",
@@ -251,11 +253,9 @@ def _parse_lift(lines, ctx: VarContext, source: str) -> LiftSpec:
     # each round settles every label whose parent references have settled
     images: dict[str, Monomial] = {}
     while len(images) < len(labels):
+        known = [images.get(lbl) for lbl in labels]  # None where unsettled
         settled = {
-            key: tuple(
-                c + sum(e * images[lbl][j] for lbl, e in zip(labels, rhs[d:]) if e)
-                for j, c in enumerate(rhs[:d])
-            )
+            key: mono_mul(rhs[:d], mono_image(rhs[d:], known, d))
             for key, rhs in parsed.items()
             if key not in images
             and all(lbl in images for lbl, e in zip(labels, rhs[d:]) if e)

@@ -1,6 +1,5 @@
 """Tests for exact bottleneck energy-barrier search."""
 
-import dataclasses
 import heapq
 import random
 
@@ -30,11 +29,7 @@ from polyqec.instantiate import BinaryMatrix, classical_parity_matrix, instantia
 from polyqec.lattice import GroupPresentation
 from polyqec.poly import LaurentPoly, VarContext, parse_poly
 
-
-def torus(ctx: VarContext, *sizes: int) -> GroupPresentation:
-    d = ctx.dim
-    rels = tuple(tuple(sizes[i] if j == i else 0 for j in range(d)) for i in range(d))
-    return GroupPresentation(ctx, rels)
+from _helpers import swapped, torus
 
 
 def _brute_bottleneck(H: BinaryMatrix, targets: set[int]) -> int:
@@ -295,14 +290,8 @@ def _swap_and_invert(inst, v):
     return out
 
 
-def _swapped(inst):
-    """The instance with HX and HZ exchanged, which presents the Z sector of
-    ``inst`` as its X sector: ``logical_space`` of it is the Z frame."""
-    return dataclasses.replace(inst, hx=inst.hz, hz=inst.hx)
-
-
 def _sector_distance(inst, sector):
-    kernel, reps = logical_space(inst if sector == "X" else _swapped(inst))
+    kernel, reps = logical_space(inst if sector == "X" else swapped(inst))
     return distance_mod._bz_minimum(kernel, reps, inst.n, inst.group)[0]
 
 
@@ -325,7 +314,7 @@ def _random_symmetry_instance(rng):
 def _direct_z_barrier(inst):
     """Reference Z barrier that does not go through psi: the heap Dijkstra
     over HX's columns, with the Z sector's own logical representatives."""
-    _, reps = logical_space(_swapped(inst))
+    _, reps = logical_space(swapped(inst))
     goal = lambda s, syn: syn == 0 and reps.times_vector(s) != 0  # noqa: E731
     return _heap_dijkstra(inst.hx.transpose().rows, goal)[0]
 

@@ -829,7 +829,11 @@ def test_readme_library_example_runs(capsys):
 def test_missing_spec_exits_one(capsys):
     code, out, err = run(capsys, "check", "no_such_spec")
     assert code == 1
-    assert "no such file or bundled code" in err
+    assert err == (
+        "error: no such file or bundled code: 'no_such_spec' (bundled: checkerboard, "
+        "decomposable_example, fibonacci_fsl, fsl_odd_even, fsl_odd_odd, gross, haah, "
+        "hhb_a, honeycomb_color, ising, newman_moore, sierpinski_prism, toric)\n"
+    )
 
 
 def test_malformed_spec_exits_one(capsys, tmp_path):

@@ -97,6 +97,14 @@ def test_normalized_rejects_zero_generator():
         code.normalized()
 
 
+def test_hgp_normalized_rejects_zero_generator():
+    ctx = VarContext(("a", "b"))
+    hgp = HGPCode(ctx, LaurentPoly.zero(ctx), parse_poly("1 + b", ctx),
+                  f_vars=("a",), g_vars=("b",))
+    with pytest.raises(CodeError, match="^cannot normalize a code with a zero generator$"):
+        hgp.normalized()
+
+
 # -- indecomposability -----------------------------------------------------
 
 
@@ -370,10 +378,23 @@ def test_compactify_rejects_inconsistent_twist():
     # a1^2 b1^-1 -> trivial: fine ; a1 b1 -> x^3: inconsistent
     ok = compactify(_surface_parent(), sub, [(2, -1)])
     assert str(ok.f) == "1 + x"
-    with pytest.raises(TwistError, match="trivial"):
+    with pytest.raises(
+        TwistError,
+        match=r"^twist 0 does not map to the trivial monomial \(image exponent \[3\]\)$",
+    ):
         compactify(_surface_parent(), sub, [(1, 1)])
     with pytest.raises(TwistError, match="arity"):
         compactify(_surface_parent(), sub, [(1, 1, 0)])
+
+
+def test_compactify_refuses_images_in_different_contexts():
+    # the twist is checked only once the images share one context
+    sub = {
+        "a1": parse_poly("x", VarContext(("x",))),
+        "b1": parse_poly("u*v", VarContext(("u", "v"))),
+    }
+    with pytest.raises(ValueError, match="^substitute: images live in different contexts$"):
+        compactify(_surface_parent(), sub, [(1, -1)])
 
 
 def test_compactify_merges_colliding_images():

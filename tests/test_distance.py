@@ -1,6 +1,5 @@
 """Tests for exact and randomized distance search."""
 
-import dataclasses
 import random
 from itertools import combinations, product
 
@@ -25,23 +24,13 @@ from polyqec.instantiate import _check_matrix, classical_parity_matrix, instanti
 from polyqec.lattice import GroupPresentation, quotient
 from polyqec.poly import LaurentPoly, VarContext, parse_poly
 
-
-def torus(ctx: VarContext, *sizes: int) -> GroupPresentation:
-    d = ctx.dim
-    rels = tuple(tuple(sizes[i] if j == i else 0 for j in range(d)) for i in range(d))
-    return GroupPresentation(ctx, rels)
-
-
-def _swapped(inst):
-    """The instance with HX and HZ exchanged, which presents the Z sector of
-    ``inst`` as its X sector: ``logical_space`` of it is the Z frame."""
-    return dataclasses.replace(inst, hx=inst.hz, hz=inst.hx)
+from _helpers import swapped, torus
 
 
 def _frame(inst, sector):
     """The logical frame of a sector: ``logical_space`` of ``inst`` for X and
-    of ``_swapped(inst)`` for Z."""
-    return logical_space(inst if sector == "X" else _swapped(inst))
+    of ``swapped(inst)`` for Z."""
+    return logical_space(inst if sector == "X" else swapped(inst))
 
 
 def _brute_css_distance(inst):

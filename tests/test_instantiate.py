@@ -27,11 +27,7 @@ from polyqec.instantiate import (
 from polyqec.lattice import GroupPresentation, InfiniteQuotientError, quotient
 from polyqec.poly import LaurentPoly, VarContext, parse_poly
 
-
-def torus(ctx: VarContext, *sizes: int) -> GroupPresentation:
-    d = ctx.dim
-    rels = tuple(tuple(sizes[i] if j == i else 0 for j in range(d)) for i in range(d))
-    return GroupPresentation(ctx, rels)
+from _helpers import torus
 
 
 def _dense_rref(dense, ncols):

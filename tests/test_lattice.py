@@ -9,7 +9,6 @@ from polyqec.lattice import (
     GroupPresentation,
     InfiniteQuotientError,
     hermite_basis,
-    lattice_saturates,
     quotient,
     quotient_shape,
     smith_normal_form,
@@ -188,13 +187,14 @@ def test_hermite_example_twist_lattice():
 
 
 def test_saturation_examples():
-    assert lattice_saturates([(1, 0), (0, 1)], 2)
-    assert lattice_saturates([(2, 1), (1, 1)], 2)
-    assert not lattice_saturates([(2, 0), (0, 1)], 2)
-    assert not lattice_saturates([(-1, 1, 0), (-1, 0, 1), (0, 1, -1)], 3)
-    assert lattice_saturates(
+    # the vectors generate Z^d iff the quotient has no free part and no torsion
+    assert quotient_shape([(1, 0), (0, 1)], 2) == (0, ())
+    assert quotient_shape([(2, 1), (1, 1)], 2) == (0, ())
+    assert quotient_shape([(2, 0), (0, 1)], 2) != (0, ())
+    assert quotient_shape([(-1, 1, 0), (-1, 0, 1), (0, 1, -1)], 3) != (0, ())
+    assert quotient_shape(
         [(-1, 1, 0), (-1, 0, 1), (0, 1, -1), (3, 0, 0), (0, 5, 0), (0, 0, 7)], 3
-    )
+    ) == (0, ())
 
 
 def test_quotient_shape_examples():

@@ -179,6 +179,24 @@ def test_substitute_collision_cancels():
     assert p("1 + x + y").substitute(images) == parse_poly("1", target)
 
 
+def test_mono_image_agrees_with_substitute():
+    rng = random.Random(45)
+    zeros = 0
+    for _ in range(300):
+        src = VarContext(tuple("abcd"[: rng.randint(1, 4)]))
+        dst = VarContext(tuple("uvw"[: rng.randint(1, 3)]))
+        vecs = [tuple(rng.randint(-3, 3) for _ in range(dst.dim)) for _ in src.names]
+        t = tuple(rng.choice((0, rng.randint(-4, 4))) for _ in src.names)
+        images = {n: LaurentPoly.monomial(dst, v) for n, v in zip(src.names, vecs)}
+        # the image at a zero exponent is never read
+        passed = [None if e == 0 else v for e, v in zip(t, vecs)]
+        zeros += passed.count(None)
+        assert LaurentPoly.monomial(src, t).substitute(images) == LaurentPoly.monomial(
+            dst, poly_mod.mono_image(t, passed, dst.dim)
+        )
+    assert zeros > 100
+
+
 def test_substitute_requires_total_monomial_map():
     target = VarContext(("u",))
     with pytest.raises(ValueError):
