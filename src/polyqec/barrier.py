@@ -21,10 +21,11 @@ the pending states of one level, and each new level starts with one rescan
 of the settled states for their lowest-energy unsettled neighbours.
 
 CSS sectors decouple (X flips only trigger Z checks and vice versa), and
-only the X sector is searched.  HZ = P*HX*Q, P sending check h to -h and Q
-swapping the blocks and sending qubit q to -q, so the block swap ψ(a, b) =
-(b̄, ā) maps X logicals onto Z logicals with wt(HX*Q*v) = wt(HZ*v): a Z
-result is the ψ image of the X search, target and path mapped bit by bit.
+only the X sector is searched, by ``code_barrier``.  HZ = P*HX*Q, P sending
+check h to -h and Q swapping the blocks and sending qubit q to -q, so the
+block swap ψ(a, b) = (b̄, ā) maps X logicals onto Z logicals with
+wt(HX*Q*v) = wt(HZ*v): the Z result is ``psi_image`` of the X one, target
+and path mapped bit by bit.
 One runner serves every search: a state carries its syndrome, and a goal
 reads the state only once its syndrome is zero.  For the X sector the goal
 is a nonzero pairing with the representatives of ``logical_space``, the one
@@ -37,7 +38,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .distance import _sector_checks, logical_space, validate_logical_witness
+from .distance import logical_space, validate_logical_witness
 from .instantiate import BinaryMatrix, CodeInstance, support_bits
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "BarrierCapError",
     "BarrierResult",
     "barrier",
-    "sector_barrier",
     "classical_code_barrier",
     "code_barrier",
     "psi_image",
@@ -199,9 +199,10 @@ def _psi_bits(inst: CodeInstance) -> list[int]:
 
 
 def psi_image(inst: CodeInstance, res: BarrierResult) -> BarrierResult:
-    """The Z-sector result that ψ makes of an X-sector one: the target maps
-    bit by bit and the path flip by flip, each step at the energy it had.
-    The mapped target is re-checked as a Z logical."""
+    """The Z-sector result that ψ makes of an X-sector one, such as
+    ``code_barrier``'s, which gives the Z barrier: the target maps bit by
+    bit and the path flip by flip, each step at the energy it had.  The
+    mapped target is re-checked as a Z logical."""
     psi = _psi_bits(inst)
     target = sum(1 << psi[q] for q in support_bits(res.target))
     path = None if res.path is None else tuple(psi[j] for j in res.path)
@@ -209,25 +210,15 @@ def psi_image(inst: CodeInstance, res: BarrierResult) -> BarrierResult:
     return BarrierResult(res.barrier, "Z", target, path, res.explored)
 
 
-def sector_barrier(
-    inst: CodeInstance, sector: str, *, cap_n: int = BARRIER_CAP_DEFAULT, want_path: bool = False
-) -> BarrierResult:
-    """Minimum barrier over all logical operators of one CSS sector: the X
-    search against HZ, or its ``psi_image`` for Z.  ``logical_space``
-    refuses k = 0 with a ``DistanceError``."""
-    if inst.n > cap_n:
-        raise BarrierCapError(f"n={inst.n} exceeds the barrier cap {cap_n}")
-    _sector_checks(inst, sector)  # refuses an unknown sector
-    _, reps = logical_space(inst)
-    res = _search(inst.hz, "X", lambda s, syn: syn == 0 and reps.times_vector(s), want_path)
-    if sector == "Z":
-        return psi_image(inst, res)
-    validate_logical_witness(inst, res.target, "X")
-    return res
-
-
 def code_barrier(
     inst: CodeInstance, *, cap_n: int = BARRIER_CAP_DEFAULT, want_path: bool = False
 ) -> BarrierResult:
-    """Code barrier: the X sector barrier, which ψ makes the Z one too."""
-    return sector_barrier(inst, "X", cap_n=cap_n, want_path=want_path)
+    """Code barrier: the minimum barrier over the X sector's logicals, the
+    search against HZ, which ``psi_image`` makes the Z result.
+    ``logical_space`` refuses k = 0 with a ``DistanceError``."""
+    if inst.n > cap_n:
+        raise BarrierCapError(f"n={inst.n} exceeds the barrier cap {cap_n}")
+    _, reps = logical_space(inst)
+    res = _search(inst.hz, "X", lambda s, syn: syn == 0 and reps.times_vector(s), want_path)
+    validate_logical_witness(inst, res.target, "X")
+    return res

@@ -303,10 +303,10 @@ def _result_barrier(spec: specfile.CodeSpec, args) -> dict[str, Any]:
             "cap": args.cap,
             "classical": _barrier_result_json(res),
         }
-    res = barrier_mod.sector_barrier(
-        built, "Z" if args.sector == "Z" else "X", cap_n=args.cap, want_path=args.emit_path
-    )
-    results = [res, barrier_mod.psi_image(built, res)] if args.sector == "both" else [res]
+    res = barrier_mod.code_barrier(built, cap_n=args.cap, want_path=args.emit_path)
+    results = [] if args.sector == "Z" else [res]
+    if args.sector != "X":
+        results.append(barrier_mod.psi_image(built, res))
     return {
         "kind": "two-block",
         "barrier": res.barrier,

@@ -1,17 +1,17 @@
 """Minimum-distance search for instantiated CSS codes.
 
 Exact distances come from Brouwer–Zimmermann enumeration of the relevant
-kernel (Zimmermann 1996; Grassl 2006; White & Grassl 2006 for quantum
-codes) on one information set, each next pivot taken from the block of |G|
-columns that holds fewer so far; a is the most one block holds.  Level w
-visits every w-subset of the m rows.  A translation maps logicals to
-logicals of the same weight, and a logical no translate of which was
-visited meets each of the |G| translates of the set in more than w columns,
-so it weighs at least ⌈(w + 1)|G| / a⌉.  The search stops once that bound
-exceeds the best weight: every minimum-weight logical then has a visited
-translate, so the smallest integer over their translates is the witness,
-whatever the basis or the visiting order.  Without a group the bound is
-w + 1.  The work is capped per sector in combinations
+kernel (Zimmermann 1996; Grassl 2006; White & Grassl 2006 for quantum codes)
+on one information set (``_information_set``), each next pivot taken from
+the block of |G| columns that holds fewest so far; a is the most one block
+holds.  Level w visits every w-subset of the m rows.  A translation maps
+logicals to logicals of the same weight, and a logical no translate of which
+was visited meets each of the |G| translates of the set in more than w
+columns, so it weighs at least ⌈(w + 1)|G| / a⌉.  The search stops once that
+bound exceeds the best weight: every minimum-weight logical then has a
+visited translate, so the smallest integer over their translates is the
+witness, whatever the basis or the visiting order.  Without a group the
+bound is w + 1.  The work is capped per sector in combinations
 (``_COMBINATION_CAP``), checked before each level starts.
 
 At practical sizes the randomized search gives upper bounds.  It first looks
@@ -37,9 +37,9 @@ One logical frame: an X-type logical is v with HZ*v = 0 and v outside the
 row space of HX, symmetrically for Z.  The block swap (a, b) -> (b̄, ā) maps
 HX onto HZ and back, so both sectors have the same distance, and every
 search here runs on the X sector's frame from ``logical_space``: the kernel
-of HZ, representative rows R, and the one k = 0 refusal.  ``_sector_checks``
-names either sector's (checks, stabilizers) for the witness check.  The
-searches walk plain kernel vectors and test one for being a logical, a
+of HZ, representative rows R, and the one k = 0 refusal; only
+``validate_logical_witness`` reads a sector, to re-check a witness against
+that sector's checks and stabilizers.  The searches walk plain kernel vectors and test one for being a logical, a
 nonzero pairing with R, only when it would become the answer: an enumerated
 combination no heavier than the best so far, a walk or one-block candidate
 strictly lighter.  A classical codeword is any nonzero kernel combination,
@@ -55,7 +55,9 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .instantiate import BinaryMatrix, CodeInstance, _check_matrix, _reduce, _translates
+from .instantiate import (
+    BinaryMatrix, CodeInstance, _check_matrix, _reduce, _translates, support_bits
+)
 from .lattice import QuotientGroup
 
 __all__ = [
@@ -107,20 +109,6 @@ class DistanceResult:
     combinations: int | None = field(default=None, compare=False)
 
 
-def _sector_checks(inst: CodeInstance, sector: str) -> tuple[BinaryMatrix, BinaryMatrix]:
-    """(checks, stabilizers) of a sector: its logicals v have checks*v = 0
-    and lie outside rowspace(stabilizers).
-
-    For sector "X" the checks are HZ and the stabilizers HX; for "Z" the
-    other way round.
-    """
-    if sector == "X":
-        return inst.hz, inst.hx
-    if sector == "Z":
-        return inst.hx, inst.hz
-    raise DistanceError(f"unknown sector {sector!r}")
-
-
 def logical_space(inst: CodeInstance) -> tuple[list[int], BinaryMatrix]:
     """(kernel basis, representatives) of the X sector: the logical frame
     every search runs on.  Raises ``DistanceError`` when k = 0, before
@@ -150,8 +138,13 @@ def logical_space(inst: CodeInstance) -> tuple[list[int], BinaryMatrix]:
 
 
 def validate_logical_witness(inst: CodeInstance, witness: int, sector: str) -> None:
-    """Independent check that a witness is a genuine logical operator."""
-    checks, stabilizers = _sector_checks(inst, sector)
+    """Independent check that a witness is a genuine logical operator of a
+    sector: v with checks*v = 0 outside rowspace(stabilizers), the checks
+    being HZ and the stabilizers HX for sector "X", the other way round for
+    "Z"."""
+    if sector not in ("X", "Z"):
+        raise DistanceError(f"unknown sector {sector!r}")
+    checks, stabilizers = (inst.hz, inst.hx) if sector == "X" else (inst.hx, inst.hz)
     if witness <= 0 or witness >> inst.n:
         raise DistanceError("witness is not a nonzero vector on the qubit columns")
     if checks.times_vector(witness):
@@ -168,44 +161,26 @@ def _pivot(rows: list[int], r: int, bit: int) -> None:
     rows[r] = p
 
 
-def _take_pivot(rows: list[int], r: int, bit: int) -> bool:
-    """Swap a row at index r or later that holds ``bit`` into place r and
-    pivot on it; False when no such row holds it."""
-    for t in range(r, len(rows)):
-        if rows[t] & bit:
-            rows[r], rows[t] = rows[t], rows[r]
-            _pivot(rows, r, bit)
-            return True
-    return False
-
-
-def _eliminate(rows: list[int], columns: list[int]) -> int:
-    """Gauss–Jordan on linearly independent ``rows`` in place, pivoting on
-    ``columns`` in the given order; returns the pivot columns as a mask.
-    Each row then holds exactly one pivot column."""
-    r = pivots = 0
-    for col in columns:
-        if r == len(rows):
-            break
-        if _take_pivot(rows, r, 1 << col):
-            pivots |= 1 << col
-            r += 1
-    return pivots
-
-
-def _balanced_information_set(rows: list[int], n: int, size: int) -> int:
+def _information_set(rows: list[int], blocks: list[list[int]]) -> tuple[int, list[int]]:
     """Gauss–Jordan on linearly independent ``rows`` in place, each next pivot
-    from the block of ``size`` columns with the fewest pivots so far (the
-    first on a tie), in column order; returns the most one block holds."""
-    tried, held = list(range(0, n, size)), [0] * (n // size)
-    r = 0
+    from the block with the fewest pivots so far (the first on a tie), in
+    that block's column order; returns the pivot columns as a mask and the
+    pivots each block holds.  Each row then holds exactly one pivot column."""
+    tried, held = [0] * len(blocks), [0] * len(blocks)
+    r = pivots = 0
     while r < len(rows):
-        b = min((b for b in range(len(held)) if tried[b] < (b + 1) * size), key=held.__getitem__)
+        b = min((b for b, cols in enumerate(blocks) if tried[b] < len(cols)), key=held.__getitem__)
+        bit = 1 << blocks[b][tried[b]]
         tried[b] += 1
-        if _take_pivot(rows, r, 1 << (tried[b] - 1)):
-            held[b] += 1
-            r += 1
-    return max(held)
+        for t in range(r, len(rows)):
+            if rows[t] & bit:
+                rows[r], rows[t] = rows[t], rows[r]
+                _pivot(rows, r, bit)
+                pivots |= bit
+                held[b] += 1
+                r += 1
+                break
+    return pivots, held
 
 
 def _visit_level(
@@ -255,7 +230,8 @@ def _bz_minimum(
     size = 1 if group is None else group.order
     m = len(kernel)
     rows = list(kernel)
-    spread = _balanced_information_set(rows, n, size)
+    _, held = _information_set(rows, [list(range(s, s + size)) for s in range(0, n, size)])
+    spread = max(held)
     best_w, lightest = n + 1, []
     visited = 0
     for w in range(1, m + 1):
@@ -338,7 +314,8 @@ class _InformationSetWalk:
     ``rows`` is a basis of ker(checks) in Gauss–Jordan form on the columns
     of ``pivots``: every row holds exactly one of them.  ``free`` lists the
     non-pivot columns some row holds, the columns a swap can bring in.  The
-    first round eliminates along a shuffled column order; every later round
+    first round eliminates along a shuffled column order, one block for
+    ``_information_set``; every later round
     first makes max(1, m // 8) pivot swaps.  A swap draws a free column j
     and a row i that holds it, uniformly over such pairs, and pivots row i
     on j in place of its old pivot column, which becomes free.  When no row
@@ -369,15 +346,14 @@ class _InformationSetWalk:
             rng.shuffle(order)
             if limit < len(rows):
                 head = rows[:limit]
-                self.pivots = _eliminate(head, order)
+                self.pivots, _ = _information_set(head, [order])
                 rows[:limit] = head
                 return head
-            self.pivots = _eliminate(rows, order)
+            self.pivots, _ = _information_set(rows, [order])
             support = 0
             for x in rows:
                 support |= x
-            nonpivot = support & ~self.pivots
-            self.free = [c for c in range(n) if nonpivot >> c & 1]
+            self.free = support_bits(support & ~self.pivots)
         elif free:
             for _ in range(max(1, len(rows) // 8)):
                 while True:  # ends: every free column is held by some row

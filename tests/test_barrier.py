@@ -15,7 +15,7 @@ from polyqec.barrier import (
     barrier,
     classical_code_barrier,
     code_barrier,
-    sector_barrier,
+    psi_image,
 )
 from polyqec.codes import TwoBlockCode, two_block
 from polyqec.distance import (
@@ -198,18 +198,17 @@ def test_surface_code_barrier_is_two():
     for L in (2, 3):
         inst = instantiate(code, torus(code.context, L, L))
         assert code_barrier(inst).barrier == 2
-        for sector in ("X", "Z"):
-            res = sector_barrier(inst, sector, want_path=True)
+        x = code_barrier(inst, want_path=True)
+        for res, sector, checks in ((x, "X", inst.hz), (psi_image(inst, x), "Z", inst.hx)):
             assert (res.barrier, res.sector) == (2, sector)
-            checks = distance_mod._sector_checks(inst, sector)[0]
             assert _replay(checks.transpose().rows, res.path) == (res.target, 2)
 
 
 def test_sector_targets_are_genuine_logicals():
     code = two_block("x y", "1 + x", "1 + y")
     inst = instantiate(code, torus(code.context, 3, 3))
-    for sector in ("X", "Z"):
-        res = sector_barrier(inst, sector)
+    x = code_barrier(inst)
+    for res, sector in ((x, "X"), (psi_image(inst, x), "Z")):
         validate_logical_witness(inst, res.target, sector)
 
 
@@ -236,7 +235,7 @@ def test_sector_barrier_matches_minimum_over_targets():
             if checks.times_vector(v) == 0 and v not in stab
         }
         expect = _brute_bottleneck(checks, logicals)
-        res = sector_barrier(inst, "X")
+        res = code_barrier(inst)
         assert res.barrier == expect and res.target in logicals
 
 
@@ -245,8 +244,6 @@ def test_code_barrier_rejects_bad_inputs():
     big = instantiate(code, torus(code.context, 4, 4))
     with pytest.raises(BarrierCapError):
         code_barrier(big)
-    with pytest.raises(DistanceError, match="unknown sector"):
-        sector_barrier(instantiate(code, torus(code.context, 2, 2)), "Y")
     trivial = two_block("x", "1", "1")
     inst = instantiate(trivial, torus(trivial.context, 3))
     with pytest.raises(DistanceError, match="no logical"):
@@ -268,9 +265,10 @@ def test_reported_targets_are_rechecked(monkeypatch):
     code = two_block("x y", "1 + x", "1 + y")
     inst = instantiate(code, torus(code.context, 2, 2))
     monkeypatch.setattr(barrier_mod, "_dijkstra", lambda *a, **k: (1, 0b1, 1, None))
-    for sector in ("X", "Z"):
-        with pytest.raises(DistanceError, match="kernel condition"):
-            sector_barrier(inst, sector)
+    with pytest.raises(DistanceError, match="X-sector kernel condition"):
+        code_barrier(inst)
+    with pytest.raises(DistanceError, match="Z-sector kernel condition"):
+        psi_image(inst, barrier_mod.BarrierResult(1, "X", 0b1, None, 1))
     ising = parse_poly("1 + x")
     ring = classical_parity_matrix(ising, torus(ising.context, 4))
     with pytest.raises(BarrierError, match="not a nonzero codeword"):
@@ -319,6 +317,11 @@ def _direct_z_barrier(inst):
     return _heap_dijkstra(inst.hx.transpose().rows, goal)[0]
 
 
+def _z_barrier(inst, **kwargs):
+    """The Z barrier: ``psi_image`` of the X search."""
+    return psi_image(inst, code_barrier(inst, **kwargs))
+
+
 def _check_z_against_direct_search(inst, res):
     """The psi-derived Z result has the direct search's barrier, and its path
     replays through HX to its target at peak energy equal to the barrier."""
@@ -350,7 +353,7 @@ def test_sector_symmetry_swaps_the_blocks_and_inverts():
         assert _sector_distance(inst, "X") == _sector_distance(inst, "Z")
         if inst.n <= 16:
             barriers += 1
-            _check_z_against_direct_search(inst, sector_barrier(inst, "Z", want_path=True))
+            _check_z_against_direct_search(inst, _z_barrier(inst, want_path=True))
     assert barriers >= 200
     for inst in instances:
         # the certificate for k = n - 2 rank(HX): HZ has the rank of HX
@@ -495,8 +498,8 @@ def test_bundled_barriers_match_heap_reference(monkeypatch):
             if isinstance(obj, BinaryMatrix):
                 yield name, obj, _outcome(classical_code_barrier, obj, want_path=True)
             else:
-                for sector in ("X", "Z"):
-                    yield name, obj, _outcome(sector_barrier, obj, sector, want_path=True)
+                for search in (code_barrier, _z_barrier):
+                    yield name, obj, _outcome(search, obj, want_path=True)
 
     got = list(searches())
     monkeypatch.setattr(barrier_mod, "_dijkstra", _heap_dijkstra)
@@ -536,9 +539,8 @@ def test_newman_moore_search_stops_when_a_codeword_joins():
 def _haah_x_barrier(*sizes):
     spec = specfile.parse_spec_file(fixture_path("haah"))
     inst = instantiate(spec.two_block(), torus(spec.context, *sizes))
-    res = sector_barrier(inst, "X", cap_n=inst.n, want_path=True)
-    checks = distance_mod._sector_checks(inst, "X")[0]
-    assert _replay(checks.transpose().rows, res.path) == (res.target, res.barrier)
+    res = code_barrier(inst, cap_n=inst.n, want_path=True)
+    assert _replay(inst.hz.transpose().rows, res.path) == (res.target, res.barrier)
     return res
 
 

@@ -435,6 +435,37 @@ def test_barrier_single_sector(capsys):
     assert list(doc["result"]["sectors"]) == ["Z"]
 
 
+def test_barrier_both_sectors_are_the_single_sector_documents(capsys):
+    # ``both`` is the X document's block next to the Z document's, on every
+    # bundled two-block code at a torus within the cap (k = 0 ones refuse
+    # alike under every sector)
+    answered = 0
+    for name in fixture_names():
+        spec = parse_spec_file(fixture_path(name))
+        if spec.is_classical:
+            continue
+        size = "3" if spec.context.dim == 2 else "2"
+        bounds = [a for v in spec.context.names for a in ("--boundary", f"{v}^{size} = 1")]
+        outs = {}
+        for sector in ("X", "Z", "both"):
+            code, out, err = run(
+                capsys, "barrier", name, *bounds, "--sector", sector, "--json", "--no-cache"
+            )
+            outs[sector] = (code, json.loads(out)["result"] if code == 0 else err)
+        if outs["both"][0]:
+            assert outs["X"] == outs["Z"] == outs["both"], name
+            continue
+        answered += 1
+        both = outs["both"][1]
+        assert list(both["sectors"]) == ["X", "Z"], name
+        for sector in ("X", "Z"):
+            code, single = outs[sector]
+            assert code == 0 and list(single["sectors"]) == [sector], name
+            assert single["sectors"][sector] == both["sectors"][sector], name
+            assert single["barrier"] == both["barrier"], name
+    assert answered >= 7
+
+
 def test_four_way_option_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["barrier", "toric", "--four-way", "--no-cache"])
@@ -823,6 +854,7 @@ def test_readme_library_example_runs(capsys):
         "['a3 = (a1^2*a2^-1)^3', 'b2 = (a1*a2^-1*b1)^2']",
         "18 2",
         "3",
+        "2 2",
     ]
 
 

@@ -468,15 +468,16 @@ def _limit_credited_translations(monkeypatch, credited):
     returned, ⌈|G| min(a, t) / t⌉, gives the search a bound no stronger.
     """
     spreads = []
-    full = distance_mod._balanced_information_set
+    full = distance_mod._information_set
 
-    def limited(rows, n, size):
-        a = full(rows, n, size)
+    def limited(rows, blocks):
+        pivots, held = full(rows, blocks)
+        a, size = max(held), len(blocks[0])
         t = size if credited is None else min(credited, size)
         spreads.append((a, -(-size * min(a, t) // t)))
-        return spreads[-1][1]
+        return pivots, [spreads[-1][1]]
 
-    monkeypatch.setattr(distance_mod, "_balanced_information_set", limited)
+    monkeypatch.setattr(distance_mod, "_information_set", limited)
     return spreads
 
 
@@ -683,7 +684,7 @@ def test_parallel_streams_match_sequential_loop(monkeypatch, in_pool):
 def _assert_walk_invariants(walk, inst, sector):
     """The walk's rows are a basis of ker(checks) in Gauss–Jordan form on its
     pivots, and ``free`` is the rest of the kernel's support."""
-    checks, _ = distance_mod._sector_checks(inst, sector)
+    checks = inst.hz if sector == "X" else inst.hx
     n, rows, pivots = inst.n, walk.rows, walk.pivots
     held = [x & pivots for x in rows]
     assert all(h.bit_count() == 1 for h in held) and sum(held) == pivots
@@ -725,7 +726,7 @@ def test_budget_below_the_kernel_dimension_reduces_only_what_is_examined():
             instances.append(inst)
     for idx, inst in enumerate(instances):
         for sector in ("X", "Z"):
-            checks, _ = distance_mod._sector_checks(inst, sector)
+            checks = inst.hz if sector == "X" else inst.hx
             kernel, _ = _frame(inst, sector)
             if len(kernel) < 2:
                 continue
@@ -740,6 +741,78 @@ def test_budget_below_the_kernel_dimension_reduces_only_what_is_examined():
                 assert walk.free is None
                 walk.round(len(kernel))
                 _assert_walk_invariants(walk, inst, sector)
+
+
+def _take_pivot_reference(rows, r, bit):
+    for t in range(r, len(rows)):
+        if rows[t] & bit:
+            rows[r], rows[t] = rows[t], rows[r]
+            distance_mod._pivot(rows, r, bit)
+            return True
+    return False
+
+
+def _eliminate_reference(rows, columns):
+    """Gauss–Jordan pivoting on ``columns`` in the given order: the walk's
+    own elimination before it shared ``_information_set``."""
+    r = pivots = 0
+    for col in columns:
+        if r == len(rows):
+            break
+        if _take_pivot_reference(rows, r, 1 << col):
+            pivots |= 1 << col
+            r += 1
+    return pivots
+
+
+def _balanced_reference(rows, n, size):
+    """Gauss–Jordan with each next pivot from the block of ``size`` columns
+    with the fewest pivots so far: Brouwer–Zimmermann's own elimination
+    before it shared ``_information_set``, returning its pivot mask too."""
+    tried, held = list(range(0, n, size)), [0] * (n // size)
+    r = pivots = 0
+    while r < len(rows):
+        b = min((b for b in range(len(held)) if tried[b] < (b + 1) * size), key=held.__getitem__)
+        tried[b] += 1
+        if _take_pivot_reference(rows, r, 1 << (tried[b] - 1)):
+            pivots |= 1 << (tried[b] - 1)
+            held[b] += 1
+            r += 1
+    return pivots, max(held)
+
+
+def test_information_set_matches_both_former_eliminations():
+    # one shuffled block (the walk's first round, whole or a head of fewer
+    # rows than the kernel dimension) against pivoting in column order, and
+    # blocks of |G| columns (and of one column: no group) against the
+    # balanced elimination, on the kernels of two-block codes and classical
+    # codes on tori: the same rows, pivot mask and spread
+    rng = random.Random(4901)
+    kernels = []
+    for inst in _search_instances() + _small_sector_instances():
+        for sector in ("X", "Z"):
+            kernels.append((_frame(inst, sector)[0], inst.n, inst.group.order))
+    for mat, group in _random_classical_matrices(rng, 30):
+        kernels.append((mat.nullspace(), mat.ncols, group.order))
+    heads = 0
+    for kernel, n, order in kernels:
+        shuffled = list(range(n))
+        rng.shuffle(shuffled)
+        for limit in {len(kernel), rng.randint(1, len(kernel))}:
+            heads += limit < len(kernel)
+            got, expect = kernel[:limit], kernel[:limit]
+            assert distance_mod._information_set(got, [shuffled])[0] == _eliminate_reference(
+                expect, shuffled
+            )
+            assert got == expect
+        for size in (order, 1):
+            got, expect = list(kernel), list(kernel)
+            pivots, held = distance_mod._information_set(
+                got, [list(range(s, s + size)) for s in range(0, n, size)]
+            )
+            assert (pivots, max(held)) == _balanced_reference(expect, n, size)
+            assert got == expect and sum(held) == len(kernel)
+    assert len(kernels) > 60 and heads > 30
 
 
 def test_walk_without_a_legal_swap_stays_put():
@@ -907,7 +980,7 @@ def _assert_column_order_gauss_jordan(mat):
     for i, low in enumerate(lows):
         assert [j for j, r in enumerate(rows) if r >> low & 1] == [i]
     again = list(rows)
-    distance_mod._eliminate(again, list(range(mat.ncols)))
+    distance_mod._information_set(again, [list(range(mat.ncols))])
     assert again == rows
 
 
