@@ -39,11 +39,12 @@ HX onto HZ and back, so both sectors have the same distance, and every
 search here runs on the X sector's frame from ``logical_space``: the kernel
 of HZ, representative rows R, and the one k = 0 refusal; only
 ``validate_logical_witness`` reads a sector, to re-check a witness against
-that sector's checks and stabilizers.  The searches walk plain kernel vectors and test one for being a logical, a
-nonzero pairing with R, only when it would become the answer: an enumerated
-combination no heavier than the best so far, a walk or one-block candidate
-strictly lighter.  A classical codeword is any nonzero kernel combination,
-so ``exact_classical_distance`` runs the same enumeration with no test and
+that sector's checks and stabilizers.  The searches walk plain kernel
+vectors and test one for being a logical, a nonzero pairing with R, only
+when it would become the answer: an enumerated combination no heavier than
+the best so far, a walk or one-block candidate strictly lighter.  A
+classical codeword is any nonzero kernel combination, so
+``exact_classical_distance`` runs the same enumeration with no test and
 returns the same ``DistanceResult``, with no witness sector.
 """
 
@@ -315,10 +316,10 @@ class _InformationSetWalk:
     of ``pivots``: every row holds exactly one of them.  ``free`` lists the
     non-pivot columns some row holds, the columns a swap can bring in.  The
     first round eliminates along a shuffled column order, one block for
-    ``_information_set``; every later round
-    first makes max(1, m // 8) pivot swaps.  A swap draws a free column j
-    and a row i that holds it, uniformly over such pairs, and pivots row i
-    on j in place of its old pivot column, which becomes free.  When no row
+    ``_information_set``; every later round first makes max(1, m // 8)
+    pivot swaps.  A swap draws a free column j and a row i that holds it,
+    uniformly over such pairs, and pivots row i on j in place of its old
+    pivot column, which becomes free.  When no row
     holds a non-pivot column there is no swap to make, and the walk stays
     where it is.  The walk only proposes candidates; which of them are
     logicals is the caller's test.
