@@ -154,7 +154,7 @@ def _result_check(spec: specfile.CodeSpec, args) -> dict[str, Any]:
         weight = code.check_weight
         family = str(codes.family_tree(code))
     free, torsion, index = codes.decomposition_profile(code)
-    indec = free == 0 and not torsion
+    indec = index == 1
     pres = spec.presentation()
     return {
         "kind": "classical" if spec.is_classical else "two-block",

@@ -16,22 +16,22 @@ bound is w + 1.  The work is capped per sector in combinations
 
 At practical sizes the randomized search gives upper bounds.  It first looks
 for logicals on one block (``_one_block_logical``): HZ = [Ḡ | F̄], so the
-codewords of the classical codes of ḡ and f̄ on G, placed on the left or the
-right block, lie in the X kernel, and those outside the stabilizers are
-logicals; each kernel basis, already in Gauss–Jordan form in column order,
-gives the candidates of one walk round.  In a hypergraph product, which the
-paper takes as the parent of every two-block code, a lightest logical is of
-this kind; on a compactified code they bound d from above (Wang & Pryadko
-2022 bound GB-code distances through the same cyclic codes).  Then a seeded
-information-set walk: each worker stream keeps the X kernel basis in
-Gauss–Jordan form, moves it to a neighbouring information set by random
-pivot swaps every round (``_InformationSetWalk``), and inspects the rows
-(and sums of light row pairs, ``_candidates``) for low-weight logical
-operators.  A first round given fewer trials than the kernel dimension
-reduces only the rows it examines, and ends the stream.  The worker streams
-run in parallel processes once the job is large enough to pay for the round
-trip; they are merged in worker order after the one-block candidate, so the
-result is the one a sequential run of the streams gives.
+kernels of its two column blocks, the classical codes of ḡ and f̄ on G, placed
+on the left or the right block, lie in the X kernel, and those outside the
+stabilizers are logicals; each kernel basis, already in Gauss–Jordan form in
+column order, gives the candidates of one walk round.  In a hypergraph
+product, which the paper takes as the parent of every two-block code, a
+lightest logical is of this kind; on a compactified code they bound d from
+above (Wang & Pryadko 2022 bound GB-code distances through the same cyclic
+codes).  Then a seeded information-set walk: each worker stream keeps the X
+kernel basis in Gauss–Jordan form, moves it to a neighbouring information set
+by random pivot swaps every round (``_InformationSetWalk``), and inspects the
+rows (and sums of light row pairs, ``_candidates``) for low-weight logical
+operators.  A first round given fewer trials than the kernel dimension reduces
+only the rows it examines, and ends the stream.  The worker streams run in
+parallel processes once the job is large enough to pay for the round trip;
+they are merged in worker order after the one-block candidate, so the result
+is the one a sequential run of the streams gives.
 
 One logical frame: an X-type logical is v with HZ*v = 0 and v outside the
 row space of HX, symmetrically for Z.  The block swap (a, b) -> (b̄, ā) maps
@@ -56,9 +56,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .instantiate import (
-    BinaryMatrix, CodeInstance, _check_matrix, _reduce, _translates, support_bits
-)
+from .instantiate import BinaryMatrix, CodeInstance, _reduce, _translates, support_bits
 from .lattice import QuotientGroup
 
 __all__ = [
@@ -292,18 +290,20 @@ def _one_block_logical(inst: CodeInstance, reps: BinaryMatrix) -> tuple[int, int
     among the candidates of each block's classical kernel, the first found
     on a tie; (n, None) when none of them is a logical.
 
-    HZ = [Ḡ | F̄], so (u, 0) lies in ker HZ exactly when ḡu = 0 in F2[G], and
-    (0, v) exactly when f̄v = 0: the codewords of the classical codes of ḡ
-    and f̄ on G.  Each ``nullspace`` basis is already in Gauss–Jordan form in
-    column order (every row's lowest bit is a free column no other row
-    holds, in ascending order), so it gives the candidates of one walk round
-    (``_candidates``) as it is; ``reps`` are the X sector's representatives
-    from ``logical_space``.
+    The classical matrices are HZ's column blocks, HZ = [Ḡ | F̄]: (u, 0) lies
+    in ker HZ exactly when Ḡu = 0, and (0, v) exactly when F̄v = 0, the
+    codewords of the classical codes of ḡ and f̄ on G.  Each ``nullspace``
+    basis is already in Gauss–Jordan form in column order (every row's
+    lowest bit is a free column no other row holds, in ascending order), so
+    it gives the candidates of one walk round (``_candidates``) as it is;
+    ``reps`` are the X sector's representatives from ``logical_space``.
     """
     size = inst.group.order
+    mask = (1 << size) - 1
     best = (inst.n, None)
-    for offset, poly in ((0, inst.code.g), (size, inst.code.f)):
-        rows = [u << offset for u in _check_matrix(inst.group, (poly.antipode(),)).nullspace()]
+    for offset in (0, size):
+        block = BinaryMatrix([r >> offset & mask for r in inst.hz.rows], size)
+        rows = [u << offset for u in block.nullspace()]
         best = _lighter_logical(_candidates(rows), reps, *best)
     return best
 

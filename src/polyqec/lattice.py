@@ -16,7 +16,6 @@ from typing import Iterable, Sequence
 from .poly import Monomial, VarContext, mono_image
 
 __all__ = [
-    "SmithForm",
     "smith_normal_form",
     "hermite_basis",
     "quotient_shape",
@@ -33,34 +32,22 @@ class InfiniteQuotientError(ValueError):
     """A quotient group was requested of relations that leave it infinite."""
 
 
-def _identity(n: int) -> IntMatrix:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
+def smith_normal_form(
+    mat: Sequence[Sequence[int]], cols: int
+) -> tuple[IntMatrix, tuple[int, ...]]:
+    """(V, diagonal): a Smith normal form U @ M @ V = S of a matrix with
+    ``cols`` columns, keeping only the unimodular column transform V.
 
-
-@dataclass(frozen=True)
-class SmithForm:
-    """U @ M @ V = S for some unimodular U, V and S diagonal (divisibility chain).
-
-    Only the column transform V and the diagonal of S are kept.
-    """
-
-    V: tuple[tuple[int, ...], ...]
-    diagonal: tuple[int, ...]
-
-
-def smith_normal_form(mat: Sequence[Sequence[int]]) -> SmithForm:
-    """Smith normal form with column-transform tracking.
-
-    Pivoting picks the smallest nonzero entry in absolute value.  Returns
-    V (cols x cols) and the min(rows, cols) diagonal entries, which are
-    nonnegative and each divides the next.
+    Pivoting picks the smallest nonzero entry in absolute value.  The
+    diagonal is padded to ``cols`` entries: the invariant factors of
+    Z^cols / <rows>, nonnegative and each dividing the next, then a 0 for
+    each free direction.
     """
     A: IntMatrix = [[int(x) for x in row] for row in mat]
-    r = len(A)
-    c = len(A[0]) if r else 0
+    r, c = len(A), cols
     if any(len(row) != c for row in A):
         raise ValueError("ragged matrix")
-    V = _identity(c)
+    V = [[int(i == j) for j in range(c)] for i in range(c)]
 
     def swap_rows(i, j):
         A[i], A[j] = A[j], A[i]
@@ -130,8 +117,7 @@ def smith_normal_form(mat: Sequence[Sequence[int]]) -> SmithForm:
                 break
             add_row(t, culprit, 1)
         t += 1
-    diag = tuple(abs(A[i][i]) for i in range(min(r, c)))
-    return SmithForm(V=tuple(tuple(row) for row in V), diagonal=diag)
+    return V, tuple(abs(A[i][i]) if i < r else 0 for i in range(c))
 
 
 def hermite_basis(vectors: Iterable[Sequence[int]], d: int) -> tuple[tuple[int, ...], ...]:
@@ -178,15 +164,11 @@ def hermite_basis(vectors: Iterable[Sequence[int]], d: int) -> tuple[tuple[int, 
 
 def quotient_shape(vectors: Iterable[Sequence[int]], d: int) -> tuple[int, tuple[int, ...]]:
     """(free rank, invariant factors > 1) of Z^d / <vectors>."""
-    rows = [list(map(int, v)) for v in vectors]
-    for v in rows:
-        if len(v) != d:
-            raise ValueError("vector arity mismatch")
-    snf = smith_normal_form(rows)
-    diag = list(snf.diagonal) + [0] * (d - len(snf.diagonal))
-    free = sum(1 for s in diag if s == 0)
-    torsion = tuple(s for s in diag if s > 1)
-    return free, torsion
+    rows = [tuple(v) for v in vectors]
+    if any(len(v) != d for v in rows):
+        raise ValueError("vector arity mismatch")
+    diag = smith_normal_form(rows, d)[1]
+    return diag.count(0), tuple(s for s in diag if s > 1)
 
 
 # -- abelian quotient groups ----------------------------------------------
@@ -276,9 +258,6 @@ class QuotientGroup:
             index //= m
         return tuple(reversed(out))
 
-    def add(self, a: int, b: int) -> int:
-        return self._index(map(sum, zip(self.index_coords(a), self.index_coords(b))))
-
     def neg(self, a: int) -> int:
         return self._index(-x for x in self.index_coords(a))
 
@@ -309,8 +288,7 @@ def quotient(pres: GroupPresentation) -> QuotientGroup:
         )
         return QuotientGroup(presentation=pres, _radices=radices, _coord_rows=coord_rows)
     # one Smith form of the raw relations gives the shape and the coordinate rows
-    snf = smith_normal_form([list(rel) for rel in pres.relations])
-    diag = list(snf.diagonal) + [0] * (d - len(snf.diagonal))
+    V, diag = smith_normal_form(pres.relations, d)
     if 0 in diag:
         raise InfiniteQuotientError(
             f"quotient of {pres.context} is infinite (free rank {diag.count(0)})"
@@ -319,5 +297,5 @@ def quotient(pres: GroupPresentation) -> QuotientGroup:
     return QuotientGroup(
         presentation=pres,
         _radices=tuple(diag[j] for j in keep),
-        _coord_rows=tuple(tuple(snf.V[i][j] for j in keep) for i in range(d)),
+        _coord_rows=tuple(tuple(V[i][j] for j in keep) for i in range(d)),
     )

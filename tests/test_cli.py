@@ -82,7 +82,9 @@ def test_check_takes_one_smith_form_per_lattice(capsys, monkeypatch, tmp_path):
     # one Smith form each; indecomposability is read off the profile
     calls = []
     smith = lattice.smith_normal_form
-    monkeypatch.setattr(lattice, "smith_normal_form", lambda mat: calls.append(1) or smith(mat))
+    monkeypatch.setattr(
+        lattice, "smith_normal_form", lambda mat, cols: calls.append(1) or smith(mat, cols)
+    )
     open_spec = tmp_path / "open.code"
     open_spec.write_text("[code]\nvariables = x y\nf = 1 + x\ng = 1 + y\n", encoding="utf-8")
     twisted = ["gross", "--boundary", "x^6 = y^3", "--boundary", "y^6 = 1"]

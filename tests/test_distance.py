@@ -1,7 +1,7 @@
 """Tests for exact and randomized distance search."""
 
 import random
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 import pytest
 
@@ -968,6 +968,34 @@ def test_one_block_bound_on_the_published_codes(name):
     validate_logical_witness(inst, witness, "X")
     size = inst.group.order
     assert witness < 1 << size or witness % (1 << size) == 0  # on one block
+
+
+def test_one_block_codes_are_the_column_blocks_of_hz():
+    # HZ = [Ḡ | F̄]: its two column blocks, which the one-block candidates
+    # read, are the classical check matrices of ḡ and f̄ built generator by
+    # generator, with the same nullspaces
+    instances = []
+    for name in fixture_names():
+        spec = specfile.parse_spec_file(fixture_path(name))
+        if not spec.is_classical:
+            code = spec.two_block()
+            instances.append(instantiate(code, spec.presentation()))
+            for rels in islice(_catalogue_tori(code.context.dim), 2):  # plain, then twisted
+                instances.append(instantiate(code, GroupPresentation(code.context, rels)))
+    for f, g, l, m, _ in _PUBLISHED_ONE_BLOCK.values():
+        code = two_block("x y", f, g)
+        instances.append(instantiate(code, torus(code.context, l, m)))
+    twisted = 0
+    for inst in instances:
+        rels = inst.group.presentation.relations
+        twisted += any(r[j] for i, r in enumerate(rels) for j in range(i))
+        size = inst.group.order
+        for offset, poly in ((0, inst.code.g), (size, inst.code.f)):
+            block = BinaryMatrix([r >> offset & ((1 << size) - 1) for r in inst.hz.rows], size)
+            reference = _check_matrix(inst.group, (poly.antipode(),))
+            assert block == reference
+            assert block.nullspace() == reference.nullspace()
+    assert len(instances) >= 40 and twisted >= 11
 
 
 def _assert_column_order_gauss_jordan(mat):

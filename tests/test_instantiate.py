@@ -19,7 +19,6 @@ from polyqec.instantiate import (
     CodeInstance,
     classical_parity_matrix,
     instantiate,
-    parity_dot,
     tanner_component_count,
     write_coordinate_text,
     write_matrix_market,
@@ -338,8 +337,10 @@ def test_submodule_is_not_shadowed_by_a_package_name():
 
 
 def test_parity_dot():
-    assert parity_dot(0b1011, 0b1110) == 0
-    assert parity_dot(0b1011, 0b0110) == 1
+    # the GF(2) inner product is one row of ``times_vector``
+    for a, b, dot in ((0b1011, 0b1110, 0), (0b1011, 0b0110, 1)):
+        assert (a & b).bit_count() & 1 == dot
+        assert BinaryMatrix([a], 4).times_vector(b) == dot
 
 
 # -- instantiation --------------------------------------------------------
@@ -545,10 +546,11 @@ def test_translate_builder_matches_translation_tables():
     assert {1, 2, 3, 2304} <= seen
 
 
-def _oddly_meeting_instance(inst):
-    """``inst`` with one bit of X check 0 added to a Z check at an offset
-    that is not a product of monomials of f and g, chosen so that no X check
-    at a candidate offset of the changed Z check holds that bit."""
+def _oddly_meeting_instance(inst, count=1):
+    """``inst`` with one bit of X check 0 added to ``count`` Z checks, the
+    lowest and the highest offsets that are not products of monomials of f
+    and g, chosen so that no X check at a candidate offset of a changed Z
+    check holds that bit; returns the changed offsets and the instance."""
     group, code = inst.group, inst.code
     candidates = {
         group.reduce(tuple(a + b for a, b in zip(m, n)))
@@ -556,15 +558,23 @@ def _oddly_meeting_instance(inst):
         for n in code.g.terms
     }
     bit = inst.hx.rows[0] & -inst.hx.rows[0]
-    for h in range(group.order):
-        if h not in candidates and not any(
-            inst.hx.rows[group.add(h, group.neg(c))] & bit for c in candidates
-        ):
-            rows = list(inst.hz.rows)
-            rows[h] ^= bit
-            hz = BinaryMatrix(rows, inst.hz.ncols)
-            return h, CodeInstance(inst.code, group, inst.hx, hz)
-    raise AssertionError("no such offset")
+
+    def minus(a, b):
+        return group._index(x - y for x, y in zip(group.index_coords(a), group.index_coords(b)))
+
+    offsets = [
+        h
+        for h in range(group.order)
+        if h not in candidates
+        and not any(inst.hx.rows[minus(h, c)] & bit for c in candidates)
+    ]
+    assert len(offsets) >= count, "no such offsets"
+    changed = sorted({offsets[0], offsets[-1]})[:count]
+    rows = list(inst.hz.rows)
+    for h in changed:
+        rows[h] ^= bit
+    hz = BinaryMatrix(rows, inst.hz.ncols)
+    return changed, CodeInstance(inst.code, group, inst.hx, hz)
 
 
 def test_verify_commutation_reads_a_full_row():
@@ -572,9 +582,15 @@ def test_verify_commutation_reads_a_full_row():
     code = two_block("x y", "x^3 + y + y^2", "y^3 + x + x^2")
     inst = instantiate(code, torus(code.context, 12, 6), check=False)
     verify(inst)
-    h, broken = _oddly_meeting_instance(inst)
-    with pytest.raises(CodeError, match=f"X check 0 and Z check {h} overlap oddly"):
-        verify(broken)
+    for count in (1, 2):
+        changed, broken = _oddly_meeting_instance(inst, count)
+        assert len(changed) == count
+        # the lowest odd Z check is named
+        message = (
+            f"^X check 0 and Z check {changed[0]} overlap oddly; instantiation is inconsistent$"
+        )
+        with pytest.raises(CodeError, match=message):
+            verify(broken)
     for _, _, intact in _random_instances(909, 40):
         verify(intact)
 

@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -30,51 +31,62 @@ def mat_mul(A, B):
     ]
 
 
-def check_snf(M, snf):
+def check_snf(M, c, V, diag):
     """M V spans the lattice of the diagonal, which is nonnegative with
-    divisibility; V is unimodular."""
+    divisibility and padded to the c columns; V is unimodular."""
     from sympy import Matrix
 
-    r, c = len(M), len(M[0]) if M else 0
-    MV = mat_mul([list(row) for row in M], [list(row) for row in snf.V])
-    diag = snf.diagonal
+    r = len(M)
+    MV = mat_mul([list(row) for row in M], [list(row) for row in V])
     D = [[diag[i] if i == j else 0 for j in range(c)] for i in range(len(diag))]
     assert hermite_basis(MV, c) == hermite_basis(D, c)
     assert all(s >= 0 for s in diag)
     nz = [s for s in diag if s]
     for a, b in zip(nz, nz[1:]):
         assert b % a == 0
-    assert len(diag) == min(r, c)
+    assert len(diag) == c
+    assert not any(diag[min(r, c):])
     # nonzero entries must precede zeros
     if 0 in diag:
         assert all(s == 0 for s in diag[diag.index(0):])
-    assert abs(Matrix(snf.V).det()) == 1
+    assert abs(Matrix(V).det()) == 1
 
 
 # -- Smith normal form -----------------------------------------------------
 
 
 def test_snf_examples():
-    snf = smith_normal_form([[12, 0], [0, 6]])
-    assert snf.diagonal == (6, 12)
-    snf = smith_normal_form([[3, -1], [0, 3]])
-    assert snf.diagonal == (1, 9)
-    snf = smith_normal_form([[-1, 1, 0], [-1, 0, 1], [0, 1, -1]])
-    assert snf.diagonal == (1, 1, 0)
+    _, diag = smith_normal_form([[12, 0], [0, 6]], 2)
+    assert diag == (6, 12)
+    _, diag = smith_normal_form([[3, -1], [0, 3]], 2)
+    assert diag == (1, 9)
+    _, diag = smith_normal_form([[-1, 1, 0], [-1, 0, 1], [0, 1, -1]], 3)
+    assert diag == (1, 1, 0)
 
 
 def test_snf_zero_and_identity():
-    snf = smith_normal_form([[0, 0], [0, 0]])
-    assert snf.diagonal == (0, 0)
-    snf = smith_normal_form([[1, 0], [0, 1]])
-    assert snf.diagonal == (1, 1)
+    _, diag = smith_normal_form([[0, 0], [0, 0]], 2)
+    assert diag == (0, 0)
+    _, diag = smith_normal_form([[1, 0], [0, 1]], 2)
+    assert diag == (1, 1)
 
 
 def test_snf_rectangular():
-    snf = smith_normal_form([[2, 4, 6]])
-    assert snf.diagonal == (2,)
-    snf = smith_normal_form([[2], [4], [6]])
-    assert snf.diagonal == (2,)
+    _, diag = smith_normal_form([[2], [4], [6]], 1)
+    assert diag == (2,)
+
+
+def test_snf_diagonal_is_padded_to_the_column_count():
+    # the invariant factors of Z^c / <rows>, then a 0 per free direction
+    V, diag = smith_normal_form([[2, 4, 6]], 3)
+    assert diag == (2, 0, 0)
+    check_snf([[2, 4, 6]], 3, V, diag)
+    for c in range(4):
+        V, diag = smith_normal_form([], c)
+        assert diag == (0,) * c
+        assert V == [[int(i == j) for j in range(c)] for i in range(c)]
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        smith_normal_form([[1, 2, 3]], 2)
 
 
 def test_snf_random_invariants_and_sympy_oracle():
@@ -86,9 +98,9 @@ def test_snf_random_invariants_and_sympy_oracle():
         r = rng.randint(1, 4)
         c = rng.randint(1, 4)
         M = rand_matrix(rng, r, c)
-        snf = smith_normal_form(M)
-        check_snf(M, snf)
-        ours = [s for s in snf.diagonal if s]
+        V, diag = smith_normal_form(M, c)
+        check_snf(M, c, V, diag)
+        ours = [s for s in diag if s]
         ref = sympy_snf(Matrix(M))
         theirs = sorted(abs(ref[i, i]) for i in range(min(r, c)) if ref[i, i])
         assert sorted(ours) == theirs
@@ -96,9 +108,9 @@ def test_snf_random_invariants_and_sympy_oracle():
 
 def test_snf_large_entries_exact():
     M = [[10**20, 1], [0, 10**20]]
-    snf = smith_normal_form(M)
-    check_snf(M, snf)
-    assert snf.diagonal == (1, 10**40)
+    V, diag = smith_normal_form(M, 2)
+    check_snf(M, 2, V, diag)
+    assert diag == (1, 10**40)
 
 
 # -- Hermite basis ---------------------------------------------------------
@@ -204,20 +216,28 @@ def test_quotient_shape_examples():
     assert quotient_shape([], 2) == (2, ())
 
 
-def test_quotient_shape_builds_no_transform_larger_than_d(monkeypatch):
+def test_quotient_shape_builds_no_transform_larger_than_d():
     # the monomial vectors of a large generator number in the tens of
     # thousands, and quotient_shape hands them to the Smith form as they are;
     # a rows x rows transform of them would not fit in memory, so the Smith
     # form itself builds only the cols x cols V
     rng = random.Random(20)
     vectors = rand_matrix(rng, 300, 2, span=40)
-    diag = list(smith_normal_form(vectors).diagonal)
+    V, diag = smith_normal_form(vectors, 2)
+    assert [len(row) for row in V] == [2, 2]
     expect = (diag.count(0), tuple(s for s in diag if s > 1))
-    sizes = []
-    identity = lattice_mod._identity
-    monkeypatch.setattr(lattice_mod, "_identity", lambda n: sizes.append(n) or identity(n))
-    assert quotient_shape(vectors, 2) == expect
-    assert sizes and max(sizes) <= 2
+    tracemalloc.start()
+    try:
+        rows_square = [[int(i == j) for j in range(300)] for i in range(300)]
+        square_bytes = tracemalloc.get_traced_memory()[0]
+        del rows_square
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert quotient_shape(vectors, 2) == expect
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < square_bytes / 4
 
 
 # -- quotient groups -------------------------------------------------------
@@ -270,7 +290,9 @@ def test_infinite_quotient_is_refused():
 def test_quotient_makes_one_smith_form(monkeypatch):
     calls = []
     snf = lattice_mod.smith_normal_form
-    monkeypatch.setattr(lattice_mod, "smith_normal_form", lambda m: calls.append(1) or snf(m))
+    monkeypatch.setattr(
+        lattice_mod, "smith_normal_form", lambda m, c: calls.append(1) or snf(m, c)
+    )
     for rels, order, smith_forms in [
         (((12, -3), (0, 6)), 72, 1),  # twisted: x^12 = y^3, y^6 = 1
         (((12, 0), (0, 6)), 72, 0),  # plain 12 x 6 torus: coordinates are the exponents
@@ -285,20 +307,25 @@ def test_quotient_makes_one_smith_form(monkeypatch):
         assert got == order
 
 
+def _coordinate_sum(g, a, b):
+    """Element index of a + b, summed coordinate by coordinate."""
+    return g._index(map(sum, zip(g.index_coords(a), g.index_coords(b))))
+
+
 def test_quotient_element_arithmetic():
     g = quotient(GroupPresentation(XY, ((4, 0), (0, 3))))
     assert g.order == 12
     ident = g.reduce((0, 0))
     for a in range(g.order):
-        assert g.add(a, ident) == a
-        assert g.add(a, g.neg(a)) == ident
+        assert _coordinate_sum(g, a, ident) == a
+        assert _coordinate_sum(g, a, g.neg(a)) == ident
     # reduce is a homomorphism
     rng = random.Random(5)
     for _ in range(100):
         m1 = (rng.randint(-9, 9), rng.randint(-9, 9))
         m2 = (rng.randint(-9, 9), rng.randint(-9, 9))
         s = tuple(a + b for a, b in zip(m1, m2))
-        assert g.reduce(s) == g.add(g.reduce(m1), g.reduce(m2))
+        assert g.reduce(s) == _coordinate_sum(g, g.reduce(m1), g.reduce(m2))
 
 
 def test_quotient_product_torus_row_major():
@@ -369,12 +396,14 @@ def test_translation_is_permutation():
 def test_translation_matches_elementwise_add(ctx, rels):
     g = quotient(GroupPresentation(ctx, rels))
     for mono in product(range(-3, 4), repeat=ctx.dim):
-        assert g.translation(mono) == [g.add(h, g.reduce(mono)) for h in range(g.order)]
+        assert g.translation(mono) == [
+            _coordinate_sum(g, h, g.reduce(mono)) for h in range(g.order)
+        ]
 
 
 def test_arity_and_range_refusals():
     with pytest.raises(ValueError, match="^ragged matrix$"):
-        smith_normal_form([[1, 2], [3]])
+        smith_normal_form([[1, 2], [3]], 2)
     with pytest.raises(ValueError, match="^vector arity mismatch$"):
         hermite_basis([(1, 2)], 3)
     with pytest.raises(ValueError, match="^vector arity mismatch$"):
