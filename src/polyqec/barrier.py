@@ -38,7 +38,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .distance import logical_space, validate_logical_witness
+from .distance import _psi_bits, logical_space, validate_logical_witness
 from .instantiate import BinaryMatrix, CodeInstance, support_bits
 
 __all__ = [
@@ -189,13 +189,6 @@ def classical_code_barrier(
     if res.target == 0 or H.times_vector(res.target):
         raise BarrierError("search reached a state that is not a nonzero codeword")
     return res
-
-
-def _psi_bits(inst: CodeInstance) -> list[int]:
-    """ψ as a bit map: qubit h of either block goes to -h of the other."""
-    order = inst.group.order
-    neg = [inst.group.neg(h) for h in range(order)]
-    return [order + j for j in neg] + neg
 
 
 def psi_image(inst: CodeInstance, res: BarrierResult) -> BarrierResult:

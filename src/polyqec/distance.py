@@ -27,23 +27,27 @@ codes).  Then a seeded information-set walk: each worker stream keeps the X
 kernel basis in Gauss–Jordan form, moves it to a neighbouring information set
 by random pivot swaps every round (``_InformationSetWalk``), and inspects the
 rows (and sums of light row pairs, ``_candidates``) for low-weight logical
-operators.  A first round given fewer trials than the kernel dimension reduces
-only the rows it examines, and ends the stream.  The worker streams run in
-parallel processes once the job is large enough to pay for the round trip;
-they are merged in worker order after the one-block candidate, so the result
-is the one a sequential run of the streams gives.
+operators.  The Gauss–Jordan rows on an order's first information set depend
+only on the kernel and the order, so a stream's first full round reduces
+sparse rows spanning ker HZ, HX's rows and the ψ images of the
+representatives R (below), in relabelled columns (``_systematic``).  A first
+round given fewer trials than the kernel dimension reduces only the rows it
+examines, and ends the stream.  The worker streams run in parallel processes
+once the job is large enough to pay for the round trip; they are merged in
+worker order after the one-block candidate, so the result is the one a
+sequential run of the streams gives.
 
-One logical frame: an X-type logical is v with HZ*v = 0 and v outside the
-row space of HX, symmetrically for Z.  The block swap (a, b) -> (b̄, ā) maps
-HX onto HZ and back, so both sectors have the same distance, and every
-search here runs on the X sector's frame from ``logical_space``: the kernel
-of HZ, representative rows R, and the one k = 0 refusal; only
-``validate_logical_witness`` reads a sector, to re-check a witness against
-that sector's checks and stabilizers.  The searches walk plain kernel
-vectors and test one for being a logical, a nonzero pairing with R, only
-when it would become the answer: an enumerated combination no heavier than
-the best so far, a walk or one-block candidate strictly lighter.  A
-classical codeword is any nonzero kernel combination, so
+One logical frame: an X-type logical is v with HZ*v = 0 and v outside the row
+space of HX, symmetrically for Z.  The block swap ψ(a, b) = (b̄, ā)
+(``_psi_bits``) maps HX onto HZ and back, and ker HX onto ker HZ, so both
+sectors have the same distance, and every search here runs on the X sector's
+frame from ``logical_space``: the kernel of HZ, representative rows R, and the
+one k = 0 refusal; only ``validate_logical_witness`` reads a sector, to
+re-check a witness against that sector's checks and stabilizers.  The searches
+walk plain kernel vectors and test one for being a logical, a nonzero pairing
+with R, only when it would become the answer: an enumerated combination no
+heavier than the best so far, a walk or one-block candidate strictly lighter.
+A classical codeword is any nonzero kernel combination, so
 ``exact_classical_distance`` runs the same enumeration with no test and
 returns the same ``DistanceResult``, with no witness sector.
 """
@@ -53,10 +57,12 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
-from .instantiate import BinaryMatrix, CodeInstance, _reduce, _translates, support_bits
+from .instantiate import BinaryMatrix, CodeInstance, _columns, _reduce, _translates, support_bits
 from .lattice import QuotientGroup
 
 __all__ = [
@@ -75,8 +81,8 @@ _EXACT_METHOD = "exact-brouwer-zimmermann"
 _COMBINATION_CAP = 1 << 26  # kernel combinations one exact sector may visit
 _PAIR_POOL = 16  # lightest rows of a walk round whose pairwise sums are candidates
 # trials x kernel dimension below which search streams stay in-process: about
-# 10-20 ms of search on bb144 and bb288, where a pool round trip (a few ms)
-# stops paying off; the first elimination of each stream dominates there
+# 4-6 ms of search on bb144 and 8-12 ms on bb288 in one process, where a pool
+# round trip (a few ms) takes about as long as running two streams at once saves
 _POOL_MIN_WORK = 1 << 18
 MAX_WORKERS = 1024  # search streams, each a job built before the search starts
 
@@ -136,6 +142,14 @@ def logical_space(inst: CodeInstance) -> tuple[list[int], BinaryMatrix]:
     return kernel, BinaryMatrix(reps, inst.n)
 
 
+def _psi_bits(inst: CodeInstance) -> list[int]:
+    """ψ as a bit map: qubit h of either block goes to -h of the other."""
+    neg = [0]
+    for r in inst.group._radices:
+        neg = [h * r + -x % r for h in neg for x in range(r)]
+    return [len(neg) + j for j in neg] + neg
+
+
 def validate_logical_witness(inst: CodeInstance, witness: int, sector: str) -> None:
     """Independent check that a witness is a genuine logical operator of a
     sector: v with checks*v = 0 outside rowspace(stabilizers), the checks
@@ -164,13 +178,21 @@ def _information_set(rows: list[int], blocks: list[list[int]]) -> tuple[int, lis
     """Gauss–Jordan on linearly independent ``rows`` in place, each next pivot
     from the block with the fewest pivots so far (the first on a tie), in
     that block's column order; returns the pivot columns as a mask and the
-    pivots each block holds.  Each row then holds exactly one pivot column."""
+    pivots each block holds.  Each row then holds exactly one pivot column.
+
+    A column is looked for in the rows not yet pivoted, ``rows[r:]``, only
+    when it lies in ``rest``, their OR when last taken (at first every
+    column): a pivot only adds one of them to others, so the OR only
+    shrinks, and ``rest`` is taken again after a column none of them holds.
+    """
     tried, held = [0] * len(blocks), [0] * len(blocks)
-    r = pivots = 0
+    r, pivots, rest = 0, 0, -1
     while r < len(rows):
         b = min((b for b, cols in enumerate(blocks) if tried[b] < len(cols)), key=held.__getitem__)
         bit = 1 << blocks[b][tried[b]]
         tried[b] += 1
+        if not rest & bit:
+            continue
         for t in range(r, len(rows)):
             if rows[t] & bit:
                 rows[r], rows[t] = rows[t], rows[r]
@@ -179,7 +201,33 @@ def _information_set(rows: list[int], blocks: list[list[int]]) -> tuple[int, lis
                 held[b] += 1
                 r += 1
                 break
+        else:
+            rest = reduce(or_, rows[r:])
     return pivots, held
+
+
+def _systematic(span: list[int], n: int, order: list[int]) -> tuple[list[int], int]:
+    """``_information_set(rows, [order])``'s rows and pivot mask for any rows
+    spanning the space of ``span``, which need not be independent.
+
+    With column ``order[q]`` relabelled as bit n - 1 - q, the top-bit
+    elimination of ``BinaryMatrix._pivots`` pivots on the first independent
+    columns of ``order``.  Reduced rows are unique for the space and the
+    pivots, so they are those rows, earliest pivot first, once mapped back:
+    pivot columns hold one row each, the free ones are read by ``_columns``.
+    """
+    place = [n - 1 - q for q in sorted(range(n), key=order.__getitem__)]
+    bit = [1 << p for p in place]
+    relabelled = [sum(map(bit.__getitem__, support_bits(v))) for v in span]
+    piv = BinaryMatrix(relabelled, n)._pivots()
+    tops = sorted(piv, reverse=True)
+    cols = [0] * n
+    for i, t in enumerate(tops):
+        cols[order[n - 1 - t]] = 1 << i
+    free = [c for c in range(n) if not cols[c]]
+    for c, col in zip(free, _columns([piv[t] for t in tops], n, [place[c] for c in free])):
+        cols[c] = col
+    return _columns(cols, len(tops), range(len(tops))), sum(1 << order[n - 1 - t] for t in tops)
 
 
 def _visit_level(
@@ -315,19 +363,21 @@ class _InformationSetWalk:
     ``rows`` is a basis of ker(checks) in Gauss–Jordan form on the columns
     of ``pivots``: every row holds exactly one of them.  ``free`` lists the
     non-pivot columns some row holds, the columns a swap can bring in.  The
-    first round eliminates along a shuffled column order, one block for
-    ``_information_set``; every later round first makes max(1, m // 8)
-    pivot swaps.  A swap draws a free column j and a row i that holds it,
-    uniformly over such pairs, and pivots row i on j in place of its old
-    pivot column, which becomes free.  When no row
-    holds a non-pivot column there is no swap to make, and the walk stays
-    where it is.  The walk only proposes candidates; which of them are
-    logicals is the caller's test.
+    first round reduces ``span``, rows spanning the kernel (its basis when
+    None), along a shuffled column order (``_systematic``); every later
+    round first makes max(1, m // 8) pivot swaps.  A swap draws a free
+    column j and a row i that holds it, uniformly over such pairs, and
+    pivots row i on j in place of its old pivot column, which becomes free.
+    When no row holds a non-pivot column there is no swap to make, and the
+    walk stays where it is.  The walk only proposes candidates; which of
+    them are logicals is the caller's test.
     """
 
-    def __init__(self, rng: random.Random, kernel: list[int], n: int):
+    def __init__(
+        self, rng: random.Random, kernel: list[int], n: int, span: list[int] | None = None
+    ):
         self.rng, self.n = rng, n
-        self.rows = list(kernel)
+        self.rows, self.span = kernel, kernel if span is None else span
         self.pivots = 0
         self.free: list[int] | None = None  # None until the first full round
 
@@ -348,13 +398,10 @@ class _InformationSetWalk:
             if limit < len(rows):
                 head = rows[:limit]
                 self.pivots, _ = _information_set(head, [order])
-                rows[:limit] = head
                 return head
-            self.pivots, _ = _information_set(rows, [order])
-            support = 0
-            for x in rows:
-                support |= x
-            self.free = support_bits(support & ~self.pivots)
+            self.rows, self.pivots = _systematic(self.span, n, order)
+            rows = self.rows
+            self.free = support_bits(reduce(or_, rows, 0) & ~self.pivots)
         elif free:
             for _ in range(max(1, len(rows) // 8)):
                 while True:  # ends: every free column is held by some row
@@ -370,18 +417,19 @@ class _InformationSetWalk:
 
 
 def _stream(
-    kernel: list[int], reps: BinaryMatrix, n: int, seed: int, widx: int, budget: int
+    kernel: list[int], span: list[int], reps: BinaryMatrix, seed: int, widx: int, budget: int
 ) -> tuple[int, int | None]:
     """(best_w, best) of one worker stream of ``budget`` trials.
 
-    The stream walks the information sets of the X kernel, each round given
-    the budget left.  The first logical of the lowest weight wins: a
-    candidate is tested against ``reps`` only when it is strictly lighter
-    than the best so far.  Weights of n and above never count, so a stream
-    that finds nothing returns (n, None).
+    The stream walks the information sets of the X kernel, which ``span``
+    spans (``_InformationSetWalk``), each round given the budget left.  The
+    first logical of the lowest weight wins: a candidate is tested against
+    ``reps`` only when it is strictly lighter than the best so far.  Weights
+    of n = ``reps.ncols`` and above never count, so a stream that finds
+    nothing returns (n, None).
     """
-    walk = _InformationSetWalk(random.Random(seed * 0x9E3779B1 + widx), kernel, n)
-    best = (n, None)
+    walk = _InformationSetWalk(random.Random(seed * 0x9E3779B1 + widx), kernel, reps.ncols, span)
+    best = (walk.n, None)
     examined = 0
     while examined < budget:
         found = walk.round(budget - examined)
@@ -445,7 +493,8 @@ def random_upper_bound(
     the stream's last: it reduces only the rows it examines, among
     themselves, so its candidates depend on the budget.  Enlarging the
     budget only extends a stream whose first round had at least m trials
-    left.
+    left.  Such a round reduces the rows of HX and the ψ images of the
+    representatives (module docstring), built only when one is run.
 
     Above ``_POOL_MIN_WORK`` (trials times the kernel dimension) the
     streams run in parallel processes, at most one per core.  They are merged
@@ -463,8 +512,12 @@ def random_upper_bound(
     kernel, reps = logical_space(inst)
     seeded = [_one_block_logical(inst, reps)] if trials else []
     share, remainder = divmod(trials, workers)
+    span = kernel
+    if share + (remainder > 0) >= len(kernel):  # some stream makes a full first round
+        psi = _psi_bits(inst)
+        span = [*inst.hx.rows, *(sum(1 << psi[q] for q in support_bits(v)) for v in reps.rows)]
     jobs = [
-        (kernel, reps, inst.n, seed, widx, share + (1 if widx < remainder else 0))
+        (kernel, span, reps, seed, widx, share + (1 if widx < remainder else 0))
         for widx in range(min(workers, trials))
     ]
     processes = min(len(jobs), os.cpu_count() or 1)

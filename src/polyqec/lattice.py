@@ -258,9 +258,6 @@ class QuotientGroup:
             index //= m
         return tuple(reversed(out))
 
-    def neg(self, a: int) -> int:
-        return self._index(-x for x in self.index_coords(a))
-
     def translation(self, mono: Monomial) -> list[int]:
         """Permutation table: element index -> index of (element * mono).
 

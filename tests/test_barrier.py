@@ -283,7 +283,7 @@ def _swap_and_invert(inst, v):
     order = inst.group.order
     out = 0
     for h in range(order):
-        j = inst.group.neg(h)
+        j = inst.group._index(-x for x in inst.group.index_coords(h))
         out |= (v >> h & 1) << (order + j) | (v >> (order + h) & 1) << j
     return out
 
@@ -359,7 +359,7 @@ def test_sector_symmetry_swaps_the_blocks_and_inverts():
         # the certificate for k = n - 2 rank(HX): HZ has the rank of HX
         assert inst.hz.rank() == inst.hx.rank()
         assert inst.k() == inst.n - inst.hx.rank() - inst.hz.rank()
-        psi = barrier_mod._psi_bits(inst)
+        psi = distance_mod._psi_bits(inst)
         assert [1 << p for p in psi] == [_swap_and_invert(inst, 1 << q) for q in range(inst.n)]
         assert all(inst.hz.rowspace_contains(_swap_and_invert(inst, r)) for r in inst.hx.rows)
         assert not any(inst.hx.times_vector(_swap_and_invert(inst, v)) for v in inst.hz.nullspace())

@@ -612,7 +612,8 @@ def test_exact_witness_is_smallest_lightest_logical():
 def _sequential_upper_bound(inst, trials, seed, workers):
     """Reference: the one-block candidate seeds the best, then the worker
     streams walk the X sector one after another in one loop, with the best
-    weight carried from each stream into the next."""
+    weight carried from each stream into the next; each walk starts from the
+    kernel basis, where the search starts from its span."""
     kernel, reps = logical_space(inst)
     n = inst.n
     best_w, best = n, None
@@ -813,6 +814,72 @@ def test_information_set_matches_both_former_eliminations():
             assert (pivots, max(held)) == _balanced_reference(expect, n, size)
             assert got == expect and sum(held) == len(kernel)
     assert len(kernels) > 60 and heads > 30
+
+
+def _random_torus_instance(rng):
+    """A random two-variable two-block instance with k >= 1 on an a x b
+    torus, twisted by x^t y^b = 1 when t > 0, or None."""
+    ctx = VarContext(("x", "y"))
+    a, b = rng.randint(2, 5), rng.randint(2, 5)
+    f, g = (
+        LaurentPoly(ctx, frozenset((rng.randrange(a), rng.randrange(b)) for _ in range(3)))
+        for _ in range(2)
+    )
+    pres = GroupPresentation(ctx, ((a, 0), (rng.randrange(a), b)))
+    inst = instantiate(TwoBlockCode(ctx, f, g), pres)
+    return inst if inst.k() >= 1 else None
+
+
+def _search_span(monkeypatch, inst):
+    """The rows the full first round of a one-stream search reduces."""
+    spans = []
+    systematic = distance_mod._systematic
+    with monkeypatch.context() as patch:
+        patch.setattr(distance_mod, "_systematic", lambda *a: spans.append(a[0]) or systematic(*a))
+        random_upper_bound(inst, len(logical_space(inst)[0]), 0)
+    assert len(spans) == 1
+    return spans[0]
+
+
+def test_full_first_round_from_the_span_is_gauss_jordan_on_the_kernel(monkeypatch):
+    # the search's span lies in ker HZ and has its rank; along seeded column
+    # orders, the reduction of the span and that of the kernel basis are
+    # both the rows and pivot mask of Gauss–Jordan on the kernel basis: on
+    # the bundled two-block codes at their boundary, small plain and twisted
+    # tori and the seven published bivariate-bicycle codes
+    instances = []
+    for name in fixture_names():
+        spec = specfile.parse_spec_file(fixture_path(name))
+        if not spec.is_classical:
+            instances.append(instantiate(spec.two_block(), spec.presentation()))
+    rng = random.Random(5301)
+    small = twisted = 0
+    while small < 30:
+        inst = _random_torus_instance(rng)
+        if inst is not None:
+            instances.append(inst)
+            small += 1
+            twisted += inst.group.presentation.relations[1][0] > 0
+    for f, g, l, m, _ in _PUBLISHED_ONE_BLOCK.values():
+        code = two_block("x y", f, g)
+        instances.append(instantiate(code, torus(code.context, l, m)))
+    checked = 0
+    for inst in instances:
+        if inst.k() == 0:
+            continue
+        n, (kernel, _) = inst.n, logical_space(inst)
+        span = _search_span(monkeypatch, inst)
+        assert not any(inst.hz.times_vector(v) for v in span)
+        assert len(span) > BinaryMatrix(span, n).rank() == len(kernel)
+        for _ in range(3):
+            order = list(range(n))
+            rng.shuffle(order)
+            rows = list(kernel)
+            pivots, _ = distance_mod._information_set(rows, [order])
+            assert distance_mod._systematic(span, n, order) == (rows, pivots)
+            assert distance_mod._systematic(kernel, n, order) == (rows, pivots)
+        checked += 1
+    assert checked >= 40 and twisted >= 10
 
 
 def test_walk_without_a_legal_swap_stays_put():
